@@ -8,7 +8,6 @@ from chowfiber import (
     IntMatrix,
     cokernel,
     determinantal_divisors,
-    hnf,
     integer_kernel,
     invariant_factors_from_divisors,
     snf,
@@ -19,16 +18,14 @@ a = IntMatrix.from_rows([[2, 4], [6, 8]])
 print("The running example:")
 print(a)
 
-print("\nRow-style Hermite normal form (h = u @ a, u unimodular):")
-h, u = hnf(a)
-print(h)
-print("with transform u =")
-print(u)
-
-print("\nSmith normal form (s = u @ a @ v):")
+print("\nSmith normal form (s = u @ a @ v, u and v unimodular):")
 dec = snf(a)
 print(dec.s)
 print("nonzero diagonal =", dec.nonzero_diagonal())
+print("row transform u =")
+print(dec.u)
+print("and its inverse, accumulated alongside it:")
+print(dec.u_inv)
 
 print("\nThe independent oracle enumerates minors instead of reducing:")
 divisors = determinantal_divisors(a)
@@ -47,10 +44,12 @@ kernel = integer_kernel(weights)
 print(f"kernel of the weight row has {kernel.col_count} basis columns;")
 print("first column:", kernel.column(0))
 
-print("\nsolve_in_lattice answers membership questions exactly:")
+print("\nsolve_in_lattice answers membership questions exactly, column by column:")
 basis = IntMatrix.from_columns([(2, 0), (0, 3)])
-print("coordinates of (4, -3):", solve_in_lattice(basis, (4, -3)))
+coords = solve_in_lattice(basis, IntMatrix.from_columns([(4, -3), (2, 6)]))
+print("coordinates of (4, -3) and (2, 6), as columns:")
+print(coords)
 try:
-    solve_in_lattice(basis, (1, 0))
+    solve_in_lattice(basis, IntMatrix.from_columns([(1, 0)]))
 except Exception as e:
     print("(1, 0) is rejected:", type(e).__name__)

@@ -10,7 +10,6 @@ from chowfiber import (
     ComponentOrbit,
     PermutationAction,
     hom_T_basis,
-    invariant_hom_rank,
     orbits,
     xi_weights,
 )
@@ -33,8 +32,8 @@ seven = [
     ComponentOrbit("S", ("S1", "S2"), 1),
     ComponentOrbit("M", ("M1", "M2"), 2),
 ]
-print("equivariant character lattice rank:", invariant_hom_rank(seven))
 weights = xi_weights(seven)
+print("equivariant character lattice rank (one per orbit):", len(weights))
 print("weights (multiplicity x size):", weights.weights)
 print("total fiber multiplicity:", weights.total())
 print("index of the degree image:", weights.image_index())

@@ -7,19 +7,28 @@ is the degree map, and its kernel B(X)_0 is the degree-zero part.  The
 degree-zero part is computed by two independent routes that must agree.
 """
 
-from chowfiber import compute_b, compute_b0, compute_xi_bar, parse_model, report
+from chowfiber import (
+    build_specialization_matrix,
+    cokernel,
+    compute_b0,
+    compute_xi_bar,
+    parse_model,
+    report,
+    xi_weights,
+)
 from chowfiber.fixtures import fixture_path
 
 print("== synthetic-z2: the smallest model with torsion ==")
 model = parse_model(fixture_path("synthetic-z2").read_text())
-presentation = compute_b(model)
+presentation = cokernel(build_specialization_matrix(model))
 print("B(X) =", presentation.group)
 
-values, index = compute_xi_bar(model, presentation)
+weights = xi_weights(model.orbits)
+values = compute_xi_bar(weights, presentation)
 print("degree character on the canonical generators:", values)
-print("index of its image in Z:", index)
+print("index of its image in Z:", weights.image_index())
 
-both = compute_b0(model)
+both = compute_b0(weights, presentation, values)
 print("degree-zero part, quotient route:", both.route_quotient)
 print("degree-zero part, kernel route:  ", both.route_kernel)
 print("routes agree:", both.agree())

@@ -8,8 +8,8 @@ induced degree character, its kernel B(X)_0, and the index.
 
 Layers, bottom up:
 
-* :mod:`chowfiber.exact_linalg` — exact integer matrices, Hermite and
-  Smith normal forms with transforms, kernels, cokernels, and the
+* :mod:`chowfiber.exact_linalg` — exact integer matrices, the Smith
+  normal form with its transforms, kernels, cokernels, and the
   minor-enumeration oracle;
 * :mod:`chowfiber.galois` — the Frobenius action on fiber components,
   orbits, and the weight vector of the fiber-class pairing;
@@ -33,7 +33,6 @@ from .exact_linalg import (
     determinant,
     determinantal_divisors,
     format_matrix_text,
-    hnf,
     integer_kernel,
     invariant_factors_from_divisors,
     matrix_rank,
@@ -46,7 +45,6 @@ from .galois import (
     PermutationAction,
     WeightVector,
     hom_T_basis,
-    invariant_hom_rank,
     orbits,
     xi_weights,
 )
@@ -69,8 +67,6 @@ from .chow import (
     B0Computation,
     ChowReport,
     InvalidModel,
-    XiNotDescending,
-    compute_b,
     compute_b0,
     compute_xi_bar,
     report,
@@ -101,21 +97,17 @@ __all__ = [
     "SelfCheckError",
     "SmithDecomposition",
     "WeightVector",
-    "XiNotDescending",
     "build_specialization_matrix",
     "cokernel",
-    "compute_b",
     "compute_b0",
     "compute_xi_bar",
     "determinant",
     "determinantal_divisors",
     "format_matrix_text",
     "has_errors",
-    "hnf",
     "hom_T_basis",
     "integer_kernel",
     "invariant_factors_from_divisors",
-    "invariant_hom_rank",
     "matrix_rank",
     "orbits",
     "parse_matrix_text",

@@ -17,6 +17,9 @@ B(X)_0 is computed twice, by genuinely different routes:
   the induced degree character in its coordinates, and presents the
   kernel.
 
+One Smith decomposition of the degree matrix feeds B(X), the induced
+character and the kernel route; the quotient route never reads it.
+
 The two answers agree as abstract groups whenever the input satisfies
 the validation laws; the pipeline asserts this agreement, which is the
 strongest cheap self-check available, and refuses to hand out a report
@@ -38,7 +41,6 @@ from .exact_linalg import (
     SelfCheckError,
     cokernel,
     integer_kernel,
-    snf,
     solve_in_lattice,
 )
 from .fiber_model import (
@@ -50,7 +52,7 @@ from .fiber_model import (
     has_errors,
     validate,
 )
-from .galois import hom_T_basis, xi_weights
+from .galois import WeightVector, hom_T_basis, xi_weights
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
@@ -75,20 +77,6 @@ class InvalidModel(Exception):
             f"model fails validation with {len(errors)} error(s): "
             + "; ".join(str(d) for d in errors)
         )
-
-
-class XiNotDescending(Exception):
-    """Some degree column pairs nonzero against the fiber class.
-
-    The degree character is then not constant on cosets of the relation
-    lattice and induces nothing on the quotient.  ``offenders`` holds
-    ``(generator name, weighted sum)`` pairs.
-    """
-
-    def __init__(self, offenders: Sequence[tuple[str, int]]):
-        self.offenders = tuple(offenders)
-        names = ", ".join(name for name, _ in self.offenders)
-        super().__init__(f"degree character does not descend; offending columns: {names}")
 
 
 @dataclass(frozen=True)
@@ -126,83 +114,40 @@ class ChowReport:
     expected: ExpectedResult | None = None
 
 
-def compute_b(m: FiberModel, *, strict: bool = True) -> CokernelPresentation:
-    """Present B(X): the character lattice modulo the degree columns.
-
-    With ``strict`` (the default), a model with validation errors raises
-    :class:`InvalidModel`; pass ``strict=False`` to study the formal
-    cokernel of inconsistent data.
-    """
-    if strict:
-        diagnostics = validate(m)
-        if has_errors(diagnostics):
-            raise InvalidModel(diagnostics)
-    return cokernel(build_specialization_matrix(m))
-
-
 def compute_xi_bar(
-    m: FiberModel, presentation: CokernelPresentation
-) -> tuple[tuple[int, ...], int]:
-    """The induced degree character on the canonical generators, and its index.
+    weights: WeightVector, presentation: CokernelPresentation
+) -> tuple[int, ...]:
+    """The induced degree character on the canonical generators of B(X).
 
-    The character is well defined on the quotient only when every degree
-    column pairs to zero against the multiplicity weights; otherwise
-    :class:`XiNotDescending` is raised, carrying the offending columns.
-    The index is the gcd of the weights: inducing on a quotient does not
-    change the image.
+    In the canonical coordinates ``y = u @ x`` the character ``x -> w . x``
+    becomes ``y -> (w @ u^{-1}) . y``.  It is well defined on the
+    quotient only when every degree column pairs to zero against the
+    weights, which :func:`~chowfiber.fiber_model.validate` checks.
     """
-    weights = xi_weights(m.orbits)
-    matrix = build_specialization_matrix(m)
-    offenders = [
-        (g.name, pairing)
-        for g, col in zip(m.generators, matrix.columns())
-        if (pairing := sum(w * e for w, e in zip(weights.weights, col))) != 0
-    ]
-    if offenders:
-        raise XiNotDescending(offenders)
-    # In the canonical coordinates y = u @ x the character becomes
-    # w @ u^{-1}; u is unimodular, so the system u^T z = w has a unique
-    # integer solution.
-    values = solve_in_lattice(presentation.change_of_basis.transpose(), weights.weights)
-    return values, weights.image_index()
+    row = IntMatrix.from_rows([weights.weights])
+    return (row @ presentation.decomposition.u_inv).rows[0]
 
 
-def compute_b0(m: FiberModel) -> B0Computation:
-    """The degree-zero part of B(X), by the quotient route and the kernel route."""
-    diagnostics = validate(m)
-    if has_errors(diagnostics):
-        raise InvalidModel(diagnostics)
+def compute_b0(
+    weights: WeightVector, presentation: CokernelPresentation, xi: tuple[int, ...]
+) -> B0Computation:
+    """The degree-zero part of B(X), by the quotient route and the kernel route.
 
-    weights = xi_weights(m.orbits)
-    matrix = build_specialization_matrix(m)
-    orbit_count = len(m.orbits)
-
+    ``presentation`` is B(X) of a validated model and ``xi`` the induced
+    character from :func:`compute_xi_bar`.
+    """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in the saturated annihilator
     # basis; B(X)_0 is the quotient of that corank-one sublattice.
-    annihilator = hom_T_basis(weights)
-    coords = [solve_in_lattice(annihilator, col) for col in matrix.columns()]
-    route_quotient = cokernel(
-        IntMatrix.from_columns(coords, row_count=annihilator.col_count)
-    ).group
+    coords = solve_in_lattice(hom_T_basis(weights), presentation.relations)
+    route_quotient = cokernel(coords).group
 
-    # Kernel route: in the canonical coordinates of the presentation the
-    # relation lattice is spanned by multiples of basis vectors and the
-    # character has an explicit coefficient row; present the kernel of
-    # that row modulo the relations.
-    dec = snf(matrix)
-    xi_canonical = solve_in_lattice(dec.u.transpose(), weights.weights)
-    kernel_basis = integer_kernel(IntMatrix.from_rows([xi_canonical]))
-    relation_coords = []
-    for i, d in enumerate(dec.s.diagonal_entries()):
-        if d == 0:
-            break
-        relation = [0] * orbit_count
-        relation[i] = d
-        relation_coords.append(solve_in_lattice(kernel_basis, relation))
-    route_kernel = cokernel(
-        IntMatrix.from_columns(relation_coords, row_count=kernel_basis.col_count)
-    ).group
+    # Kernel route: in the canonical coordinates the relation lattice is
+    # spanned by the columns of s, multiples of basis vectors; present
+    # the kernel of the character row modulo those relations.
+    kernel_basis = integer_kernel(IntMatrix.from_rows([xi]))
+    relation_coords = solve_in_lattice(kernel_basis, presentation.decomposition.s)
+    route_kernel = cokernel(relation_coords).group
 
     return B0Computation(route_quotient=route_quotient, route_kernel=route_kernel)
 
@@ -232,8 +177,10 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         special_case = None
         formal_only = True
     else:
-        xi_values, index = compute_xi_bar(m, presentation)
-        both = compute_b0(m)
+        weights = xi_weights(m.orbits)
+        xi_values = compute_xi_bar(weights, presentation)
+        index = weights.image_index()
+        both = compute_b0(weights, presentation, xi_values)
         if not both.agree():
             raise SelfCheckError(
                 f"the two degree-zero routes disagree: quotient route "

@@ -80,14 +80,20 @@ def _format_diagnostic(d: Diagnostic, color: bool) -> str:
     return f"{severity} {d.code} {d.subject}: {d.message}"
 
 
-def _load_model(path: str) -> FiberModel:
+def _read_text(path: str, error: type[ValueError]) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise error(f"not valid UTF-8: {e.reason} at byte {e.start}") from None
+
+
+def _load_model(path: str) -> FiberModel:
+    return parse_model(_read_text(path, ParseError))
 
 
 def _load_matrix(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    return parse_matrix_text(_read_text(path, MatrixFormatError))
 
 
 # ----------------------------------------------------------------------

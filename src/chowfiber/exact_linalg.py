@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
-This module is the arithmetic engine of the package: Hermite and Smith
-normal forms with their unimodular transformation matrices, integer
-kernels, lattice membership tests, and cokernel presentations of
-finitely generated abelian groups.
+This module is the arithmetic engine of the package: the Smith normal
+form with its unimodular transformation matrices, integer kernels,
+lattice membership tests, and cokernel presentations of finitely
+generated abelian groups.
 
 Everything works on Python's native ``int``, which is arbitrary
 precision.  That is not a convenience but a requirement: the
@@ -19,8 +19,8 @@ Two deliberately different routes to the invariant factors coexist:
   the reduction, which makes it a trustworthy independent oracle:
   invariant factor k equals ``d_k / d_{k-1}``.
 
-``snf`` always re-verifies its own output (``u @ a @ v == s`` and
-unimodularity of the transforms) and raises :class:`SelfCheckError`
+``snf`` always re-verifies its own output (``u @ a @ v == s``,
+``u @ u_inv == I`` and unimodularity of ``v``) and raises :class:`SelfCheckError`
 if the verification fails, so a silently wrong decomposition cannot
 propagate into downstream group computations.
 """
@@ -198,12 +198,14 @@ class SmithDecomposition:
     """A Smith normal form ``s = u @ a @ v`` with unimodular ``u`` and ``v``.
 
     ``s`` is diagonal with nonnegative entries, each nonzero diagonal
-    entry divides the next, and zero entries come last.
+    entry divides the next, and zero entries come last.  ``u_inv`` is
+    the inverse of ``u``, accumulated alongside it.
     """
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
 
     def rank(self) -> int:
         return sum(1 for d in self.s.diagonal_entries() if d != 0)
@@ -257,16 +259,17 @@ class FGAbelianGroup:
 class CokernelPresentation:
     """The quotient of ``Z^ambient_rank`` by the column span of ``relations``.
 
-    ``change_of_basis`` is the unimodular row transform of the Smith
-    decomposition of ``relations``: in the coordinates ``y = change_of_basis @ x``
-    the relation lattice is spanned by multiples of the standard basis
-    vectors, so ``y`` reads off the canonical generators of ``group``.
+    ``decomposition`` is the Smith decomposition of ``relations``: in the
+    coordinates ``y = decomposition.u @ x`` the relation lattice is
+    spanned by the columns of ``decomposition.s``, multiples of the
+    standard basis vectors, so ``y`` reads off the canonical generators
+    of ``group``.
     """
 
     ambient_rank: int
     relations: IntMatrix
     group: FGAbelianGroup
-    change_of_basis: IntMatrix
+    decomposition: SmithDecomposition
 
 
 # ----------------------------------------------------------------------
@@ -307,58 +310,6 @@ def is_unimodular(a: IntMatrix) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Hermite normal form
-# ----------------------------------------------------------------------
-
-
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns ``(h, u)`` with ``u`` unimodular and ``u @ a == h``, where
-    ``h`` is in row echelon form with positive pivots and every entry
-    above a pivot reduced into ``[0, pivot)``.  Total on all shapes,
-    including empty matrices.
-    """
-    m, n = a.shape
-    h = [list(row) for row in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def combine_rows(r: int, i: int, coeffs: tuple[int, int, int, int]) -> None:
-        # Replace rows r, i by an unimodular combination.
-        x, y, z, w = coeffs
-        for mat in (h, u):
-            ri, rj = mat[r], mat[i]
-            mat[r] = [x * p + y * q for p, q in zip(ri, rj)]
-            mat[i] = [z * p + w * q for p, q in zip(ri, rj)]
-
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if h[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            h[r], h[pivot_row] = h[pivot_row], h[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
-        for i in range(r + 1, m):
-            if h[i][c] == 0:
-                continue
-            g, x, y = xgcd(h[r][c], h[i][c])
-            combine_rows(r, i, (x, y, -(h[i][c] // g), h[r][c] // g))
-        if h[r][c] < 0:
-            h[r] = [-e for e in h[r]]
-            u[r] = [-e for e in u[r]]
-        for j in range(r):
-            q = h[j][c] // h[r][c]
-            if q:
-                h[j] = [p - q * s for p, s in zip(h[j], h[r])]
-                u[j] = [p - q * s for p, s in zip(u[j], u[r])]
-        r += 1
-        if r == m:
-            break
-    return IntMatrix.from_rows(h, col_count=n), IntMatrix.from_rows(u, col_count=m)
-
-
-# ----------------------------------------------------------------------
 # Smith normal form
 # ----------------------------------------------------------------------
 
@@ -369,15 +320,21 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     The pivot at each stage is a nonzero entry of minimal absolute value
     in the remaining submatrix; that choice only limits intermediate
     entry growth, correctness does not depend on it.
+
+    Every row operation on ``u`` is mirrored by its inverse column
+    operation on ``u_inv``, so ``u_inv`` stays the inverse of ``u``.
     """
     m, n = a.shape
     s = [list(row) for row in a.rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u_inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in s:
@@ -388,6 +345,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     def add_row(src: int, dst: int, factor: int) -> None:
         s[dst] = [p + factor * q for p, q in zip(s[dst], s[src])]
         u[dst] = [p + factor * q for p, q in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= factor * row[dst]
 
     def add_col(src: int, dst: int, factor: int) -> None:
         for row in s:
@@ -458,12 +417,15 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         if s[t][t] < 0:
             s[t] = [-e for e in s[t]]
             u[t] = [-e for e in u[t]]
+            for row in u_inv:
+                row[t] = -row[t]
         t += 1
 
     result = SmithDecomposition(
         s=IntMatrix.from_rows(s, col_count=n),
         u=IntMatrix.from_rows(u, col_count=m),
         v=IntMatrix.from_rows(v, col_count=n),
+        u_inv=IntMatrix.from_rows(u_inv, col_count=m),
     )
     _verify_snf(a, result)
     return result
@@ -472,8 +434,11 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     if dec.u @ a @ dec.v != dec.s:
         raise SelfCheckError("Smith decomposition does not reproduce the input")
-    if not is_unimodular(dec.u) or not is_unimodular(dec.v):
-        raise SelfCheckError("Smith transforms are not unimodular")
+    # An integer matrix with an integer inverse has determinant +-1.
+    if dec.u @ dec.u_inv != IntMatrix.identity(a.row_count):
+        raise SelfCheckError("Smith row transform does not match its inverse")
+    if not is_unimodular(dec.v):
+        raise SelfCheckError("Smith column transform is not unimodular")
     diag = dec.s.diagonal_entries()
     for i, row in enumerate(dec.s.rows):
         for j, e in enumerate(row):
@@ -563,7 +528,7 @@ def cokernel(a: IntMatrix) -> CokernelPresentation:
         ambient_rank=a.row_count,
         relations=a,
         group=group,
-        change_of_basis=dec.u,
+        decomposition=dec,
     )
 
 
@@ -580,32 +545,31 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, row_count=a.col_count)
 
 
-def solve_in_lattice(basis: IntMatrix, target: Sequence[int]) -> tuple[int, ...]:
-    """Integer coordinates of ``target`` in the column lattice of ``basis``.
+def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
+    """Integer coordinates of every column of ``targets`` in the column lattice of ``basis``.
 
-    Requires the basis columns to be linearly independent.  Raises
-    :class:`NotInLattice` when the vector lies outside the lattice
-    (including outside its rational span).
+    Returns ``x`` with ``basis @ x == targets``; one Smith decomposition
+    of ``basis`` serves every column.  Requires the basis columns to be
+    linearly independent.  Raises :class:`NotInLattice` when some column
+    lies outside the lattice (including outside its rational span).
     """
-    target = tuple(int(x) for x in target)
-    if len(target) != basis.row_count:
-        raise ValueError("target length does not match basis row count")
+    if targets.row_count != basis.row_count:
+        raise ValueError("targets row count does not match basis row count")
     dec = snf(basis)
-    if dec.rank() < basis.col_count:
+    k = basis.col_count
+    if dec.rank() < k:
         raise ValueError("basis columns must be linearly independent")
-    w = dec.u.apply(target)
-    diag = dec.s.diagonal_entries()
-    reduced: list[int] = []
-    for i, wi in enumerate(w):
-        if i < basis.col_count:
-            if wi % diag[i] != 0:
-                raise NotInLattice(
-                    f"component {i} is not divisible by the lattice elementary divisor"
-                )
-            reduced.append(wi // diag[i])
-        elif wi != 0:
-            raise NotInLattice("target is outside the rational span of the basis")
-    return dec.v.apply(reduced)
+    w = dec.u @ targets
+    if any(any(row) for row in w.rows[k:]):
+        raise NotInLattice("target is outside the rational span of the basis")
+    reduced: list[list[int]] = []
+    for i, (d, row) in enumerate(zip(dec.s.diagonal_entries(), w.rows)):
+        if any(e % d for e in row):
+            raise NotInLattice(
+                f"component {i} is not divisible by the lattice elementary divisor"
+            )
+        reduced.append([e // d for e in row])
+    return dec.v @ IntMatrix.from_rows(reduced, col_count=targets.col_count)
 
 
 def matrix_rank(a: IntMatrix) -> int:

@@ -213,6 +213,11 @@ def parse_model(document: str | Mapping) -> FiberModel:
             raw = json.loads(document)
         except json.JSONDecodeError as e:
             raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise ParseError("document is nested too deeply") from None
+        except ValueError as e:
+            # e.g. an integer literal beyond the interpreter's digit limit
+            raise ParseError(str(e)) from None
     else:
         raw = dict(document)
     top = _expect_object(raw, "document")
@@ -355,6 +360,7 @@ def _parse_geometric(
     except ValueError as e:
         raise SchemaError(f"geometric: {e}") from None
 
+    known = set(components)
     orbit_of_raw = _expect_object(obj["orbit_of"], "geometric.orbit_of")
     declared = {oname: (mult, size) for oname, mult, size in orbit_specs}
     orbit_of: dict[str, str] = {}
@@ -362,7 +368,7 @@ def _parse_geometric(
         if comp not in orbit_of_raw:
             raise SchemaError(f"geometric.orbit_of: missing component {comp!r}")
     for comp, oname in orbit_of_raw.items():
-        if comp not in components:
+        if comp not in known:
             raise SchemaError(f"geometric.orbit_of: unknown component {comp!r}")
         oname = _expect_str(oname, f"geometric.orbit_of.{comp}")
         if oname not in declared:
@@ -398,7 +404,7 @@ def _parse_geometric(
             raise SchemaError(f"geometric.degrees: unknown generator {gname!r}")
         comp_map = _expect_object(comp_map_raw, f"geometric.degrees.{gname}")
         for comp in comp_map:
-            if comp not in components:
+            if comp not in known:
                 raise SchemaError(f"geometric.degrees.{gname}: unknown component {comp!r}")
         degrees[gname] = {
             comp: _expect_int(comp_map.get(comp, 0), f"geometric.degrees.{gname}.{comp}")

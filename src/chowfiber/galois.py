@@ -124,11 +124,6 @@ class WeightVector:
         return gcd(*self.weights) if len(self.weights) > 1 else self.weights[0]
 
 
-def invariant_hom_rank(orbit_list: Sequence[object]) -> int:
-    """Rank of the lattice of equivariant characters: one per orbit."""
-    return len(orbit_list)
-
-
 def xi_weights(orbit_list: Sequence[ComponentOrbit]) -> WeightVector:
     """Weight of each orbit under the fiber-class pairing: multiplicity times size."""
     return WeightVector(tuple(o.multiplicity * o.size for o in orbit_list))

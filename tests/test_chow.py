@@ -1,20 +1,21 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from conftest import random_valid_model_document
 
+from chowfiber import exact_linalg, fiber_model
 from chowfiber.chow import (
     IRREDUCIBLE_FIBER,
     PERMISSIVE,
     B0Computation,
     InvalidModel,
-    XiNotDescending,
-    compute_b,
     compute_b0,
     compute_xi_bar,
     report,
 )
-from chowfiber.exact_linalg import FGAbelianGroup, matrix_rank
+from chowfiber.exact_linalg import FGAbelianGroup, NotInLattice, cokernel, matrix_rank, snf
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
 from chowfiber.fixtures import fixture_path
 from chowfiber.galois import xi_weights
@@ -41,6 +42,41 @@ def _single_orbit(multiplicity=1, size=1, degree=None):
     return _model(doc)
 
 
+def _present(m):
+    return cokernel(build_specialization_matrix(m))
+
+
+def _b0(m):
+    weights = xi_weights(m.orbits)
+    pres = _present(m)
+    return compute_b0(weights, pres, compute_xi_bar(weights, pres))
+
+
+def _count_calls(monkeypatch, *functions):
+    """Count calls to ``functions`` wherever a chowfiber module binds them.
+
+    The modules bind each other's functions with from-imports, so each
+    namespace holding the function gets the counting wrapper.
+    """
+    counts = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "chowfiber"]
+    for fn in functions:
+        wrapper = counting(fn)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
 def _two_orbits(degrees=None):
     doc = {
         "name": "pair",
@@ -57,37 +93,43 @@ def _two_orbits(degrees=None):
 
 
 class TestComputeB:
+    """B(X): the cokernel of the degree matrix, as the pipeline presents it."""
+
     def test_single_orbit_no_generators(self):
-        assert compute_b(_single_orbit()).group == Z
+        assert report(_single_orbit()).b == Z
 
     def test_degree_one_column_kills_a_factor(self):
         # Cokernel of the column (1, -1): divisor oracle gives d1 = 1,
         # so the quotient is free of rank 1.
-        assert compute_b(_two_orbits((1, -1))).group == Z
+        assert report(_two_orbits((1, -1))).b == Z
 
-    def test_strict_rejects_invalid(self):
+    def test_strict_rejects_invalid(self, monkeypatch):
+        counts = _count_calls(monkeypatch, exact_linalg.snf)
         with pytest.raises(InvalidModel):
-            compute_b(_fixture_model("example31"))
+            report(_fixture_model("example31"))
+        assert counts["snf"] == 0
 
-    def test_permissive_formal_cokernel(self):
-        pres = compute_b(_fixture_model("example31"), strict=False)
-        assert pres.group == FGAbelianGroup(0, (2, 2))
+    def test_permissive_formal_cokernel(self, monkeypatch):
+        counts = _count_calls(monkeypatch, exact_linalg.snf)
+        rep = report(_fixture_model("example31"), mode=PERMISSIVE)
+        assert rep.b == FGAbelianGroup(0, (2, 2))
+        assert counts["snf"] == 1
 
     def test_presentation_bookkeeping(self):
         m = _fixture_model("synthetic-z2")
-        pres = compute_b(m)
+        pres = _present(m)
         a = build_specialization_matrix(m)
         assert pres.ambient_rank == len(m.orbits)
         assert pres.relations == a
+        assert pres.decomposition == snf(a)
         assert pres.group.rank == len(m.orbits) - matrix_rank(a)
 
 
 class TestComputeXiBar:
     def test_identity_on_irreducible_fiber(self):
         m = _single_orbit()
-        values, index = compute_xi_bar(m, compute_b(m))
-        assert values == (1,)
-        assert index == 1
+        assert compute_xi_bar(xi_weights(m.orbits), _present(m)) == (1,)
+        assert report(m).index == 1
 
     def test_index_is_weight_gcd(self):
         m = _model(
@@ -99,47 +141,42 @@ class TestComputeXiBar:
                 ],
             }
         )
-        _values, index = compute_xi_bar(m, compute_b(m))
-        assert index == 2
-
-    def test_not_descending_carries_offenders(self):
-        m = _fixture_model("example31")
-        with pytest.raises(XiNotDescending) as exc:
-            compute_xi_bar(m, compute_b(m, strict=False))
-        assert exc.value.offenders == (("c01", -4), ("c02", 2), ("c04", -2), ("c05", 4))
+        assert report(m).index == 2
 
     def test_character_descends_from_the_weights(self):
         # Composing the induced character with the projection recovers
         # the weight of every orbit basis vector.
         for name in ("irreducible", "split-orbit", "synthetic-z2"):
             m = _fixture_model(name)
-            pres = compute_b(m)
-            values, _index = compute_xi_bar(m, pres)
-            w = xi_weights(m.orbits).weights
+            pres = _present(m)
+            w = xi_weights(m.orbits)
+            values = compute_xi_bar(w, pres)
             for y in range(len(m.orbits)):
-                projected = pres.change_of_basis.column(y)
-                assert sum(a * b for a, b in zip(values, projected)) == w[y]
+                projected = pres.decomposition.u.column(y)
+                assert sum(a * b for a, b in zip(values, projected)) == w.weights[y]
 
 
 class TestComputeB0:
     def test_irreducible_fiber_is_trivial(self):
-        both = compute_b0(_single_orbit())
+        both = _b0(_single_orbit())
         assert both.route_quotient == TRIVIAL
         assert both.route_kernel == TRIVIAL
 
     def test_doubled_column_gives_two_torsion(self):
-        both = compute_b0(_two_orbits((2, -2)))
+        both = _b0(_two_orbits((2, -2)))
         assert both.route_quotient == FGAbelianGroup(0, (2,))
         assert both.route_kernel == FGAbelianGroup(0, (2,))
 
     def test_no_generators_leaves_free_rank(self):
-        both = compute_b0(_two_orbits())
+        both = _b0(_two_orbits())
         assert both.route_quotient == Z
         assert both.route_kernel == Z
 
     def test_invalid_model_rejected(self):
-        with pytest.raises(InvalidModel):
-            compute_b0(_fixture_model("example31"))
+        # Law-breaking columns have no coordinates in the annihilator
+        # lattice, so the quotient route refuses them.
+        with pytest.raises(NotInLattice):
+            _b0(_fixture_model("example31"))
 
     def test_agreement_flag(self):
         assert B0Computation(Z, Z).agree()
@@ -149,9 +186,9 @@ class TestComputeB0:
         rng = random.Random(1729)
         for _ in range(25):
             m = _model(random_valid_model_document(rng))
-            both = compute_b0(m)
+            both = _b0(m)
             assert both.agree()
-            b = compute_b(m).group
+            b = _present(m).group
             assert b.rank == both.route_quotient.rank + 1
             assert b.invariant_factors == both.route_quotient.invariant_factors
 
@@ -249,3 +286,27 @@ class TestReport:
             assert rep.b.rank == len(m.orbits) - matrix_rank(a)
             assert rep.b.rank == rep.b0.rank + 1
             assert rep.b.rank >= 1
+
+    def test_one_pass(self, monkeypatch):
+        # One validation, one degree matrix and at most seven Smith
+        # decompositions, however many orbits the model has.
+        snf_calls = []
+        for orbit_count in (3, 9):
+            rng = random.Random(2003 + orbit_count)
+            m = _model(
+                random_valid_model_document(
+                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+                )
+            )
+            with monkeypatch.context() as patch:
+                counts = _count_calls(
+                    patch,
+                    exact_linalg.snf,
+                    fiber_model.validate,
+                    fiber_model.build_specialization_matrix,
+                )
+                report(m)
+            assert counts["validate"] == 1
+            assert counts["build_specialization_matrix"] == 1
+            snf_calls.append(counts["snf"])
+        assert snf_calls[0] == snf_calls[1] <= 7

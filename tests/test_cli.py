@@ -194,6 +194,27 @@ class TestMatrixCommands:
         assert r.returncode == 2
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "command, filename, content",
+        [
+            ("compute", "huge.json", b'{"name": "x", "orbits": ' + b"7" * 5000 + b"}"),
+            ("validate", "deep.json", b"[" * 100_000 + b"]" * 100_000),
+            ("compute", "latin1.json", '{"name": "\u00e9"}'.encode("latin-1")),
+            ("snf", "latin1.matrix", "# \u00e9\n1 1\n1\n".encode("latin-1")),
+        ],
+        ids=["too-many-digits", "too-deep", "model-not-utf8", "matrix-not-utf8"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, command, filename, content):
+        path = tmp_path / filename
+        path.write_bytes(content)
+        r = run_cli(command, str(path))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestInternalFailureExitCode:
     # The honest pipeline cannot produce a self-check failure, so the
     # exit-3 mapping is exercised in process with a forced fault.

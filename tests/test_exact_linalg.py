@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from chowfiber.exact_linalg import (
@@ -6,11 +8,12 @@ from chowfiber.exact_linalg import (
     MatrixFormatError,
     NotInLattice,
     OracleSizeLimitError,
+    SelfCheckError,
+    _verify_snf,
     cokernel,
     determinant,
     determinantal_divisors,
     format_matrix_text,
-    hnf,
     integer_kernel,
     invariant_factors_from_divisors,
     matrix_rank,
@@ -79,39 +82,6 @@ class TestDeterminant:
             determinant(IntMatrix.zeros(2, 3))
 
 
-class TestHnf:
-    def test_identity(self):
-        h, u = hnf(IntMatrix.identity(2))
-        assert h == IntMatrix.identity(2)
-        assert u == IntMatrix.identity(2)
-
-    def test_two_by_two(self):
-        # Hand row reduction: (6,8) - 3(2,4) = (0,-4) -> (0,4);
-        # then (2,4) - (0,4) = (2,0).
-        a = IntMatrix.from_rows([[2, 4], [6, 8]])
-        h, u = hnf(a)
-        assert h == IntMatrix.from_rows([[2, 0], [0, 4]])
-        assert u @ a == h
-
-    def test_empty(self):
-        h, u = hnf(IntMatrix.from_rows([], col_count=0))
-        assert h.shape == (0, 0)
-        assert u.shape == (0, 0)
-
-    def test_transform_is_unimodular(self):
-        a = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]])
-        h, u = hnf(a)
-        assert determinant(u) in (1, -1)
-        assert u @ a == h
-
-    def test_zero_rows_sink_to_bottom(self):
-        a = IntMatrix.from_rows([[0, 0], [1, 2], [2, 4]])
-        h, _u = hnf(a)
-        assert h.row(0) == (1, 2)
-        assert h.row(1) == (0, 0)
-        assert h.row(2) == (0, 0)
-
-
 class TestSnf:
     def test_one_by_one(self):
         dec = snf(IntMatrix.from_rows([[5]]))
@@ -150,6 +120,15 @@ class TestSnf:
         # diag(2, 3) is diagonal but not a divisibility chain.
         dec = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert dec.nonzero_diagonal() == (1, 6)
+
+    def test_corrupted_inverse_is_caught(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        rows = [list(row) for row in dec.u_inv.rows]
+        rows[0][0] += 1
+        corrupted = replace(dec, u_inv=IntMatrix.from_rows(rows))
+        with pytest.raises(SelfCheckError, match="inverse"):
+            _verify_snf(a, corrupted)
 
     def test_arbitrary_precision(self):
         big = 10**18
@@ -201,7 +180,7 @@ class TestCokernel:
 
     def test_change_of_basis_is_smith_row_transform(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
-        assert cokernel(a).change_of_basis == snf(a).u
+        assert cokernel(a).decomposition.u == snf(a).u
 
 
 class TestIntegerKernel:
@@ -228,34 +207,47 @@ class TestIntegerKernel:
         assert k.col_count == a.col_count - matrix_rank(a)
 
 
+def _columns(*vectors, row_count=None):
+    return IntMatrix.from_columns(vectors, row_count=row_count)
+
+
 class TestSolveInLattice:
     def test_identity_basis(self):
-        assert solve_in_lattice(IntMatrix.identity(3), (4, -1, 7)) == (4, -1, 7)
+        target = _columns((4, -1, 7))
+        assert solve_in_lattice(IntMatrix.identity(3), target) == target
 
     def test_parity_obstruction(self):
-        basis = IntMatrix.from_columns([(2, 0)])
+        basis = _columns((2, 0))
         with pytest.raises(NotInLattice):
-            solve_in_lattice(basis, (1, 0))
+            solve_in_lattice(basis, _columns((1, 0)))
 
     def test_even_target(self):
-        basis = IntMatrix.from_columns([(2, 0)])
-        assert solve_in_lattice(basis, (4, 0)) == (2,)
+        basis = _columns((2, 0))
+        assert solve_in_lattice(basis, _columns((4, 0))) == _columns((2,))
 
     def test_outside_span(self):
-        basis = IntMatrix.from_columns([(1, 0)])
+        basis = _columns((1, 0))
         with pytest.raises(NotInLattice):
-            solve_in_lattice(basis, (0, 1))
+            solve_in_lattice(basis, _columns((0, 1)))
 
     def test_dependent_columns_rejected(self):
-        basis = IntMatrix.from_columns([(1, 1), (2, 2)])
+        basis = _columns((1, 1), (2, 2))
         with pytest.raises(ValueError, match="independent"):
-            solve_in_lattice(basis, (0, 0))
+            solve_in_lattice(basis, _columns((0, 0)))
 
     def test_empty_basis(self):
-        basis = IntMatrix.from_columns([], row_count=2)
-        assert solve_in_lattice(basis, (0, 0)) == ()
+        basis = _columns(row_count=2)
+        assert solve_in_lattice(basis, _columns((0, 0))) == _columns(())
         with pytest.raises(NotInLattice):
-            solve_in_lattice(basis, (1, 0))
+            solve_in_lattice(basis, _columns((1, 0)))
+
+    def test_every_column_is_solved(self):
+        basis = _columns((2, 0), (0, 3))
+        targets = _columns((4, -3), (0, 0), (-2, 9))
+        assert solve_in_lattice(basis, targets) == _columns((2, -1), (0, 0), (-1, 3))
+        assert solve_in_lattice(basis, _columns(row_count=2)) == _columns(row_count=2)
+        with pytest.raises(NotInLattice):
+            solve_in_lattice(basis, _columns((4, -3), (1, 0)))
 
 
 class TestFGAbelianGroup:

@@ -286,6 +286,5 @@ class TestValidate:
             m = _fixture_model(name)
             assert not has_errors(validate(m))
             basis = hom_T_basis(xi_weights(m.orbits))
-            for col in build_specialization_matrix(m).columns():
-                coords = solve_in_lattice(basis, col)
-                assert basis.apply(coords) == col
+            a = build_specialization_matrix(m)
+            assert basis @ solve_in_lattice(basis, a) == a

@@ -2,13 +2,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from chowfiber.exact_linalg import solve_in_lattice, xgcd
+from chowfiber.exact_linalg import IntMatrix, solve_in_lattice, xgcd
 from chowfiber.galois import (
     ComponentOrbit,
     PermutationAction,
     WeightVector,
     hom_T_basis,
-    invariant_hom_rank,
     orbits,
     xi_weights,
 )
@@ -97,9 +96,10 @@ SEVEN_COMPONENT_ORBITS = [
 
 class TestWeights:
     def test_invariant_hom_rank(self):
-        assert invariant_hom_rank(SEVEN_COMPONENT_ORBITS) == 7
-        assert invariant_hom_rank([_orbit("Y", 1, 1)]) == 1
-        assert invariant_hom_rank([_orbit("Y", 5, 1)]) == 1
+        # One equivariant character per orbit, hence one weight per orbit.
+        assert len(xi_weights(SEVEN_COMPONENT_ORBITS)) == 7
+        assert len(xi_weights([_orbit("Y", 1, 1)])) == 1
+        assert len(xi_weights([_orbit("Y", 5, 1)])) == 1
 
     def test_seven_component_weights(self):
         assert xi_weights(SEVEN_COMPONENT_ORBITS).weights == (2, 2, 1, 1, 2, 2, 4)
@@ -167,5 +167,5 @@ class TestHomTBasis:
         basis = hom_T_basis(w)
         assert basis.col_count == len(weights) - 1
         target = _vector_killing_weights(w.weights, seed_vector[: len(weights)])
-        coords = solve_in_lattice(basis, target)
-        assert basis.apply(coords) == target
+        target = IntMatrix.from_columns([target])
+        assert basis @ solve_in_lattice(basis, target) == target
