@@ -35,6 +35,7 @@ from .exact_linalg import (
     format_matrix_text,
     integer_kernel,
     invariant_factors_from_divisors,
+    kernel_coordinates,
     matrix_rank,
     parse_matrix_text,
     snf,
@@ -108,6 +109,7 @@ __all__ = [
     "hom_T_basis",
     "integer_kernel",
     "invariant_factors_from_divisors",
+    "kernel_coordinates",
     "matrix_rank",
     "orbits",
     "parse_matrix_text",

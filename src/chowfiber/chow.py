@@ -17,8 +17,13 @@ B(X)_0 is computed twice, by genuinely different routes:
   the induced degree character in its coordinates, and presents the
   kernel.
 
-One Smith decomposition of the degree matrix feeds B(X), the induced
-character and the kernel route; the quotient route never reads it.
+Both routes have the same shape: write a target matrix in coordinates of
+the kernel of one integer row, then present the quotient.
+:func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
+with one Smith decomposition of the row, so a strict report makes five:
+the degree matrix, then the row and the quotient of each route.  The
+decomposition of the degree matrix feeds B(X), the induced character and
+the kernel route; the quotient route never reads it.
 
 The two answers agree as abstract groups whenever the input satisfies
 the validation laws; the pipeline asserts this agreement, which is the
@@ -40,8 +45,7 @@ from .exact_linalg import (
     IntMatrix,
     SelfCheckError,
     cokernel,
-    integer_kernel,
-    solve_in_lattice,
+    kernel_coordinates,
 )
 from .fiber_model import (
     Diagnostic,
@@ -52,7 +56,7 @@ from .fiber_model import (
     has_errors,
     validate,
 )
-from .galois import WeightVector, hom_T_basis, xi_weights
+from .galois import WeightVector, xi_weights
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
@@ -137,16 +141,15 @@ def compute_b0(
     character from :func:`compute_xi_bar`.
     """
     # Quotient route: every valid degree column annihilates the fiber
-    # class, so it has integer coordinates in the saturated annihilator
+    # class, so it has integer coordinates in a saturated annihilator
     # basis; B(X)_0 is the quotient of that corank-one sublattice.
-    coords = solve_in_lattice(hom_T_basis(weights), presentation.relations)
+    coords = kernel_coordinates(weights.weights, presentation.relations)
     route_quotient = cokernel(coords).group
 
     # Kernel route: in the canonical coordinates the relation lattice is
     # spanned by the columns of s, multiples of basis vectors; present
     # the kernel of the character row modulo those relations.
-    kernel_basis = integer_kernel(IntMatrix.from_rows([xi]))
-    relation_coords = solve_in_lattice(kernel_basis, presentation.decomposition.s)
+    relation_coords = kernel_coordinates(xi, presentation.decomposition.s)
     route_kernel = cokernel(relation_coords).group
 
     return B0Computation(route_quotient=route_quotient, route_kernel=route_kernel)

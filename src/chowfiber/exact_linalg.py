@@ -5,6 +5,12 @@ form with its unimodular transformation matrices, integer kernels,
 lattice membership tests, and cokernel presentations of finitely
 generated abelian groups.
 
+``kernel_coordinates(row, targets)`` writes targets in a saturated basis
+of the kernel of one integer row, reading both the basis and the
+coordinates off a single Smith decomposition of that row.
+``integer_kernel`` followed by ``solve_in_lattice`` gives the same
+lattice with two decompositions and stays as the reference path.
+
 Everything works on Python's native ``int``, which is arbitrary
 precision.  That is not a convenience but a requirement: the
 intermediate entries of a Smith reduction can exceed 64 bits even for
@@ -28,6 +34,7 @@ propagate into downstream group computations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -53,6 +60,11 @@ class MatrixFormatError(ValueError):
 #: Minor enumeration is exponential; the oracle exists to be trustworthy
 #: at desk scale, not to be fast.
 ORACLE_SIZE_LIMIT = 8
+
+#: Largest row or column count :func:`parse_matrix_text` accepts.  The
+#: Smith transforms are square in each dimension and their check is
+#: cubic, so a short header must not be able to declare a huge matrix.
+MAX_MATRIX_DIM = 256
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -166,12 +178,14 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.col_count != other.row_count:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        cols = other.columns()
+        # Transpose the right operand once; with no rows it has only
+        # empty columns, which zip(*rows) cannot produce.
+        cols = list(zip(*other.rows)) if other.row_count else [()] * other.col_count
         return IntMatrix(
             self.row_count,
             other.col_count,
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(operator.mul, row, col)) for col in cols)
                 for row in self.rows
             ),
         )
@@ -421,11 +435,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 row[t] = -row[t]
         t += 1
 
+    # Every entry is already an int, so skip from_rows' per-entry coercion.
     result = SmithDecomposition(
-        s=IntMatrix.from_rows(s, col_count=n),
-        u=IntMatrix.from_rows(u, col_count=m),
-        v=IntMatrix.from_rows(v, col_count=n),
-        u_inv=IntMatrix.from_rows(u_inv, col_count=m),
+        s=IntMatrix(m, n, tuple(map(tuple, s))),
+        u=IntMatrix(m, m, tuple(map(tuple, u))),
+        v=IntMatrix(n, n, tuple(map(tuple, v))),
+        u_inv=IntMatrix(m, m, tuple(map(tuple, u_inv))),
     )
     _verify_snf(a, result)
     return result
@@ -545,6 +560,28 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, row_count=a.col_count)
 
 
+def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
+    """Coordinates of every column of ``targets`` in a saturated basis of ``ker(row)``.
+
+    One Smith decomposition of the column ``rowᵀ`` gives ``u @ rowᵀ``
+    zero past its first ``r = rank`` entries, so rows ``r..`` of ``u`` are
+    a saturated basis of the kernel.  Since ``uᵀ @ u_invᵀ == I``, a
+    target ``t`` is ``uᵀ @ y`` with ``y = u_invᵀ @ t``; it lies in the
+    kernel exactly when ``y[:r]`` vanishes, and then ``y[r:]`` are its
+    coordinates.  ``snf`` already verified ``u @ u_inv == I``, so no
+    further check is needed.  Raises :class:`NotInLattice` when some
+    column pairs to nonzero against ``row``.
+    """
+    if targets.row_count != len(row):
+        raise ValueError("targets row count does not match the row length")
+    dec = snf(IntMatrix(len(row), 1, tuple((int(e),) for e in row)))
+    r = dec.rank()
+    y = dec.u_inv.transpose() @ targets
+    if any(any(entries) for entries in y.rows[:r]):
+        raise NotInLattice("target pairs to a nonzero value against the row")
+    return IntMatrix(len(row) - r, targets.col_count, y.rows[r:])
+
+
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
     """Integer coordinates of every column of ``targets`` in the column lattice of ``basis``.
 
@@ -587,7 +624,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
     The first significant line is ``R C`` (row and column counts); then
     R lines of C whitespace-separated base-10 integers.  Blank lines and
-    lines starting with ``#`` are ignored.
+    lines starting with ``#`` are ignored.  Neither count may exceed
+    :data:`MAX_MATRIX_DIM`.
     """
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -607,6 +645,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
         raise MatrixFormatError(f"line {header_line}: header must hold two integers") from None
     if r < 0 or c < 0:
         raise MatrixFormatError(f"line {header_line}: dimensions must be nonnegative")
+    if max(r, c) > MAX_MATRIX_DIM:
+        raise MatrixFormatError(
+            f"line {header_line}: dimensions must be at most {MAX_MATRIX_DIM}, got {r} {c}"
+        )
     body = significant[1:]
     if len(body) != r:
         raise MatrixFormatError(f"expected {r} matrix rows, found {len(body)}")

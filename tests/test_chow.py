@@ -15,10 +15,18 @@ from chowfiber.chow import (
     compute_xi_bar,
     report,
 )
-from chowfiber.exact_linalg import FGAbelianGroup, NotInLattice, cokernel, matrix_rank, snf
+from chowfiber.exact_linalg import (
+    FGAbelianGroup,
+    NotInLattice,
+    cokernel,
+    integer_kernel,
+    matrix_rank,
+    snf,
+    solve_in_lattice,
+)
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
 from chowfiber.fixtures import fixture_path
-from chowfiber.galois import xi_weights
+from chowfiber.galois import hom_T_basis, xi_weights
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -288,8 +296,9 @@ class TestReport:
             assert rep.b.rank >= 1
 
     def test_one_pass(self, monkeypatch):
-        # One validation, one degree matrix and at most seven Smith
-        # decompositions, however many orbits the model has.
+        # One validation, one degree matrix and five Smith decompositions,
+        # however many orbits the model has: the degree matrix, then the
+        # kernel row and the quotient of each B(X)_0 route.
         snf_calls = []
         for orbit_count in (3, 9):
             rng = random.Random(2003 + orbit_count)
@@ -309,4 +318,35 @@ class TestReport:
             assert counts["validate"] == 1
             assert counts["build_specialization_matrix"] == 1
             snf_calls.append(counts["snf"])
-        assert snf_calls[0] == snf_calls[1] <= 7
+        assert snf_calls == [5, 5]
+
+    @pytest.mark.parametrize("orbit_count", [10, 11])
+    def test_routes_match_the_lattice_solve_past_the_oracle_limit(self, orbit_count):
+        # Past ORACLE_SIZE_LIMIT the minor oracle cannot check B(X)_0, so
+        # both routes are recomputed through an explicit kernel basis and
+        # a separate lattice solve, sharing no decomposition with report().
+        groups = set()
+        for generator_count in sorted({9, orbit_count - 1, orbit_count + 2}):
+            for k in range(3):
+                rng = random.Random(1000 * orbit_count + 10 * generator_count + k)
+                m = _model(
+                    random_valid_model_document(
+                        rng, orbit_count=orbit_count, generator_count=generator_count
+                    )
+                )
+                rep = report(m)
+                a = build_specialization_matrix(m)
+                assert min(a.shape) > exact_linalg.ORACLE_SIZE_LIMIT
+                presentation = cokernel(a)
+                basis = hom_T_basis(xi_weights(m.orbits))
+                quotient = cokernel(solve_in_lattice(basis, a)).group
+                kernel_basis = integer_kernel(
+                    exact_linalg.IntMatrix.from_rows([rep.xi_on_generators])
+                )
+                kernel = cokernel(
+                    solve_in_lattice(kernel_basis, presentation.decomposition.s)
+                ).group
+                assert rep.b0 == quotient == kernel
+                groups.add(rep.b0)
+        # Torsion occurs, so agreement is not vacuous.
+        assert any(g.invariant_factors for g in groups)

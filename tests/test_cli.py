@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,8 +203,15 @@ class TestHostileInput:
             ("validate", "deep.json", b"[" * 100_000 + b"]" * 100_000),
             ("compute", "latin1.json", '{"name": "\u00e9"}'.encode("latin-1")),
             ("snf", "latin1.matrix", "# \u00e9\n1 1\n1\n".encode("latin-1")),
+            ("snf", "header.matrix", b"0 100000"),
         ],
-        ids=["too-many-digits", "too-deep", "model-not-utf8", "matrix-not-utf8"],
+        ids=[
+            "too-many-digits",
+            "too-deep",
+            "model-not-utf8",
+            "matrix-not-utf8",
+            "declared-too-large",
+        ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, command, filename, content):
         path = tmp_path / filename
@@ -213,6 +221,23 @@ class TestHostileInput:
         assert r.stdout == ""
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+    def test_declared_dimension_is_refused_quickly(self, tmp_path, capsys):
+        # An 8-byte header must not buy a cubic check of a huge transform.
+        from chowfiber import cli
+
+        huge = tmp_path / "huge.matrix"
+        huge.write_bytes(b"0 100000")
+        started = time.perf_counter()
+        assert cli.main(["snf", str(huge)]) == 2
+        assert time.perf_counter() - started < 1.0
+
+        capsys.readouterr()
+        small = tmp_path / "small.matrix"
+        small.write_bytes(b"0 3")
+        assert cli.main(["snf", str(small)]) == 0
+        assert capsys.readouterr().out == "rank 0; invariant factors: (none)\n"
 
 
 class TestInternalFailureExitCode:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from chowfiber.exact_linalg import (
+    MAX_MATRIX_DIM,
     FGAbelianGroup,
     IntMatrix,
     MatrixFormatError,
@@ -16,6 +17,7 @@ from chowfiber.exact_linalg import (
     format_matrix_text,
     integer_kernel,
     invariant_factors_from_divisors,
+    kernel_coordinates,
     matrix_rank,
     parse_matrix_text,
     snf,
@@ -250,6 +252,41 @@ class TestSolveInLattice:
             solve_in_lattice(basis, _columns((4, -3), (1, 0)))
 
 
+class TestKernelCoordinates:
+    def test_saturated_basis_has_unimodular_coordinates(self):
+        # Two saturated bases of the same kernel differ by a unimodular
+        # change of basis.
+        row = (2, 2, 1, 1, 2, 2, 4)
+        coords = kernel_coordinates(row, integer_kernel(IntMatrix.from_rows([row])))
+        assert coords.shape == (6, 6)
+        assert determinant(coords) in (1, -1)
+
+    def test_nonzero_pairing_is_not_in_lattice(self):
+        with pytest.raises(NotInLattice):
+            kernel_coordinates((1, 2), _columns((1, 0)))
+        with pytest.raises(NotInLattice):
+            kernel_coordinates((1, 2), _columns((2, -1), (0, 1)))
+
+    def test_zero_column_target(self):
+        assert kernel_coordinates((3, 5, 7), _columns((0, 0, 0))) == _columns((0, 0))
+        assert kernel_coordinates((3, 5, 7), _columns(row_count=3)) == _columns(row_count=2)
+
+    def test_length_one_row(self):
+        assert kernel_coordinates((4,), _columns((0,), (0,))) == IntMatrix.from_rows(
+            [], col_count=2
+        )
+        with pytest.raises(NotInLattice):
+            kernel_coordinates((4,), _columns((1,)))
+
+    def test_zero_row_keeps_every_target(self):
+        targets = _columns((4, -1), (0, 3))
+        assert kernel_coordinates((0, 0), targets) == targets
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="row length"):
+            kernel_coordinates((1, 1), _columns((0, 0, 0)))
+
+
 class TestFGAbelianGroup:
     def test_rendering(self):
         assert str(FGAbelianGroup(0)) == "0"
@@ -278,6 +315,7 @@ class TestMatrixText:
 
     def test_empty_matrix(self):
         assert parse_matrix_text("0 3\n") == IntMatrix.from_rows([], col_count=3)
+        assert parse_matrix_text(f"0 {MAX_MATRIX_DIM}\n").shape == (0, MAX_MATRIX_DIM)
 
     @pytest.mark.parametrize(
         "text",
@@ -288,6 +326,8 @@ class TestMatrixText:
             "1 2\na b\n",
             "2 2\n1 2\n",
             "-1 2\n",
+            "0 100000\n",
+            f"{MAX_MATRIX_DIM + 1} 1\n",
         ],
     )
     def test_malformed(self, text):

@@ -10,6 +10,7 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
+    kernel_coordinates,
     snf,
     solve_in_lattice,
 )
@@ -94,6 +95,24 @@ def test_solve_in_lattice_recovers_coordinates(a, coeffs):
         return
     x = IntMatrix.from_columns([coeffs[: a.col_count]], row_count=a.col_count)
     assert solve_in_lattice(a, a @ x) == x
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
+    st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_coordinates_match_the_lattice_solve(w, target_count, rng):
+    basis = integer_kernel(IntMatrix.from_rows([w]))
+    coeffs = IntMatrix.from_rows(
+        [[rng.randint(-5, 5) for _ in range(target_count)] for _ in range(basis.col_count)],
+        col_count=target_count,
+    )
+    targets = basis @ coeffs
+    fast = kernel_coordinates(w, targets)
+    reference = solve_in_lattice(basis, targets)
+    assert fast.shape == reference.shape
+    assert cokernel(fast).group == cokernel(reference).group
 
 
 @settings(max_examples=60)
