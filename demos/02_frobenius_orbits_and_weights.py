@@ -23,14 +23,15 @@ for cycle in orbits(action):
     print("  orbit:", cycle)
 
 print("\nThe seven-component configuration used throughout the fixtures:")
+# An orbit is a name, a size (how many conjugate components) and a multiplicity.
 seven = [
-    ComponentOrbit("A", ("A1", "A2"), 1),
-    ComponentOrbit("B", ("B1", "B2"), 1),
-    ComponentOrbit("C", ("C",), 1),
-    ComponentOrbit("D", ("D",), 1),
-    ComponentOrbit("R", ("R1", "R2"), 1),
-    ComponentOrbit("S", ("S1", "S2"), 1),
-    ComponentOrbit("M", ("M1", "M2"), 2),
+    ComponentOrbit("A", 2, 1),
+    ComponentOrbit("B", 2, 1),
+    ComponentOrbit("C", 1, 1),
+    ComponentOrbit("D", 1, 1),
+    ComponentOrbit("R", 2, 1),
+    ComponentOrbit("S", 2, 1),
+    ComponentOrbit("M", 2, 2),
 ]
 weights = xi_weights(seven)
 print("equivariant character lattice rank (one per orbit):", len(weights))

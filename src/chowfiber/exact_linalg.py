@@ -152,9 +152,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.row_count, self.col_count)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
@@ -271,7 +268,7 @@ class FGAbelianGroup:
 
 @dataclass(frozen=True)
 class CokernelPresentation:
-    """The quotient of ``Z^ambient_rank`` by the column span of ``relations``.
+    """The quotient of ``Z^relations.row_count`` by the column span of ``relations``.
 
     ``decomposition`` is the Smith decomposition of ``relations``: in the
     coordinates ``y = decomposition.u @ x`` the relation lattice is
@@ -280,7 +277,6 @@ class CokernelPresentation:
     of ``group``.
     """
 
-    ambient_rank: int
     relations: IntMatrix
     group: FGAbelianGroup
     decomposition: SmithDecomposition
@@ -311,6 +307,9 @@ def determinant(a: IntMatrix) -> int:
             else:
                 return 0
         for i in range(k + 1, n):
+            if m[i][k] == 0 and m[k][k] == prev:
+                # The update below would give back row i unchanged.
+                continue
             for j in range(k + 1, n):
                 # Bareiss update: the division is exact.
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
@@ -539,12 +538,7 @@ def cokernel(a: IntMatrix) -> CokernelPresentation:
         rank=a.row_count - len(nonzero),
         invariant_factors=tuple(d for d in nonzero if d >= 2),
     )
-    return CokernelPresentation(
-        ambient_rank=a.row_count,
-        relations=a,
-        group=group,
-        decomposition=dec,
-    )
+    return CokernelPresentation(relations=a, group=group, decomposition=dec)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

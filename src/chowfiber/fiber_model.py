@@ -36,6 +36,10 @@ rejected)::
       }
     }
 
+An orbit's ``size`` is a count, held as a plain integer.  Components
+have names only in the optional ``geometric`` section, whose Frobenius
+cycles must realize the declared orbits and sizes exactly.
+
 Degrees are maps from orbit names to integers; missing keys mean 0 and
 are normalized to explicit zeros.  The hypotheses are assertions by the
 user about the geometry (smoothness of the reduced components, and that
@@ -128,10 +132,11 @@ class PicGenerator:
 
 @dataclass(frozen=True)
 class GeometricSection:
-    """Raw component-level data: the Frobenius action and per-component degrees."""
+    """Raw component-level data: the Frobenius action, each orbit's
+    components in cycle order, and per-component degrees."""
 
     action: PermutationAction
-    orbit_of: Mapping[str, str]
+    members: Mapping[str, tuple[str, ...]]
     degrees: Mapping[str, Mapping[str, int]]
 
 
@@ -164,7 +169,13 @@ def _expect(value: object, kind: type, where: str, label: str) -> object:
 
 
 def _expect_str(value: object, where: str) -> str:
-    return _expect(value, str, where, "a string")  # type: ignore[return-value]
+    text: str = _expect(value, str, where, "a string")  # type: ignore[assignment]
+    # JSON escapes can spell lone surrogates, which no output can encode.
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where}: string holds a lone surrogate") from None
+    return text
 
 
 def _expect_int(value: object, where: str) -> int:
@@ -230,25 +241,16 @@ def parse_model(document: str | Mapping) -> FiberModel:
 
     name = _expect_str(top["name"], "name")
     hypotheses = _parse_hypotheses(top.get("hypotheses"))
-    orbit_specs = _parse_orbit_specs(top["orbits"])
-    orbit_names = [oname for oname, _mult, _size in orbit_specs]
+    orbit_tuple = _parse_orbits(top["orbits"])
+    orbit_names = [o.name for o in orbit_tuple]
 
     generators = _parse_generators(top.get("generators", []), orbit_names)
 
     geometric = None
-    members_by_orbit = {
-        oname: tuple(f"{oname}.{i}" for i in range(1, size + 1))
-        for oname, _mult, size in orbit_specs
-    }
     if "geometric" in top:
-        geometric, members_by_orbit = _parse_geometric(
-            top["geometric"], orbit_specs, [g.name for g in generators]
+        geometric = _parse_geometric(
+            top["geometric"], orbit_tuple, [g.name for g in generators]
         )
-
-    orbit_tuple = tuple(
-        ComponentOrbit(name=oname, members=members_by_orbit[oname], multiplicity=mult)
-        for oname, mult, _size in orbit_specs
-    )
 
     notes = None
     if "notes" in top:
@@ -285,11 +287,11 @@ def _parse_hypotheses(raw: object) -> Hypotheses:
     )
 
 
-def _parse_orbit_specs(raw: object) -> list[tuple[str, int, int]]:
+def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
     arr = _expect_array(raw, "orbits")
     if not arr:
         raise SchemaError("orbits: the orbit list must not be empty")
-    specs: list[tuple[str, int, int]] = []
+    specs: list[ComponentOrbit] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
         where = f"orbits[{idx}]"
@@ -306,8 +308,8 @@ def _parse_orbit_specs(raw: object) -> list[tuple[str, int, int]]:
             raise SchemaError(f"{where}: multiplicity must be >= 1, got {mult}")
         if size < 1:
             raise SchemaError(f"{where}: size must be >= 1, got {size}")
-        specs.append((oname, mult, size))
-    return specs
+        specs.append(ComponentOrbit(name=oname, size=size, multiplicity=mult))
+    return tuple(specs)
 
 
 def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGenerator, ...]:
@@ -340,9 +342,9 @@ def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGener
 
 def _parse_geometric(
     raw: object,
-    orbit_specs: Sequence[tuple[str, int, int]],
+    declared_orbits: Sequence[ComponentOrbit],
     generator_names: Sequence[str],
-) -> tuple[GeometricSection, dict[str, tuple[str, ...]]]:
+) -> GeometricSection:
     obj = _expect_object(raw, "geometric")
     _reject_unknown_keys(obj, {"components", "frobenius", "orbit_of", "degrees"}, "geometric")
     _require_keys(obj, ["components", "frobenius", "orbit_of"], "geometric")
@@ -362,7 +364,7 @@ def _parse_geometric(
 
     known = set(components)
     orbit_of_raw = _expect_object(obj["orbit_of"], "geometric.orbit_of")
-    declared = {oname: (mult, size) for oname, mult, size in orbit_specs}
+    declared = {o.name: o.size for o in declared_orbits}
     orbit_of: dict[str, str] = {}
     for comp in components:
         if comp not in orbit_of_raw:
@@ -377,7 +379,7 @@ def _parse_geometric(
 
     # The cycle decomposition of the action must reproduce the declared
     # orbit partition exactly (one cycle per orbit, of the declared size).
-    members_by_orbit: dict[str, tuple[str, ...]] = {}
+    members: dict[str, tuple[str, ...]] = {}
     for cycle in orbits(action):
         targets = {orbit_of[c] for c in cycle}
         if len(targets) != 1:
@@ -385,15 +387,15 @@ def _parse_geometric(
                 f"geometric: cycle {cycle} maps to several orbits {sorted(targets)}"
             )
         oname = targets.pop()
-        if oname in members_by_orbit:
+        if oname in members:
             raise SchemaError(f"geometric: orbit {oname!r} is hit by more than one cycle")
-        if len(cycle) != declared[oname][1]:
+        if len(cycle) != declared[oname]:
             raise SchemaError(
-                f"geometric: orbit {oname!r} has declared size {declared[oname][1]} "
+                f"geometric: orbit {oname!r} has declared size {declared[oname]} "
                 f"but its cycle has {len(cycle)} components"
             )
-        members_by_orbit[oname] = tuple(cycle)
-    missing = [oname for oname in declared if oname not in members_by_orbit]
+        members[oname] = tuple(cycle)
+    missing = [oname for oname in declared if oname not in members]
     if missing:
         raise SchemaError(f"geometric: no cycle realizes orbits {', '.join(missing)}")
 
@@ -411,7 +413,7 @@ def _parse_geometric(
             for comp in components
         }
 
-    return GeometricSection(action=action, orbit_of=orbit_of, degrees=degrees), members_by_orbit
+    return GeometricSection(action=action, members=members, degrees=degrees)
 
 
 def _parse_expected(raw: object) -> ExpectedResult:
@@ -455,7 +457,9 @@ def serialize_model(m: FiberModel) -> dict:
         doc["geometric"] = {
             "components": list(m.geometric.action.ground_set),
             "frobenius": list(m.geometric.action.frobenius),
-            "orbit_of": dict(m.geometric.orbit_of),
+            "orbit_of": {
+                c: oname for oname, cycle in m.geometric.members.items() for c in cycle
+            },
             "degrees": {g: dict(cm) for g, cm in m.geometric.degrees.items()},
         }
     if m.notes is not None:
@@ -532,7 +536,7 @@ def validate(m: FiberModel) -> list[Diagnostic]:
             if comp_degrees is None:
                 continue
             for o in m.orbits:
-                values = [comp_degrees[c] for c in o.members]
+                values = [comp_degrees[c] for c in m.geometric.members[o.name]]
                 if len(set(values)) > 1:
                     diagnostics.append(
                         Diagnostic(

@@ -13,6 +13,8 @@ equivariant character lattice is free on the orbits, with basis vector
 
 Pairing ``b_Y`` against the fiber class (the formal sum of components
 weighted by multiplicity) gives the weight ``multiplicity * orbit size``.
+That weight is all an orbit contributes, so :class:`ComponentOrbit` holds
+a name, a size and a multiplicity, and never the components' names.
 The characters annihilating the fiber class form a corank-one sublattice;
 :func:`hom_T_basis` returns a saturated basis for it.
 """
@@ -79,26 +81,22 @@ def orbits(action: PermutationAction) -> list[list[str]]:
 
 @dataclass(frozen=True)
 class ComponentOrbit:
-    """One Frobenius orbit of geometric components, with its multiplicity.
+    """One Frobenius orbit: its name, its number of geometric components,
+    and their multiplicity.
 
     Conjugate components share their multiplicity in the fiber, so it is
     a property of the orbit.
     """
 
     name: str
-    members: tuple[str, ...]
+    size: int
     multiplicity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ValueError(f"orbit {self.name!r} must have at least one member")
+        if self.size < 1:
+            raise ValueError(f"orbit {self.name!r} must have size >= 1")
         if self.multiplicity < 1:
             raise ValueError(f"orbit {self.name!r} must have multiplicity >= 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ class TestComputeB:
         m = _fixture_model("synthetic-z2")
         pres = _present(m)
         a = build_specialization_matrix(m)
-        assert pres.ambient_rank == len(m.orbits)
+        assert pres.relations.row_count == len(m.orbits)
         assert pres.relations == a
         assert pres.decomposition == snf(a)
         assert pres.group.rank == len(m.orbits) - matrix_rank(a)

@@ -93,6 +93,23 @@ class TestComputeCommand:
         assert doc["formal_only"] is True
         assert [d["subject"] for d in doc["diagnostics"]] == ["c01", "c02", "c04", "c05"]
 
+    def test_declared_size_is_only_a_number(self, tmp_path, capsys):
+        # A size far past any allocatable count: the orbit weighs 10^18,
+        # and nothing is built per component.
+        from chowfiber import cli
+
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {"name": "wide", "orbits": [{"name": "Y", "multiplicity": 1, "size": 10**18}]}
+            )
+        )
+        assert cli.main(["compute", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["index"] == 10**18
+        assert doc["b"] == {"rank": 1, "torsion": []}
+        assert doc["b0"] == {"rank": 0, "torsion": []}
+
     def test_flags_are_mutually_exclusive(self):
         r = run_cli("compute", "--strict", "--permissive", _fx("trivial"))
         assert r.returncode == 2
@@ -238,6 +255,30 @@ class TestHostileInput:
         small.write_bytes(b"0 3")
         assert cli.main(["snf", str(small)]) == 0
         assert capsys.readouterr().out == "rank 0; invariant factors: (none)\n"
+
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ("0 256\n", "rank 0; invariant factors: (none)\n"),
+            (
+                "1 256\n" + " ".join(str(j % 7 - 3) for j in range(256)) + "\n",
+                "rank 1; invariant factors: 1\n",
+            ),
+        ],
+        ids=["no-rows", "one-row"],
+    )
+    def test_widest_accepted_header_is_quick(self, tmp_path, capsys, content, expected):
+        # The largest dimension the parser accepts must not buy a slow
+        # check of a 256x256 column transform.
+        from chowfiber import cli
+
+        path = tmp_path / "wide.matrix"
+        path.write_text(content)
+        started = time.perf_counter()
+        assert cli.main(["snf", str(path)]) == 0
+        assert time.perf_counter() - started < 0.2
+        assert capsys.readouterr().out == expected
 
 
 class TestInternalFailureExitCode:

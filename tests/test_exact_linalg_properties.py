@@ -45,6 +45,42 @@ def test_snf_reconstructs_and_transforms_are_unimodular(a):
         assert q % p == 0
 
 
+def _laplace_determinant(rows):
+    # Cofactor expansion along the first row: slow, but shares nothing
+    # with the fraction-free elimination it checks.
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * e * _laplace_determinant([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, e in enumerate(rows[0])
+        if e
+    )
+
+
+def zero_heavy_square_matrices(max_size=6):
+    # Mostly zeros, with an optional identity added, so that pivots
+    # often equal the previous pivot and whole rows are left unchanged.
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
+    def build(n):
+        rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        return st.tuples(rows, st.booleans()).map(
+            lambda t: [
+                [e + (1 if t[1] and i == j else 0) for j, e in enumerate(row)]
+                for i, row in enumerate(t[0])
+            ]
+        )
+
+    return st.integers(0, max_size).flatmap(build)
+
+
+@settings(max_examples=200)
+@given(zero_heavy_square_matrices())
+def test_determinant_matches_cofactor_expansion(rows):
+    a = IntMatrix.from_rows(rows, col_count=len(rows))
+    assert determinant(a) == _laplace_determinant(rows)
+
+
 @given(matrices(max_rows=4, max_cols=4))
 def test_snf_agrees_with_minor_oracle(a):
     nonzero = list(snf(a).nonzero_diagonal())

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -52,14 +53,32 @@ class TestParse:
         }
 
     def test_synthesized_members_match_size(self):
+        # Without a geometric section the size stays a number: no
+        # component names are made up for it.
         m = _fixture_model("example31")
         by_name = {o.name: o for o in m.orbits}
         assert by_name["A"].size == 2
-        assert by_name["C"].members == ("C.1",)
+        assert m.geometric is None
+        assert not hasattr(by_name["A"], "members")
 
     def test_geometric_members_used_verbatim(self):
         m = _fixture_model("split-orbit")
-        assert m.orbits[0].members == ("Y1", "Y2")
+        assert m.orbits[0].size == 2
+        assert m.geometric.members["Y"] == ("Y1", "Y2")
+        assert not hasattr(m.geometric, "orbit_of")
+
+    def test_huge_declared_size_allocates_nothing(self):
+        doc = json.dumps(
+            {"name": "wide", "orbits": [{"name": "Y", "multiplicity": 1, "size": 10**6}]}
+        )
+        tracemalloc.start()
+        try:
+            m = parse_model(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.orbits[0].size == 10**6
+        assert peak < 1_000_000
 
 
 class TestSchemaErrors:
@@ -274,6 +293,28 @@ class TestValidate:
         assert any(
             d.code == "orbit-constancy" and "disagrees" in d.message for d in diags
         )
+
+    def test_orbit_constancy_lists_values_in_cycle_order(self):
+        # Frobenius sends Y1 -> Y3 -> Y2 -> Y1, so the cycle order is
+        # Y1, Y3, Y2 and differs from the ground-set order.
+        m = parse_model(
+            {
+                "name": "x",
+                "orbits": [{"name": "Y", "multiplicity": 1, "size": 3}],
+                "generators": [{"name": "g", "host": "Y", "degrees": {"Y": 0}}],
+                "geometric": {
+                    "components": ["Y1", "Y2", "Y3"],
+                    "frobenius": ["Y3", "Y1", "Y2"],
+                    "orbit_of": {"Y1": "Y", "Y2": "Y", "Y3": "Y"},
+                    "degrees": {"g": {"Y1": 1, "Y2": 2, "Y3": 3}},
+                },
+            }
+        )
+        assert m.geometric.members["Y"] == ("Y1", "Y3", "Y2")
+        assert [str(d) for d in validate(m) if d.is_error()] == [
+            "ERROR orbit-constancy g: degrees on orbit 'Y' differ across "
+            "conjugate components: [1, 3, 2]"
+        ]
 
     def test_validate_is_deterministic(self):
         m = _fixture_model("example31")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -74,11 +76,7 @@ class TestOrbits:
 
 
 def _orbit(name, size, multiplicity):
-    return ComponentOrbit(
-        name=name,
-        members=tuple(f"{name}.{i}" for i in range(1, size + 1)),
-        multiplicity=multiplicity,
-    )
+    return ComponentOrbit(name=name, size=size, multiplicity=multiplicity)
 
 
 # Orbit data of the seven-component fixture: multiplicity 1 throughout
@@ -92,6 +90,21 @@ SEVEN_COMPONENT_ORBITS = [
     _orbit("S", 2, 1),
     _orbit("M", 2, 2),
 ]
+
+
+class TestComponentOrbit:
+    def test_fields_are_name_size_multiplicity(self):
+        orbit = ComponentOrbit("Y", 3, 2)
+        assert (orbit.name, orbit.size, orbit.multiplicity) == ("Y", 3, 2)
+        assert [f.name for f in fields(ComponentOrbit)] == ["name", "size", "multiplicity"]
+
+    @pytest.mark.parametrize("size, multiplicity", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    def test_rejects_size_or_multiplicity_below_one(self, size, multiplicity):
+        with pytest.raises(ValueError, match=">= 1"):
+            ComponentOrbit("Y", size, multiplicity)
+
+    def test_huge_size_is_just_a_number(self):
+        assert xi_weights([ComponentOrbit("Y", 10**30, 3)]).weights == (3 * 10**30,)
 
 
 class TestWeights:
@@ -112,7 +125,7 @@ class TestWeights:
 
     def test_total_is_fiber_multiplicity(self):
         w = xi_weights(SEVEN_COMPONENT_ORBITS)
-        total = sum(o.multiplicity * len(o.members) for o in SEVEN_COMPONENT_ORBITS)
+        total = sum(o.multiplicity * o.size for o in SEVEN_COMPONENT_ORBITS)
         assert w.total() == total == 14
 
     def test_weights_must_be_positive(self):
