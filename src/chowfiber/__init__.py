@@ -36,7 +36,6 @@ from .exact_linalg import (
     integer_kernel,
     invariant_factors_from_divisors,
     kernel_coordinates,
-    matrix_rank,
     parse_matrix_text,
     snf,
     solve_in_lattice,
@@ -110,7 +109,6 @@ __all__ = [
     "integer_kernel",
     "invariant_factors_from_divisors",
     "kernel_coordinates",
-    "matrix_rank",
     "orbits",
     "parse_matrix_text",
     "parse_model",

@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success; 1 validation errors (strict mode); 2 unreadable
 input, malformed document, or schema violation; 3 internal invariant
 violation (a self-check or the agreement of the two degree-zero routes
-failed).  The environment variable ``CHOWFIBER_COLOR`` (auto, never,
-always) controls styling only; output bytes are otherwise deterministic.
+failed); 141 the reader of standard output went away (128 + SIGPIPE, as
+a Unix filter reports it).  The environment variable ``CHOWFIBER_COLOR``
+(auto, never, always) controls styling only; output bytes are otherwise
+deterministic.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 _ANSI = {"red": "31", "yellow": "33", "cyan": "36", "bold": "1"}
 
@@ -337,10 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except SelfCheckError as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at os.devnull so
+        # the unwritten rest cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -330,9 +330,15 @@ def is_unimodular(a: IntMatrix) -> bool:
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms, self-verified before returning.
 
-    The pivot at each stage is a nonzero entry of minimal absolute value
-    in the remaining submatrix; that choice only limits intermediate
-    entry growth, correctness does not depend on it.
+    Every round moves a nonzero entry of minimal absolute value in the
+    remaining submatrix to ``(t, t)`` and reduces column ``t``, then row
+    ``t``, by floor quotients.  A remainder left behind is smaller than
+    the pivot, so the next round's pivot is strictly smaller; once the
+    row and column are clear, adding a row the pivot does not divide
+    leaves a remainder in the next round.  The pivot magnitude therefore
+    shrinks to termination.  Re-picking the smallest entry every round,
+    rather than promoting whichever remainder turns up first, is also
+    what keeps the transform entries polynomially sized.
 
     Every row operation on ``u`` is mirrored by its inverse column
     operation on ``u_inv``, so ``u_inv`` stays the inverse of ``u``.
@@ -379,60 +385,37 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                         return best
         return best
 
-    t = 0
-    while t < min(m, n):
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-
-        while True:
-            # Clear column t below the pivot.  A nonzero remainder is
-            # strictly smaller in magnitude than the pivot, so swapping
-            # it up strictly shrinks the pivot and the loop terminates.
-            dirty = False
+    for t in range(min(m, n)):
+        while (pos := find_pivot(t)) is not None:
+            swap_rows(t, pos[0])
+            swap_cols(t, pos[1])
+            p = s[t][t]
             for i in range(t + 1, m):
-                if s[i][t] == 0:
-                    continue
-                add_row(t, i, -(s[i][t] // s[t][t]))
-                if s[i][t] != 0:
-                    swap_rows(t, i)
-                    dirty = True
-            if dirty:
-                continue
+                if s[i][t]:
+                    add_row(t, i, -(s[i][t] // p))
             for j in range(t + 1, n):
-                if s[t][j] == 0:
-                    continue
-                add_col(t, j, -(s[t][j] // s[t][t]))
-                if s[t][j] != 0:
-                    swap_cols(t, j)
-                    dirty = True
-                    break
-            if dirty:
+                if s[t][j]:
+                    add_col(t, j, -(s[t][j] // p))
+            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
                 continue
-
             # Row and column are clear; force the pivot to divide the
-            # whole remaining submatrix before moving on, so the
-            # diagonal comes out as a divisibility chain.
+            # whole remaining submatrix, so the diagonal comes out as a
+            # divisibility chain.
             offender = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    if any(s[i][j] % s[t][t] != 0 for j in range(t + 1, n))
-                ),
+                (i for i in range(t + 1, m) if any(e % p for e in s[i][t + 1 :])),
                 None,
             )
             if offender is None:
                 break
             add_row(offender, t, 1)
+        else:
+            break  # the remaining submatrix is zero
 
         if s[t][t] < 0:
             s[t] = [-e for e in s[t]]
             u[t] = [-e for e in u[t]]
             for row in u_inv:
                 row[t] = -row[t]
-        t += 1
 
     # Every entry is already an int, so skip from_rows' per-entry coercion.
     result = SmithDecomposition(
@@ -601,11 +584,6 @@ def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
             )
         reduced.append([e // d for e in row])
     return dec.v @ IntMatrix.from_rows(reduced, col_count=targets.col_count)
-
-
-def matrix_rank(a: IntMatrix) -> int:
-    """Rank over the rationals (equivalently the number of nonzero invariant factors)."""
-    return snf(a).rank()
 
 
 # ----------------------------------------------------------------------

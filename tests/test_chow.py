@@ -1,6 +1,6 @@
 import random
 import sys
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 from conftest import random_valid_model_document
@@ -20,7 +20,6 @@ from chowfiber.exact_linalg import (
     NotInLattice,
     cokernel,
     integer_kernel,
-    matrix_rank,
     snf,
     solve_in_lattice,
 )
@@ -60,29 +59,30 @@ def _b0(m):
     return compute_b0(weights, pres, compute_xi_bar(weights, pres))
 
 
-def _count_calls(monkeypatch, *functions):
-    """Count calls to ``functions`` wherever a chowfiber module binds them.
+def _record_calls(monkeypatch, *functions):
+    """Record the result of every call to ``functions``, by function name.
 
     The modules bind each other's functions with from-imports, so each
-    namespace holding the function gets the counting wrapper.
+    chowfiber namespace holding the function gets the recording wrapper.
     """
-    counts = Counter()
+    results = defaultdict(list)
 
-    def counting(fn):
+    def recording(fn):
         def wrapper(*args, **kwargs):
-            counts[fn.__name__] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            results[fn.__name__].append(result)
+            return result
 
         return wrapper
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "chowfiber"]
     for fn in functions:
-        wrapper = counting(fn)
+        wrapper = recording(fn)
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, wrapper)
-    return counts
+    return results
 
 
 def _two_orbits(degrees=None):
@@ -112,16 +112,16 @@ class TestComputeB:
         assert report(_two_orbits((1, -1))).b == Z
 
     def test_strict_rejects_invalid(self, monkeypatch):
-        counts = _count_calls(monkeypatch, exact_linalg.snf)
+        calls = _record_calls(monkeypatch, exact_linalg.snf)
         with pytest.raises(InvalidModel):
             report(_fixture_model("example31"))
-        assert counts["snf"] == 0
+        assert len(calls["snf"]) == 0
 
     def test_permissive_formal_cokernel(self, monkeypatch):
-        counts = _count_calls(monkeypatch, exact_linalg.snf)
+        calls = _record_calls(monkeypatch, exact_linalg.snf)
         rep = report(_fixture_model("example31"), mode=PERMISSIVE)
         assert rep.b == FGAbelianGroup(0, (2, 2))
-        assert counts["snf"] == 1
+        assert len(calls["snf"]) == 1
 
     def test_presentation_bookkeeping(self):
         m = _fixture_model("synthetic-z2")
@@ -130,7 +130,7 @@ class TestComputeB:
         assert pres.relations.row_count == len(m.orbits)
         assert pres.relations == a
         assert pres.decomposition == snf(a)
-        assert pres.group.rank == len(m.orbits) - matrix_rank(a)
+        assert pres.group.rank == len(m.orbits) - snf(a).rank()
 
 
 class TestComputeXiBar:
@@ -291,7 +291,7 @@ class TestReport:
             m = _model(random_valid_model_document(rng))
             rep = report(m)
             a = build_specialization_matrix(m)
-            assert rep.b.rank == len(m.orbits) - matrix_rank(a)
+            assert rep.b.rank == len(m.orbits) - snf(a).rank()
             assert rep.b.rank == rep.b0.rank + 1
             assert rep.b.rank >= 1
 
@@ -308,19 +308,43 @@ class TestReport:
                 )
             )
             with monkeypatch.context() as patch:
-                counts = _count_calls(
+                calls = _record_calls(
                     patch,
                     exact_linalg.snf,
                     fiber_model.validate,
                     fiber_model.build_specialization_matrix,
                 )
                 report(m)
-            assert counts["validate"] == 1
-            assert counts["build_specialization_matrix"] == 1
-            snf_calls.append(counts["snf"])
+            assert len(calls["validate"]) == 1
+            assert len(calls["build_specialization_matrix"]) == 1
+            snf_calls.append(len(calls["snf"]))
         assert snf_calls == [5, 5]
 
-    @pytest.mark.parametrize("orbit_count", [10, 11])
+    @pytest.mark.parametrize("orbit_count", [12, 24])
+    def test_smith_transforms_stay_small(self, monkeypatch, orbit_count):
+        # A gate on growth, not on wall time: no entry of u, u_inv or v in
+        # any Smith decomposition of a report exceeds orbit_count**2 bits.
+        # The degree entries of these models have at most 7 bits.
+        for k in range(5):
+            rng = random.Random(4000 + 100 * orbit_count + k)
+            m = _model(
+                random_valid_model_document(
+                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+                )
+            )
+            with monkeypatch.context() as patch:
+                calls = _record_calls(patch, exact_linalg.snf)
+                report(m)
+            largest = max(
+                abs(e).bit_length()
+                for dec in calls["snf"]
+                for transform in (dec.u, dec.u_inv, dec.v)
+                for row in transform.rows
+                for e in row
+            )
+            assert largest <= orbit_count**2
+
+    @pytest.mark.parametrize("orbit_count", [10, 11, 16, 24])
     def test_routes_match_the_lattice_solve_past_the_oracle_limit(self, orbit_count):
         # Past ORACLE_SIZE_LIMIT the minor oracle cannot check B(X)_0, so
         # both routes are recomputed through an explicit kernel basis and

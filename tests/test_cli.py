@@ -304,6 +304,36 @@ class TestInternalFailureExitCode:
         assert "check failed" in capsys.readouterr().err
 
 
+class TestReaderGone:
+    # A pipe whose read end is already closed is `chowfiber ... | true`
+    # after `true` has exited, without the race: every write fails.
+    def test_pipeline_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "chowfiber", "validate", _fx("example31")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, CHOWFIBER_COLOR="never"),
+            )
+        finally:
+            os.close(write_end)
+        assert r.stderr == ""
+        assert r.returncode == 141
+
+    def test_main_returns_141_when_a_write_fails(self, monkeypatch):
+        from chowfiber import cli
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # Line buffering makes the first print itself raise BrokenPipeError.
+        with open(write_end, "w", buffering=1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["validate", _fx("example31")]) == cli.EXIT_PIPE == 141
+
+
 class TestStyling:
     def test_color_always_emits_ansi(self):
         r = run_cli("validate", _fx("example31"), color="always")
