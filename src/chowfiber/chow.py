@@ -103,6 +103,12 @@ class ChowReport:
     when validation succeeded; reading ``b`` as a zero-cycle class group
     is conditional on the asserted hypotheses, and when ``formal_only``
     is set even that reading is unavailable.
+
+    ``xi_on_generators`` is the induced degree character in canonical
+    form: ``index`` at position ``r`` (the rank of the degree matrix),
+    zero elsewhere.  A unimodular change of the free generators of B(X)
+    brings the row of :func:`compute_xi_bar` to it, so unlike that row
+    it does not depend on the basis the Smith reduction picks.
     """
 
     model_name: str
@@ -121,12 +127,15 @@ class ChowReport:
 def compute_xi_bar(
     weights: WeightVector, presentation: CokernelPresentation
 ) -> tuple[int, ...]:
-    """The induced degree character on the canonical generators of B(X).
+    """The induced degree character on the generators of B(X) that ``snf`` picked.
 
     In the canonical coordinates ``y = u @ x`` the character ``x -> w . x``
     becomes ``y -> (w @ u^{-1}) . y``.  It is well defined on the
     quotient only when every degree column pairs to zero against the
-    weights, which :func:`~chowfiber.fiber_model.validate` checks.
+    weights, which :func:`~chowfiber.fiber_model.validate` checks; then
+    it vanishes on the ``rank`` relation coordinates and the gcd of the
+    rest is the index.  The row depends on the elimination order;
+    :func:`report` publishes a canonical form.
     """
     row = IntMatrix.from_rows([weights.weights])
     return (row @ presentation.decomposition.u_inv).rows[0]
@@ -192,6 +201,9 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         b0 = both.route_quotient
         formal_only = False
         _check_validated_shape(m, b, b0)
+        # Both routes have read the raw row; publish its canonical form.
+        r = presentation.decomposition.rank()
+        xi_values = (0,) * r + (index,) + (0,) * (len(m.orbits) - r - 1)
         single = m.orbits[0]
         special_case = (
             IRREDUCIBLE_FIBER

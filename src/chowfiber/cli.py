@@ -15,6 +15,11 @@ failed); 141 the reader of standard output went away (128 + SIGPIPE, as
 a Unix filter reports it).  The environment variable ``CHOWFIBER_COLOR``
 (auto, never, always) controls styling only; output bytes are otherwise
 deterministic.
+
+:func:`main` is the one failure boundary: it loads the input, runs the
+command on it and maps every failure to its exit code.  Input is parsed
+under the interpreter's limit on integer digits (an oversized literal
+exits 2); exact results print in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence, TextIO
 
 from .chow import (
@@ -35,6 +41,7 @@ from .chow import (
     report,
 )
 from .exact_linalg import (
+    IntMatrix,
     MatrixFormatError,
     OracleSizeLimitError,
     SelfCheckError,
@@ -78,24 +85,25 @@ def _style(text: str, color: str, enabled: bool) -> str:
 
 
 def _format_diagnostic(d: Diagnostic, color: bool) -> str:
-    severity = d.severity.upper()
-    severity = _style(severity, "red" if d.is_error() else "yellow", color)
-    return f"{severity} {d.code} {d.subject}: {d.message}"
+    severity, rest = str(d).split(" ", 1)
+    return f"{_style(severity, 'red' if d.is_error() else 'yellow', color)} {rest}"
 
 
 def _read_text(path: str, error: type[ValueError]) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as e:
-            raise error(f"not valid UTF-8: {e.reason} at byte {e.start}") from None
+    except OSError as e:
+        raise error(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise error(f"not valid UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _load_model(path: str) -> FiberModel:
     return parse_model(_read_text(path, ParseError))
 
 
-def _load_matrix(path: str):
+def _load_matrix(path: str) -> IntMatrix:
     return parse_matrix_text(_read_text(path, MatrixFormatError))
 
 
@@ -104,12 +112,7 @@ def _load_matrix(path: str):
 # ----------------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-    except (OSError, ParseError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_validate(model: FiberModel, args: argparse.Namespace) -> int:
     diagnostics = validate(model)
     color = _color_enabled(sys.stdout)
     for d in diagnostics:
@@ -117,23 +120,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if has_errors(diagnostics) else EXIT_OK
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-    except (OSError, ParseError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    mode = PERMISSIVE if args.permissive else STRICT
-    try:
-        rep = report(model, mode=mode)
-    except InvalidModel as e:
-        for d in e.diagnostics:
-            print(_format_diagnostic(d, _color_enabled(sys.stderr)), file=sys.stderr)
-        print(
-            "validation failed; rerun with --permissive to study the formal cokernel",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+def cmd_compute(model: FiberModel, args: argparse.Namespace) -> int:
+    rep = report(model, mode=PERMISSIVE if args.permissive else STRICT)
     if args.json:
         print(json.dumps(report_as_json(rep), indent=2, sort_keys=True))
     else:
@@ -141,14 +129,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_snf(args: argparse.Namespace) -> int:
-    try:
-        matrix = _load_matrix(args.matrix)
-    except (OSError, MatrixFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    decomposition = snf(matrix)
-    factors = decomposition.nonzero_diagonal()
+def cmd_snf(matrix: IntMatrix, args: argparse.Namespace) -> int:
+    factors = snf(matrix).nonzero_diagonal()
     rendered = " ".join(str(f) for f in factors) if factors else "(none)"
     print(f"rank {len(factors)}; invariant factors: {rendered}")
     if args.check:
@@ -169,17 +151,8 @@ def cmd_snf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        matrix = _load_matrix(args.matrix)
-    except (OSError, MatrixFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        divisors = determinantal_divisors(matrix)
-    except OracleSizeLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_oracle(matrix: IntMatrix, args: argparse.Namespace) -> int:
+    divisors = determinantal_divisors(matrix)
     rendered = " ".join(str(d) for d in divisors) if divisors else "(none)"
     print(f"determinantal divisors: {rendered}")
     return EXIT_OK
@@ -192,7 +165,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def report_as_json(rep: ChowReport) -> dict:
     """The report as a plain JSON-serializable object."""
-    doc: dict = {
+    return {
         "name": rep.model_name,
         "b": {"rank": rep.b.rank, "torsion": list(rep.b.invariant_factors)},
         "b0": (
@@ -210,15 +183,7 @@ def report_as_json(rep: ChowReport) -> dict:
             "reduced_components_smooth": rep.hypotheses.reduced_components_smooth,
             "pic_unramified_descent": rep.hypotheses.pic_unramified_descent,
         },
-        "diagnostics": [
-            {
-                "severity": d.severity,
-                "code": d.code,
-                "subject": d.subject,
-                "message": d.message,
-            }
-            for d in rep.diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in rep.diagnostics],
         "notes": rep.notes,
         "expected": (
             None
@@ -230,7 +195,6 @@ def report_as_json(rep: ChowReport) -> dict:
             }
         ),
     }
-    return doc
 
 
 def _yesno(flag: bool) -> str:
@@ -302,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="check a model document")
-    p_validate.add_argument("model", help="path to a model JSON document")
-    p_validate.set_defaults(func=cmd_validate)
+    p_validate.add_argument("path", metavar="model", help="path to a model JSON document")
+    p_validate.set_defaults(load=_load_model, func=cmd_validate)
 
     p_compute = sub.add_parser("compute", help="compute B(X), B(X)_0 and the index")
-    p_compute.add_argument("model", help="path to a model JSON document")
+    p_compute.add_argument("path", metavar="model", help="path to a model JSON document")
     mode = p_compute.add_mutually_exclusive_group()
     mode.add_argument(
         "--strict",
@@ -319,29 +283,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the formal cokernel even when validation fails",
     )
     p_compute.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_compute.set_defaults(func=cmd_compute)
+    p_compute.set_defaults(load=_load_model, func=cmd_compute)
 
     p_snf = sub.add_parser("snf", help="invariant factors of an integer matrix file")
-    p_snf.add_argument("matrix", help="path to a matrix text file ('R C' header)")
+    p_snf.add_argument(
+        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
+    )
     p_snf.add_argument(
         "--check",
         action="store_true",
         help="cross-check against the determinantal-divisor oracle (size permitting)",
     )
-    p_snf.set_defaults(func=cmd_snf)
+    p_snf.set_defaults(load=_load_matrix, func=cmd_snf)
 
     p_oracle = sub.add_parser("oracle", help="determinantal divisors of a matrix file")
-    p_oracle.add_argument("matrix", help="path to a matrix text file ('R C' header)")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.add_argument(
+        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
+    )
+    p_oracle.set_defaults(load=_load_matrix, func=cmd_oracle)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    digit_limit = sys.get_int_max_str_digits()
     try:
-        code = args.func(args)
+        loaded = args.load(args.path)
+        # Parsed under the digit limit; exact results print in full.
+        sys.set_int_max_str_digits(0)
+        code = args.func(loaded, args)
         sys.stdout.flush()
+    except (ParseError, SchemaError, MatrixFormatError, OracleSizeLimitError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except InvalidModel as e:
+        for d in e.diagnostics:
+            print(_format_diagnostic(d, _color_enabled(sys.stderr)), file=sys.stderr)
+        print(
+            "validation failed; rerun with --permissive to study the formal cokernel",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     except SelfCheckError as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -352,6 +335,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return code
 
 

@@ -194,13 +194,12 @@ def _expect_array(value: object, where: str) -> list:
     return _expect(value, list, where, "an array")  # type: ignore[return-value]
 
 
-def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _check_keys(
+    obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> None:
+    unknown = sorted(set(obj).difference(required, optional))
     if unknown:
         raise SchemaError(f"{where}: unknown keys {', '.join(unknown)}")
-
-
-def _require_keys(obj: dict, required: Sequence[str], where: str) -> None:
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"{where}: missing required keys {', '.join(missing)}")
@@ -232,12 +231,12 @@ def parse_model(document: str | Mapping) -> FiberModel:
     else:
         raw = dict(document)
     top = _expect_object(raw, "document")
-    _reject_unknown_keys(
+    _check_keys(
         top,
-        {"name", "hypotheses", "orbits", "generators", "geometric", "notes", "expected"},
         "document",
+        ("name", "orbits"),
+        ("hypotheses", "generators", "geometric", "notes", "expected"),
     )
-    _require_keys(top, ["name", "orbits"], "document")
 
     name = _expect_str(top["name"], "name")
     hypotheses = _parse_hypotheses(top.get("hypotheses"))
@@ -274,9 +273,7 @@ def _parse_hypotheses(raw: object) -> Hypotheses:
     if raw is None:
         return Hypotheses()
     obj = _expect_object(raw, "hypotheses")
-    _reject_unknown_keys(
-        obj, {"reduced_components_smooth", "pic_unramified_descent"}, "hypotheses"
-    )
+    _check_keys(obj, "hypotheses", (), ("reduced_components_smooth", "pic_unramified_descent"))
     return Hypotheses(
         reduced_components_smooth=_expect_bool(
             obj.get("reduced_components_smooth", False), "hypotheses.reduced_components_smooth"
@@ -296,8 +293,7 @@ def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
     for idx, item in enumerate(arr):
         where = f"orbits[{idx}]"
         obj = _expect_object(item, where)
-        _reject_unknown_keys(obj, {"name", "multiplicity", "size"}, where)
-        _require_keys(obj, ["name", "multiplicity", "size"], where)
+        _check_keys(obj, where, ("name", "multiplicity", "size"))
         oname = _expect_str(obj["name"], f"{where}.name")
         mult = _expect_int(obj["multiplicity"], f"{where}.multiplicity")
         size = _expect_int(obj["size"], f"{where}.size")
@@ -319,8 +315,7 @@ def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGener
     for idx, item in enumerate(arr):
         where = f"generators[{idx}]"
         obj = _expect_object(item, where)
-        _reject_unknown_keys(obj, {"name", "host", "degrees"}, where)
-        _require_keys(obj, ["name", "host"], where)
+        _check_keys(obj, where, ("name", "host"), ("degrees",))
         gname = _expect_str(obj["name"], f"{where}.name")
         host = _expect_str(obj["host"], f"{where}.host")
         if gname in seen:
@@ -346,8 +341,7 @@ def _parse_geometric(
     generator_names: Sequence[str],
 ) -> GeometricSection:
     obj = _expect_object(raw, "geometric")
-    _reject_unknown_keys(obj, {"components", "frobenius", "orbit_of", "degrees"}, "geometric")
-    _require_keys(obj, ["components", "frobenius", "orbit_of"], "geometric")
+    _check_keys(obj, "geometric", ("components", "frobenius", "orbit_of"), ("degrees",))
 
     components = [
         _expect_str(x, f"geometric.components[{i}]")
@@ -418,8 +412,7 @@ def _parse_geometric(
 
 def _parse_expected(raw: object) -> ExpectedResult:
     obj = _expect_object(raw, "expected")
-    _reject_unknown_keys(obj, {"b0_rank", "b0_torsion", "source"}, "expected")
-    _require_keys(obj, ["b0_rank", "b0_torsion", "source"], "expected")
+    _check_keys(obj, "expected", ("b0_rank", "b0_torsion", "source"))
     torsion = tuple(
         _expect_int(x, f"expected.b0_torsion[{i}]")
         for i, x in enumerate(_expect_array(obj["b0_torsion"], "expected.b0_torsion"))

@@ -22,6 +22,7 @@ from chowfiber.exact_linalg import (
     cokernel,
     determinant,
     determinantal_divisors,
+    format_matrix_text,
     invariant_factors_from_divisors,
     snf,
     solve_in_lattice,
@@ -226,9 +227,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         for name in fixture_names():
             a = build_specialization_matrix(_fixture_model(name))
             path = tmp_path / f"{name}.matrix"
-            lines = [f"{a.row_count} {a.col_count}"]
-            lines += [" ".join(str(e) for e in row) for row in a.rows]
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(format_matrix_text(a))
             matrix_files[name] = str(path)
 
         commands = []

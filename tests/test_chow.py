@@ -1,9 +1,12 @@
 import random
 import sys
 from collections import defaultdict
+from math import gcd
 
+import hypothesis.strategies as st
 import pytest
 from conftest import random_valid_model_document
+from hypothesis import given, settings
 
 from chowfiber import exact_linalg, fiber_model
 from chowfiber.chow import (
@@ -23,6 +26,7 @@ from chowfiber.exact_linalg import (
     snf,
     solve_in_lattice,
 )
+from chowfiber.cli import report_as_json
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
 from chowfiber.fixtures import fixture_path
 from chowfiber.galois import hom_T_basis, xi_weights
@@ -162,6 +166,24 @@ class TestComputeXiBar:
             for y in range(len(m.orbits)):
                 projected = pres.decomposition.u.column(y)
                 assert sum(a * b for a, b in zip(values, projected)) == w.weights[y]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 9), st.integers(0, 11))
+    def test_raw_row_vanishes_on_relations_and_has_the_index_as_gcd(
+        self, seed, orbit_count, generator_count
+    ):
+        # The shape that lets report() publish (0, ..., 0, index, 0, ..., 0).
+        m = _model(
+            random_valid_model_document(
+                random.Random(seed), orbit_count=orbit_count, generator_count=generator_count
+            )
+        )
+        pres = _present(m)
+        w = xi_weights(m.orbits)
+        values = compute_xi_bar(w, pres)
+        r = pres.decomposition.rank()
+        assert values[:r] == (0,) * r
+        assert gcd(*values[r:]) == w.image_index()
 
 
 class TestComputeB0:
@@ -362,10 +384,11 @@ class TestReport:
                 a = build_specialization_matrix(m)
                 assert min(a.shape) > exact_linalg.ORACLE_SIZE_LIMIT
                 presentation = cokernel(a)
-                basis = hom_T_basis(xi_weights(m.orbits))
+                weights = xi_weights(m.orbits)
+                basis = hom_T_basis(weights)
                 quotient = cokernel(solve_in_lattice(basis, a)).group
                 kernel_basis = integer_kernel(
-                    exact_linalg.IntMatrix.from_rows([rep.xi_on_generators])
+                    exact_linalg.IntMatrix.from_rows([compute_xi_bar(weights, presentation)])
                 )
                 kernel = cokernel(
                     solve_in_lattice(kernel_basis, presentation.decomposition.s)
@@ -374,3 +397,23 @@ class TestReport:
                 groups.add(rep.b0)
         # Torsion occurs, so agreement is not vacuous.
         assert any(g.invariant_factors for g in groups)
+
+    def test_json_report_is_invariant_under_orbit_and_generator_order(self):
+        # The published character must not depend on which free basis of
+        # B(X) the elimination order happens to pick.
+        for orbit_count in range(4, 12):
+            for k in range(5):
+                rng = random.Random(1000 * orbit_count + k)
+                doc = random_valid_model_document(
+                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+                )
+                shuffled = dict(
+                    doc,
+                    orbits=rng.sample(doc["orbits"], orbit_count),
+                    generators=rng.sample(doc["generators"], orbit_count + 2),
+                )
+                rep = report(_model(doc))
+                r = orbit_count - rep.b.rank
+                canonical = (0,) * r + (rep.index,) + (0,) * (rep.b.rank - 1)
+                assert rep.xi_on_generators == canonical
+                assert report_as_json(report(_model(shuffled))) == report_as_json(rep)

@@ -281,6 +281,88 @@ class TestHostileInput:
         assert capsys.readouterr().out == expected
 
 
+def _ten_to(k):
+    """The decimal digits of 10**k, spelled without an int-to-str conversion."""
+    return "1" + "0" * k
+
+
+def _product_digits(k):
+    """The digits of (10**k + 1)(10**k + 3) = 10**2k + 4·10**k + 3."""
+    return "1" + "0" * (k - 1) + "4" + "0" * (k - 1) + "3"
+
+
+def _one_huge_orbit():
+    return json.dumps(
+        {"name": "big", "orbits": [{"name": "A", "multiplicity": 10**4000, "size": 10**4000}]}
+    )
+
+
+def _three_orbits(d, e):
+    orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(3)]
+    generators = [
+        {"name": "g0", "host": "O0", "degrees": {"O0": d, "O1": -d}},
+        {"name": "g1", "host": "O1", "degrees": {"O1": e, "O2": -e}},
+    ]
+    return json.dumps({"name": "three", "orbits": orbits, "generators": generators})
+
+
+class TestLongExactResults:
+    # Results past the interpreter's 4,300-digit limit on int-to-str
+    # conversion print in full.  Parsing keeps the limit, so afterwards
+    # an oversized literal is still refused, and the limit is restored.
+    @pytest.mark.parametrize(
+        "argv, filename, content, expected",
+        [
+            (
+                ["validate"],
+                "orbit.json",
+                _one_huge_orbit(),
+                f"WARNING multiplicity-gcd big: gcd of the multiplicity weights is "
+                f"{_ten_to(8000)}; the degree character lands in {_ten_to(8000)}Z\n",
+            ),
+            (["compute"], "orbit.json", _one_huge_orbit(), f"index  = {_ten_to(8000)}\n"),
+            (
+                ["compute", "--json"],
+                "orbit.json",
+                _one_huge_orbit(),
+                f'"index": {_ten_to(8000)},',
+            ),
+            (
+                ["snf"],
+                "diagonal.matrix",
+                f"2 2\n{10**3000 + 1} 0\n0 {10**3000 + 3}\n",
+                f"rank 2; invariant factors: 1 {_product_digits(3000)}\n",
+            ),
+            (
+                ["compute"],
+                "three.json",
+                _three_orbits(10**2500 + 1, 10**2500 + 3),
+                f"B(X)   = Z ⊕ Z/{_product_digits(2500)}\n"
+                f"B(X)_0 = Z/{_product_digits(2500)}\nindex  = 1\n",
+            ),
+        ],
+        ids=["validate-orbit", "compute-orbit", "json-orbit", "snf-diagonal", "compute-three"],
+    )
+    def test_prints_in_full_and_keeps_the_parse_limit(
+        self, tmp_path, capsys, argv, filename, content, expected
+    ):
+        from chowfiber import cli
+
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / filename
+        path.write_text(content)
+        assert cli.main([*argv, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert expected in captured.out
+        assert captured.err == ""
+
+        huge = tmp_path / "huge.json"
+        huge.write_bytes(b'{"name": "x", "orbits": ' + b"7" * 5000 + b"}")
+        assert cli.main(["compute", str(huge)]) == 2
+        assert capsys.readouterr().err.startswith("error: Exceeds the limit")
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestInternalFailureExitCode:
     # The honest pipeline cannot produce a self-check failure, so the
     # exit-3 mapping is exercised in process with a forced fault.

@@ -4,7 +4,9 @@ Every file handed to ``chowfiber validate`` or ``chowfiber compute`` must
 map to a documented exit code (0 success, 1 validation errors, 2
 unreadable or malformed input) with no traceback, whatever the bytes:
 arbitrary binary, arbitrary JSON, or documents shaped like the model
-schema with huge declared sizes and random geometric sections.
+schema with huge declared sizes and degrees (up to the 4,300 digits the
+parser accepts, so results run past that many) and random geometric
+sections.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from datetime import timedelta
 from pathlib import Path
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 
 from chowfiber import cli
 
@@ -51,10 +53,11 @@ def mostly(valid, invalid):
     return st.integers(0, 9).flatmap(lambda k: invalid if k == 5 else valid)
 
 
-# Declared counts: mostly small, sometimes far past any machine word,
-# sometimes below the schema's minimum of 1.
-counts = mostly(st.integers(1, 3) | st.integers(1, 10**30), st.integers(-2, 0))
-degrees = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+# Declared counts: mostly small, sometimes far past any machine word (up
+# to 4,300 digits, the most the parser accepts), sometimes below the
+# schema's minimum of 1.
+counts = mostly(st.integers(1, 3) | st.integers(1, 10**4299), st.integers(-2, 0))
+degrees = st.integers(-3, 3) | st.integers(-(10**4299), 10**4299)
 names = st.sampled_from(["A", "B", "C", "é", "\ud800", ""]) | any_text
 
 
@@ -153,6 +156,10 @@ def test_arbitrary_json_values(command, value):
 
 @fuzz_settings
 @given(st.sampled_from(COMMANDS), model_documents())
+@example(
+    ("validate",),
+    {"name": "big", "orbits": [{"name": "A", "multiplicity": 10**4000, "size": 10**4000}]},
+)
 def test_schema_shaped_documents(command, doc):
     code, _ = _run(command, json.dumps(doc).encode())
     event(f"{command[0]} exit {code}")
