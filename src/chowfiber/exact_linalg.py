@@ -25,18 +25,24 @@ Two deliberately different routes to the invariant factors coexist:
   the reduction, which makes it a trustworthy independent oracle:
   invariant factor k equals ``d_k / d_{k-1}``.
 
-``snf`` always re-verifies its own output (``u @ a @ v == s``,
-``u @ u_inv == I`` and unimodularity of ``v``) and raises :class:`SelfCheckError`
-if the verification fails, so a silently wrong decomposition cannot
-propagate into downstream group computations.
+``snf`` always re-verifies its own output and raises
+:class:`SelfCheckError` if the verification fails, so a silently wrong
+decomposition cannot propagate into downstream group computations.  The
+proof is ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det v = ±1``,
+with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
+It is complete: ``u @ u_inv == I`` makes ``u`` unimodular with inverse
+``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a @ v ==
+s``.  Products skip the zero entries of their left operand, so checking
+transforms near the identity costs what they hold.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import sys
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -62,9 +68,32 @@ class MatrixFormatError(ValueError):
 ORACLE_SIZE_LIMIT = 8
 
 #: Largest row or column count :func:`parse_matrix_text` accepts.  The
-#: Smith transforms are square in each dimension and their check is
-#: cubic, so a short header must not be able to declare a huge matrix.
+#: Smith transforms are square in each dimension and the elimination and
+#: its check are cubic on dense input (on sparse transforms the check
+#: costs what they hold), so a short header must not be able to declare
+#: a huge matrix.
 MAX_MATRIX_DIM = 256
+
+
+def int_text(n: int) -> str:
+    """The decimal digits of ``n`` in full, however many there are.
+
+    ``str`` refuses integers longer than the interpreter's digit limit
+    (``sys.get_int_max_str_digits()``, 4,300 by default); those are
+    split at a power of ten into halves that ``str`` accepts.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(abs(n), 10**half)
+    return ("-" if n < 0 else "") + int_text(high) + int_text(low).zfill(half)
+
+
+def too_many_digits() -> str:
+    """The error text for an integer literal past the interpreter's digit limit."""
+    return f"integer literal has more than {sys.get_int_max_str_digits():,} digits"
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -162,7 +191,8 @@ class IntMatrix:
         return [self.column(j) for j in range(self.col_count)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.rows, row_count=self.col_count)
+        rows = tuple(zip(*self.rows)) if self.row_count else ((),) * self.col_count
+        return IntMatrix(self.col_count, self.row_count, rows)
 
     def is_square(self) -> bool:
         return self.row_count == self.col_count
@@ -175,17 +205,18 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.col_count != other.row_count:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        # Transpose the right operand once; with no rows it has only
-        # empty columns, which zip(*rows) cannot produce.
-        cols = list(zip(*other.rows)) if other.row_count else [()] * other.col_count
-        return IntMatrix(
-            self.row_count,
-            other.col_count,
-            tuple(
-                tuple(sum(map(operator.mul, row, col)) for col in cols)
-                for row in self.rows
-            ),
-        )
+        # Each result row adds up the right operand's rows, scaled by the
+        # nonzero entries of the left row, so a sparse left operand (a
+        # Smith transform near the identity) costs what it holds.
+        rows = []
+        for row in self.rows:
+            acc: tuple[int, ...] | None = None
+            for e, other_row in zip(row, other.rows):
+                if e:
+                    term = other_row if e == 1 else map(mul, itertools.repeat(e), other_row)
+                    acc = tuple(term) if acc is None else tuple(map(add, acc, term))
+            rows.append((0,) * other.col_count if acc is None else acc)
+        return IntMatrix(self.row_count, other.col_count, tuple(rows))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -196,7 +227,7 @@ class IntMatrix:
     def __str__(self) -> str:
         if self.row_count == 0 or self.col_count == 0:
             return f"<empty {self.row_count}x{self.col_count} matrix>"
-        text = [[str(e) for e in row] for row in self.rows]
+        text = [[int_text(e) for e in row] for row in self.rows]
         widths = [max(len(text[i][j]) for i in range(self.row_count)) for j in range(self.col_count)]
         return "\n".join(
             "[ " + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + " ]"
@@ -262,7 +293,7 @@ class FGAbelianGroup:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{f}" for f in self.invariant_factors)
+        parts.extend(f"Z/{int_text(f)}" for f in self.invariant_factors)
         return " ⊕ ".join(parts) if parts else "0"
 
 
@@ -340,8 +371,17 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     rather than promoting whichever remainder turns up first, is also
     what keeps the transform entries polynomially sized.
 
-    Every row operation on ``u`` is mirrored by its inverse column
-    operation on ``u_inv``, so ``u_inv`` stays the inverse of ``u``.
+    A ±1 pivot ends its round at once: it leaves no remainder and
+    divides everything.  Every row operation on ``u`` is mirrored by its
+    inverse column operation on ``u_inv``, so ``u_inv`` stays the inverse
+    of ``u``.  The updates skip what cannot change: swaps of a line with
+    itself, rows of ``s`` that are finished, and rows of ``v`` and
+    ``u_inv`` whose source entry is 0.
+
+    Before returning, :func:`_verify_snf` proves ``u @ u_inv == I``,
+    ``a @ v == u_inv @ s`` and ``det v = ±1`` together with the laws of
+    the diagonal; as ``u`` is then unimodular with inverse ``u_inv``,
+    this is the same as ``u @ a @ v == s``.
     """
     m, n = a.shape
     s = [list(row) for row in a.rows]
@@ -349,29 +389,32 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     u_inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
+    # Rows and columns before t are finished: s is zero there outside
+    # the diagonal, so column operations on s touch rows t.. only.
     def swap_rows(i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
         for row in u_inv:
             row[i], row[j] = row[j], row[i]
 
-    def swap_cols(i: int, j: int) -> None:
-        for row in s:
-            row[i], row[j] = row[j], row[i]
+    def swap_cols(t: int, j: int) -> None:
+        for row in itertools.islice(s, t, None):
+            row[t], row[j] = row[j], row[t]
         for row in v:
-            row[i], row[j] = row[j], row[i]
+            row[t], row[j] = row[j], row[t]
 
     def add_row(src: int, dst: int, factor: int) -> None:
         s[dst] = [p + factor * q for p, q in zip(s[dst], s[src])]
         u[dst] = [p + factor * q for p, q in zip(u[dst], u[src])]
         for row in u_inv:
-            row[src] -= factor * row[dst]
+            if row[dst]:
+                row[src] -= factor * row[dst]
 
-    def add_col(src: int, dst: int, factor: int) -> None:
-        for row in s:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+    def add_col(t: int, dst: int, factor: int) -> None:
+        for rows in (itertools.islice(s, t, None), v):
+            for row in rows:
+                if row[t]:
+                    row[dst] += factor * row[t]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int] | None = None
@@ -387,8 +430,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
     for t in range(min(m, n)):
         while (pos := find_pivot(t)) is not None:
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
+            if pos[0] != t:
+                swap_rows(t, pos[0])
+            if pos[1] != t:
+                swap_cols(t, pos[1])
             p = s[t][t]
             for i in range(t + 1, m):
                 if s[i][t]:
@@ -396,6 +441,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             for j in range(t + 1, n):
                 if s[t][j]:
                     add_col(t, j, -(s[t][j] // p))
+            if p in (1, -1):
+                break  # a unit leaves no remainder and divides everything
             if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
                 continue
             # Row and column are clear; force the pivot to divide the
@@ -429,18 +476,33 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
 
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
-    if dec.u @ a @ dec.v != dec.s:
-        raise SelfCheckError("Smith decomposition does not reproduce the input")
-    # An integer matrix with an integer inverse has determinant +-1.
-    if dec.u @ dec.u_inv != IntMatrix.identity(a.row_count):
-        raise SelfCheckError("Smith row transform does not match its inverse")
-    if not is_unimodular(dec.v):
-        raise SelfCheckError("Smith column transform is not unimodular")
+    """Prove ``dec`` a Smith decomposition of ``a``, or raise :class:`SelfCheckError`.
+
+    The checks are ``s`` diagonal, ``u @ u_inv == I``, ``a @ v ==
+    u_inv @ s`` and ``det v = ±1``, then the sign, order and divisibility
+    laws of the diagonal.  They are complete: an integer matrix with an
+    integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
+    ``u`` unimodular with inverse ``u_inv``, and multiplying ``a @ v ==
+    u_inv @ s`` on the left by ``u`` gives ``u @ a @ v == s``.  As ``s``
+    is diagonal, ``u_inv @ s`` only scales the columns of ``u_inv``.
+    """
+    m, n = a.shape
+    shapes = (dec.s.shape, dec.u.shape, dec.u_inv.shape, dec.v.shape)
+    if shapes != ((m, n), (m, m), (m, m), (n, n)):
+        raise SelfCheckError("Smith decomposition has the wrong shape")
     diag = dec.s.diagonal_entries()
     for i, row in enumerate(dec.s.rows):
-        for j, e in enumerate(row):
-            if i != j and e != 0:
-                raise SelfCheckError("Smith form is not diagonal")
+        if any(row[:i]) or any(row[i + 1 :]):
+            raise SelfCheckError("Smith form is not diagonal")
+    for i, row in enumerate((dec.u @ dec.u_inv).rows):
+        if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
+            raise SelfCheckError("Smith row transform does not match its inverse")
+    padding = (0,) * (n - len(diag))
+    for row, av_row in zip(dec.u_inv.rows, (a @ dec.v).rows):
+        if av_row != tuple(map(mul, row, diag)) + padding:
+            raise SelfCheckError("Smith decomposition does not reproduce the input")
+    if not is_unimodular(dec.v):
+        raise SelfCheckError("Smith column transform is not unimodular")
     seen_zero = False
     for d in diag:
         if d < 0:
@@ -632,11 +694,24 @@ def parse_matrix_text(text: str) -> IntMatrix:
         try:
             rows.append([int(f) for f in fields])
         except ValueError:
-            raise MatrixFormatError(f"line {lineno}: entries must be base-10 integers") from None
+            raise MatrixFormatError(f"line {lineno}: {_entry_error(fields)}") from None
     return IntMatrix.from_rows(rows, col_count=c)
+
+
+def _entry_error(fields: Sequence[str]) -> str:
+    """Why the first field that ``int`` refuses is not a matrix entry."""
+    for f in fields:
+        try:
+            int(f)
+        except ValueError:
+            digits = f.lstrip("+-")
+            if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits() > 0:
+                return too_many_digits()
+            break
+    return "entries must be base-10 integers"
 
 
 def format_matrix_text(a: IntMatrix) -> str:
     lines = [f"{a.row_count} {a.col_count}"]
-    lines.extend(" ".join(str(e) for e in row) for row in a.rows)
+    lines.extend(" ".join(map(int_text, row)) for row in a.rows)
     return "\n".join(lines) + "\n"

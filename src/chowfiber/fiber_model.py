@@ -59,7 +59,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, int_text, too_many_digits
 from .galois import ComponentOrbit, PermutationAction, orbits, xi_weights
 
 
@@ -225,9 +225,9 @@ def parse_model(document: str | Mapping) -> FiberModel:
             raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
         except RecursionError:
             raise ParseError("document is nested too deeply") from None
-        except ValueError as e:
-            # e.g. an integer literal beyond the interpreter's digit limit
-            raise ParseError(str(e)) from None
+        except ValueError:
+            # The one other refusal: an integer literal past the digit limit.
+            raise ParseError(too_many_digits()) from None
     else:
         raw = dict(document)
     top = _expect_object(raw, "document")
@@ -301,15 +301,16 @@ def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
             raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
         seen.add(oname)
         if mult < 1:
-            raise SchemaError(f"{where}: multiplicity must be >= 1, got {mult}")
+            raise SchemaError(f"{where}: multiplicity must be >= 1, got {int_text(mult)}")
         if size < 1:
-            raise SchemaError(f"{where}: size must be >= 1, got {size}")
+            raise SchemaError(f"{where}: size must be >= 1, got {int_text(size)}")
         specs.append(ComponentOrbit(name=oname, size=size, multiplicity=mult))
     return tuple(specs)
 
 
 def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGenerator, ...]:
     arr = _expect_array(raw, "generators")
+    known = set(orbit_names)
     generators: list[PicGenerator] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
@@ -321,16 +322,17 @@ def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGener
         if gname in seen:
             raise SchemaError(f"{where}: duplicate generator name {gname!r}")
         seen.add(gname)
-        if host not in orbit_names:
+        if host not in known:
             raise SchemaError(f"{where}: host references unknown orbit {host!r}")
         degrees_raw = _expect_object(obj.get("degrees", {}), f"{where}.degrees")
         for key in degrees_raw:
-            if key not in orbit_names:
+            if key not in known:
                 raise SchemaError(f"{where}.degrees: unknown orbit {key!r}")
-        degrees = {
-            oname: _expect_int(degrees_raw.get(oname, 0), f"{where}.degrees.{oname}")
-            for oname in orbit_names
-        }
+        degrees = {oname: degrees_raw.get(oname, 0) for oname in orbit_names}
+        for oname, value in degrees.items():
+            # Spell the label only for a value that is not a plain int.
+            if type(value) is not int:
+                _expect_int(value, f"{where}.degrees.{oname}")
         generators.append(PicGenerator(name=gname, host=host, degrees=degrees))
     return tuple(generators)
 
@@ -385,7 +387,7 @@ def _parse_geometric(
             raise SchemaError(f"geometric: orbit {oname!r} is hit by more than one cycle")
         if len(cycle) != declared[oname]:
             raise SchemaError(
-                f"geometric: orbit {oname!r} has declared size {declared[oname]} "
+                f"geometric: orbit {oname!r} has declared size {int_text(declared[oname])} "
                 f"but its cycle has {len(cycle)} components"
             )
         members[oname] = tuple(cycle)
@@ -519,7 +521,8 @@ def validate(m: FiberModel) -> list[Diagnostic]:
                     SEVERITY_ERROR,
                     "xi-orthogonality",
                     g.name,
-                    f"weighted degree sum against the fiber class is {pairing}, expected 0",
+                    f"weighted degree sum against the fiber class is {int_text(pairing)}, "
+                    "expected 0",
                 )
             )
 
@@ -537,7 +540,7 @@ def validate(m: FiberModel) -> list[Diagnostic]:
                             "orbit-constancy",
                             g.name,
                             f"degrees on orbit {o.name!r} differ across conjugate "
-                            f"components: {values}",
+                            f"components: [{', '.join(map(int_text, values))}]",
                         )
                     )
                 elif values[0] != g.degrees[o.name]:
@@ -546,8 +549,9 @@ def validate(m: FiberModel) -> list[Diagnostic]:
                             SEVERITY_ERROR,
                             "orbit-constancy",
                             g.name,
-                            f"component-level degree {values[0]} on orbit {o.name!r} "
-                            f"disagrees with the declared value {g.degrees[o.name]}",
+                            f"component-level degree {int_text(values[0])} on orbit "
+                            f"{o.name!r} disagrees with the declared value "
+                            f"{int_text(g.degrees[o.name])}",
                         )
                     )
 
@@ -558,8 +562,8 @@ def validate(m: FiberModel) -> list[Diagnostic]:
                 SEVERITY_WARNING,
                 "multiplicity-gcd",
                 m.name,
-                f"gcd of the multiplicity weights is {g}; "
-                f"the degree character lands in {g}Z",
+                f"gcd of the multiplicity weights is {int_text(g)}; "
+                f"the degree character lands in {int_text(g)}Z",
             )
         )
 

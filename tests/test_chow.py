@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import defaultdict
 from math import gcd
 
@@ -341,6 +342,22 @@ class TestReport:
             assert len(calls["build_specialization_matrix"]) == 1
             snf_calls.append(len(calls["snf"]))
         assert snf_calls == [5, 5]
+
+    def test_large_trivial_model_costs_what_its_transforms_hold(self):
+        # 300 orbits, 2 generators: the Smith transforms of the degree
+        # matrix are 300x300 and nearly the identity, so a strict report
+        # must not pay for dense cubic products to check them.
+        orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(300)]
+        generators = [
+            {"name": f"g{k}", "host": f"O{k}", "degrees": {f"O{k}": 1, f"O{k + 1}": -1}}
+            for k in range(2)
+        ]
+        m = _model({"name": "wide", "orbits": orbits, "generators": generators})
+        started = time.perf_counter()
+        rep = report(m)
+        assert time.perf_counter() - started < 1.0
+        assert rep.b == FGAbelianGroup(298)
+        assert rep.b0 == FGAbelianGroup(297)
 
     @pytest.mark.parametrize("orbit_count", [12, 24])
     def test_smith_transforms_stay_small(self, monkeypatch, orbit_count):

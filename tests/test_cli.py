@@ -359,7 +359,7 @@ class TestLongExactResults:
         huge = tmp_path / "huge.json"
         huge.write_bytes(b'{"name": "x", "orbits": ' + b"7" * 5000 + b"}")
         assert cli.main(["compute", str(huge)]) == 2
-        assert capsys.readouterr().err.startswith("error: Exceeds the limit")
+        assert capsys.readouterr().err == "error: integer literal has more than 4,300 digits\n"
         assert sys.get_int_max_str_digits() == limit
 
 

@@ -1,6 +1,10 @@
+import sys
+import time
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from chowfiber.exact_linalg import (
     MAX_MATRIX_DIM,
@@ -10,11 +14,13 @@ from chowfiber.exact_linalg import (
     NotInLattice,
     OracleSizeLimitError,
     SelfCheckError,
+    SmithDecomposition,
     _verify_snf,
     cokernel,
     determinant,
     determinantal_divisors,
     format_matrix_text,
+    int_text,
     integer_kernel,
     invariant_factors_from_divisors,
     kernel_coordinates,
@@ -131,6 +137,14 @@ class TestSnf:
         with pytest.raises(SelfCheckError, match="inverse"):
             _verify_snf(a, corrupted)
 
+    def test_tall_column_costs_what_its_transforms_hold(self):
+        # A 256x1 column has 256x256 transforms that are nearly the
+        # identity; checking them must not cost a dense cubic product.
+        column = IntMatrix.from_rows([[j % 7 - 3 + 7 * (j % 3)] for j in range(256)])
+        started = time.perf_counter()
+        assert snf(column).nonzero_diagonal() == (1,)
+        assert time.perf_counter() - started < 1.0
+
     def test_arbitrary_precision(self):
         big = 10**18
         a = IntMatrix.from_rows(
@@ -139,6 +153,104 @@ class TestSnf:
         dec = snf(a)
         assert dec.u @ a @ dec.v == dec.s
         assert dec.nonzero_diagonal()[-1] > 2**64  # would overflow fixed width
+
+
+def _changed(matrix, i, j, delta=1):
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] += delta
+    return IntMatrix.from_rows(rows, col_count=matrix.col_count)
+
+
+def _diagonal_decomposition(*diagonal):
+    # a = s = diag(...) with identity transforms: every law but the
+    # ones on the diagonal itself holds.
+    n = len(diagonal)
+    s = IntMatrix.from_rows(
+        [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
+    )
+    identity = IntMatrix.identity(n)
+    return s, SmithDecomposition(s=s, u=identity, v=identity, u_inv=identity)
+
+
+class TestVerifySnf:
+    # Each law of the proof, broken on its own, is reported by its own
+    # message.
+    def test_changed_entry_in_u(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
+            _verify_snf(a, replace(dec, u=_changed(dec.u, 3, 5)))
+
+    def test_changed_entry_in_u_inv(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
+            _verify_snf(a, replace(dec, u_inv=_changed(dec.u_inv, 6, 2, -4)))
+
+    def test_changed_diagonal_entry_breaks_the_reconstruction(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        with pytest.raises(SelfCheckError, match="does not reproduce the input"):
+            _verify_snf(a, replace(dec, s=_changed(dec.s, 6, 6, 2)))
+
+    def test_non_unimodular_v(self):
+        # Doubling a kernel column of v keeps a @ v, so only the
+        # determinant law can catch it.
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        assert dec.rank() < a.col_count
+        last = a.col_count - 1
+        v = IntMatrix.from_rows(
+            [[2 * e if j == last else e for j, e in enumerate(row)] for row in dec.v.rows]
+        )
+        assert a @ v == a @ dec.v
+        with pytest.raises(SelfCheckError, match="column transform is not unimodular"):
+            _verify_snf(a, replace(dec, v=v))
+
+    def test_off_diagonal_entry_in_s(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        with pytest.raises(SelfCheckError, match="not diagonal"):
+            _verify_snf(a, replace(dec, s=_changed(dec.s, 2, 7)))
+
+    def test_negative_diagonal_entry(self):
+        a, dec = _diagonal_decomposition(-2, 4)
+        with pytest.raises(SelfCheckError, match="negative entry"):
+            _verify_snf(a, dec)
+
+    def test_zero_before_a_nonzero_entry(self):
+        a, dec = _diagonal_decomposition(0, 3)
+        with pytest.raises(SelfCheckError, match="zero entries must come last"):
+            _verify_snf(a, dec)
+
+    def test_broken_divisibility_chain(self):
+        a, dec = _diagonal_decomposition(2, 3)
+        with pytest.raises(SelfCheckError, match="not a divisibility chain"):
+            _verify_snf(a, dec)
+
+    def test_wrong_shape(self):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        with pytest.raises(SelfCheckError, match="wrong shape"):
+            _verify_snf(a, replace(dec, v=IntMatrix.identity(a.col_count + 1)))
+
+    @given(
+        st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=5),
+        st.sampled_from(["u", "u_inv", "s"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_any_single_changed_entry_is_caught(self, rows, field, i, j, delta):
+        # u and u_inv are invertible, so a change of one entry moves
+        # u @ u_inv off I; a change of s either leaves the diagonal or
+        # moves a @ v off u_inv @ s by a nonzero column of u_inv.
+        a = IntMatrix.from_rows(rows)
+        dec = snf(a)
+        target = getattr(dec, field)
+        changed = _changed(target, i % target.row_count, j % target.col_count, delta)
+        with pytest.raises(SelfCheckError):
+            _verify_snf(a, replace(dec, **{field: changed}))
 
 
 class TestDeterminantalDivisors:
@@ -294,6 +406,13 @@ class TestFGAbelianGroup:
         assert str(FGAbelianGroup(1, (2,))) == "Z ⊕ Z/2"
         assert str(FGAbelianGroup(0, (2, 4))) == "Z/2 ⊕ Z/4"
 
+    def test_factors_past_the_digit_limit_render_in_full(self):
+        limit = sys.get_int_max_str_digits()
+        factor = 10**5000 + 7
+        text = str(FGAbelianGroup(1, (factor,)))
+        assert text == "Z ⊕ Z/1" + "0" * 4999 + "7"
+        assert sys.get_int_max_str_digits() == limit
+
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (4, 2))
@@ -301,6 +420,19 @@ class TestFGAbelianGroup:
             FGAbelianGroup(0, (3, 4))
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (1,))
+
+
+class TestIntText:
+    @pytest.mark.parametrize("digits", [1, 4299, 4300, 4301, 9000, 30001])
+    def test_matches_str_without_the_limit(self, digits):
+        limit = sys.get_int_max_str_digits()
+        values = [10 ** (digits - 1), 10**digits - 1, -(7 * 10 ** (digits - 1) + 3)]
+        rendered = [int_text(n) for n in values]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert rendered == [str(n) for n in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMatrixText:
@@ -332,3 +464,13 @@ class TestMatrixText:
     def test_malformed(self, text):
         with pytest.raises(MatrixFormatError):
             parse_matrix_text(text)
+
+    @pytest.mark.parametrize("entry", ["7" * 5000, "-" + "7" * 4301])
+    def test_over_long_literal_says_so(self, entry):
+        with pytest.raises(MatrixFormatError) as info:
+            parse_matrix_text(f"1 2\n1 {entry}\n")
+        assert str(info.value) == "line 2: integer literal has more than 4,300 digits"
+
+    def test_malformed_entry_before_a_long_one(self):
+        with pytest.raises(MatrixFormatError, match="entries must be base-10 integers"):
+            parse_matrix_text("1 2\nx " + "7" * 5000 + "\n")

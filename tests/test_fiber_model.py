@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from chowfiber.chow import InvalidModel
 from chowfiber.exact_linalg import IntMatrix, solve_in_lattice
 from chowfiber.fiber_model import (
     ParseError,
@@ -38,6 +39,11 @@ class TestParse:
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError, match=r"line \d+"):
             parse_model("{ not json }")
+
+    def test_over_long_literal_says_so(self):
+        with pytest.raises(ParseError) as info:
+            parse_model('{"name": "x", "orbits": ' + "7" * 5000 + "}")
+        assert str(info.value) == "integer literal has more than 4,300 digits"
 
     def test_seven_component_fixture(self):
         m = _fixture_model("example31")
@@ -315,6 +321,30 @@ class TestValidate:
             "ERROR orbit-constancy g: degrees on orbit 'Y' differ across "
             "conjugate components: [1, 3, 2]"
         ]
+
+    def test_results_past_the_digit_limit_give_diagnostics(self):
+        # Exact values of any length are rendered in full, with the
+        # interpreter's digit limit left in force.
+        big = 10**4000
+        m = parse_model(
+            {"name": "big", "orbits": [{"name": "A", "multiplicity": big, "size": big}]}
+        )
+        (diag,) = validate(m)
+        assert diag.code == "multiplicity-gcd"
+        digits = "1" + "0" * 8000
+        assert diag.message == (
+            f"gcd of the multiplicity weights is {digits}; the degree character lands in {digits}Z"
+        )
+        bad = parse_model(
+            {
+                "name": "bad",
+                "orbits": [{"name": "A", "multiplicity": 1, "size": 1}],
+                "generators": [{"name": "g", "host": "A", "degrees": {"A": big}}],
+            }
+        )
+        (error,) = validate(bad)
+        assert error.message.endswith(f"is 1{'0' * 4000}, expected 0")
+        assert f"1{'0' * 4000}" in str(InvalidModel([error]))
 
     def test_validate_is_deterministic(self):
         m = _fixture_model("example31")
