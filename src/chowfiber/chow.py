@@ -20,15 +20,22 @@ B(X)_0 is computed twice, by genuinely different routes:
 Both routes have the same shape: write a target matrix in coordinates of
 the kernel of one integer row, then present the quotient.
 :func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
-with one Smith decomposition of the row, so a strict report makes five:
-the degree matrix, then the row and the quotient of each route.  The
-decomposition of the degree matrix feeds B(X), the induced character and
-the kernel route; the quotient route never reads it.
+with one Smith decomposition of the row.  The kernel route presents its
+quotient with a verified Smith decomposition; the quotient route reads
+only the group, so it takes its invariant factors from
+:func:`~chowfiber.exact_linalg.invariant_factors_mod_minor`, which works
+modulo a nonzero minor and keeps no transforms.  A strict report thus
+makes four Smith decompositions (the degree matrix, the row of each
+route and the kernel route's quotient) and one modular reduction, and
+the two routes share no elimination code.  The decomposition of the
+degree matrix feeds B(X), the induced character and the kernel route;
+the quotient route never reads it.
 
 The two answers agree as abstract groups whenever the input satisfies
 the validation laws; the pipeline asserts this agreement, which is the
 strongest cheap self-check available, and refuses to hand out a report
-that fails it.
+that fails it.  A wrong modular answer therefore never leaves
+:func:`report`: the verified kernel route derives the same group again.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -45,6 +52,7 @@ from .exact_linalg import (
     IntMatrix,
     SelfCheckError,
     cokernel,
+    invariant_factors_mod_minor,
     kernel_coordinates,
 )
 from .fiber_model import (
@@ -151,9 +159,12 @@ def compute_b0(
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
-    # basis; B(X)_0 is the quotient of that corank-one sublattice.
+    # basis; B(X)_0 is the quotient of that corank-one sublattice.  Only
+    # its group is read, so no transforms are built for it.
     coords = kernel_coordinates(weights.weights, presentation.relations)
-    route_quotient = cokernel(coords).group
+    route_quotient = FGAbelianGroup.quotient(
+        coords.row_count, invariant_factors_mod_minor(coords)
+    )
 
     # Kernel route: in the canonical coordinates the relation lattice is
     # spanned by the columns of s, multiples of basis vectors; present

@@ -16,10 +16,16 @@ precision.  That is not a convenience but a requirement: the
 intermediate entries of a Smith reduction can exceed 64 bits even for
 small inputs, so fixed-width arithmetic is never used here.
 
-Two deliberately different routes to the invariant factors coexist:
+Three deliberately different routes to the invariant factors coexist:
 
-* ``snf`` diagonalizes by unimodular row and column operations and is
-  the production path;
+* ``snf`` diagonalizes by unimodular row and column operations and
+  returns the transforms with the diagonal.  It is the only route for
+  anything that reads a transform, and its output is proved (below);
+* ``invariant_factors_mod_minor`` works modulo a nonzero minor and
+  keeps no transforms, so its entries stay below that minor.  It is
+  trusted for the factors alone, where a verified ``snf`` also derives
+  them: the quotient route of B(X)_0 against the kernel route, and
+  ``chowfiber snf --check`` past the oracle's size limit;
 * ``determinantal_divisors`` enumerates all k-by-k minors and takes
   gcds.  It is exponential and size-capped, but it shares no code with
   the reduction, which makes it a trustworthy independent oracle:
@@ -41,7 +47,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -284,6 +290,11 @@ class FGAbelianGroup:
     def trivial(cls) -> FGAbelianGroup:
         return cls(0, ())
 
+    @classmethod
+    def quotient(cls, ambient_rank: int, factors: Sequence[int]) -> FGAbelianGroup:
+        """``Z^ambient_rank`` modulo a lattice whose nonzero invariant factors are ``factors``."""
+        return cls(ambient_rank - len(factors), tuple(f for f in factors if f >= 2))
+
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.invariant_factors
 
@@ -517,6 +528,108 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
 
 
 # ----------------------------------------------------------------------
+# invariant factors modulo a minor
+# ----------------------------------------------------------------------
+
+
+def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
+    """The rank ``r`` of ``a`` and the absolute value of a nonzero r-by-r minor.
+
+    Fraction-free (Bareiss) elimination with full pivoting: each step
+    takes the smallest entry of a nonzero row as pivot, and rows that
+    vanish drop out.  After k pivots every remaining entry is a
+    (k+1)-by-(k+1) minor of ``a``, so the divisions are exact and the
+    last pivot is the minor on the pivot rows and columns.  The minor of
+    an all-zero matrix is the empty one, 1.
+    """
+    w = [list(row) for row in a.rows if any(row)]
+    rank, prev = 0, 1
+    while w:
+        pivot_row = w.pop()
+        p = min(filter(None, pivot_row), key=abs)
+        j = pivot_row.index(p)
+        del pivot_row[j]
+        rows = []
+        for row in w:
+            f = row.pop(j)
+            if f or p != prev:
+                row = [(e * p - f * q) // prev for e, q in zip(row, pivot_row)]
+            if any(row):
+                rows.append(row)
+        w = rows
+        rank, prev = rank + 1, p
+    return rank, abs(prev)
+
+
+def invariant_factors_mod_minor(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of ``a``, 1s included, built without transforms.
+
+    Returns what ``snf(a).nonzero_diagonal()`` returns, by the
+    determinant-modulus reduction (Domich, Kannan & Trotter 1987; Cohen,
+    GTM 138, §2.4).  With ``r`` the rank and ``d`` a nonzero r-by-r minor
+    from :func:`_rank_and_minor`, the invariant factors ``s_1 | … | s_r``
+    of ``a`` multiply to ``d_r(a)``, which divides ``d``.  Adding ``d``
+    times a unit vector is a column operation on ``[a | d·I]``, and row
+    operations leave the columns of ``d·I`` spanning ``d·Z^m``, so the
+    elimination below may reduce every entry modulo ``d`` to absolute
+    value at most d/2 and still present the group of ``[a | d·I]``:
+    invariant factors ``s_1 … s_r`` followed by ``d`` for each of the
+    other ``m − r`` rows.
+
+    The elimination picks the smallest entry of the remaining submatrix
+    as pivot and clears its row and column by floor quotients until no
+    remainder is left, as :func:`snf` does, but keeps no transforms.
+    Each diagonal entry ``e`` stands for ``Z/gcd(e, d)``, a divisor of
+    ``d``; gcd/lcm swaps put these in a divisibility chain, and the
+    first ``r`` entries of the chain, padded by 1s in front and by ``d``
+    behind to ``m`` entries, are the factors.  Their product must divide
+    ``d``, or :class:`SelfCheckError` is raised.
+    """
+    r, d = _rank_and_minor(a)
+    if r == 0:
+        return ()
+    half = d // 2
+    w = [[(e + half) % d - half for e in row] for row in a.rows]
+    diagonal: list[int] = []
+    while w and w[0]:
+        best = min(filter(None, itertools.chain.from_iterable(w)), key=abs, default=0)
+        if not best:
+            break  # the rest of the matrix is zero modulo d
+        i = next(i for i, row in enumerate(w) if best in row)
+        w[0], w[i] = w[i], w[0]
+        j = w[0].index(best)
+        for row in w:
+            row[0], row[j] = row[j], row[0]
+        pivot_row = w[0]
+        for k in range(1, len(w)):
+            if f := w[k][0] // best:
+                w[k] = [(e - f * q + half) % d - half for e, q in zip(w[k], pivot_row)]
+        # Every column operation scales column 0, which only the pivot
+        # row and rows left with a remainder hold.
+        quotients = [0] + [e // best for e in pivot_row[1:]]
+        for row in w:
+            if c := row[0]:
+                row[:] = [(e - f * c + half) % d - half for e, f in zip(row, quotients)]
+        if any(row[0] for row in w[1:]) or any(pivot_row[1:]):
+            continue
+        diagonal.append(gcd(best, d))
+        w = [row[1:] for row in w[1:]]
+
+    torsion = [e for e in diagonal if e != 1]
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            g = gcd(torsion[i], torsion[j])
+            torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
+    chain = [1] * (len(diagonal) - len(torsion)) + torsion + [d] * (a.row_count - len(diagonal))
+    factors = tuple(chain[:r])
+    if d % prod(factors):
+        raise SelfCheckError(
+            f"invariant factors modulo {int_text(d)} do not divide that nonzero minor"
+        )
+    return factors
+
+
+# ----------------------------------------------------------------------
 # determinantal-divisor oracle
 # ----------------------------------------------------------------------
 
@@ -578,11 +691,7 @@ def invariant_factors_from_divisors(divisors: Sequence[int]) -> list[int]:
 def cokernel(a: IntMatrix) -> CokernelPresentation:
     """Present ``Z^rows / column-span(a)`` with its canonical coordinates."""
     dec = snf(a)
-    nonzero = dec.nonzero_diagonal()
-    group = FGAbelianGroup(
-        rank=a.row_count - len(nonzero),
-        invariant_factors=tuple(d for d in nonzero if d >= 2),
-    )
+    group = FGAbelianGroup.quotient(a.row_count, dec.nonzero_diagonal())
     return CokernelPresentation(relations=a, group=group, decomposition=dec)
 
 

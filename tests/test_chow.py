@@ -22,6 +22,7 @@ from chowfiber.chow import (
 from chowfiber.exact_linalg import (
     FGAbelianGroup,
     NotInLattice,
+    SelfCheckError,
     cokernel,
     integer_kernel,
     snf,
@@ -319,10 +320,13 @@ class TestReport:
             assert rep.b.rank >= 1
 
     def test_one_pass(self, monkeypatch):
-        # One validation, one degree matrix and five Smith decompositions,
-        # however many orbits the model has: the degree matrix, then the
-        # kernel row and the quotient of each B(X)_0 route.
+        # One validation, one degree matrix, four Smith decompositions and
+        # one modular reduction, however many orbits the model has: the
+        # degree matrix, the kernel row of each B(X)_0 route and the
+        # kernel route's quotient are decomposed; the quotient route's
+        # quotient is reduced modulo a minor.
         snf_calls = []
+        modular_calls = []
         for orbit_count in (3, 9):
             rng = random.Random(2003 + orbit_count)
             m = _model(
@@ -334,6 +338,7 @@ class TestReport:
                 calls = _record_calls(
                     patch,
                     exact_linalg.snf,
+                    exact_linalg.invariant_factors_mod_minor,
                     fiber_model.validate,
                     fiber_model.build_specialization_matrix,
                 )
@@ -341,7 +346,28 @@ class TestReport:
             assert len(calls["validate"]) == 1
             assert len(calls["build_specialization_matrix"]) == 1
             snf_calls.append(len(calls["snf"]))
-        assert snf_calls == [5, 5]
+            modular_calls.append(len(calls["invariant_factors_mod_minor"]))
+        assert snf_calls == [4, 4]
+        assert modular_calls == [1, 1]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda f: f[:-1] + (2 * f[-1],), id="last-factor-doubled"),
+            pytest.param(lambda f: f[:-1], id="one-factor-fewer"),
+        ],
+    )
+    def test_wrong_modular_factors_never_leave_report(self, monkeypatch, fault):
+        # The quotient route takes its factors from the modular reduction
+        # alone; the verified kernel route must catch a wrong answer.
+        from chowfiber import chow
+
+        honest = chow.invariant_factors_mod_minor
+        monkeypatch.setattr(chow, "invariant_factors_mod_minor", lambda a: fault(honest(a)))
+        rng = random.Random(2003)
+        m = _model(random_valid_model_document(rng, orbit_count=6, generator_count=8))
+        with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):
+            report(m)
 
     def test_large_trivial_model_costs_what_its_transforms_hold(self):
         # 300 orbits, 2 generators: the Smith transforms of the degree

@@ -182,14 +182,37 @@ class TestMatrixCommands:
         r = run_cli("snf", str(path))
         assert r.stdout == "rank 0; invariant factors: (none)\n"
 
-    def test_snf_check_skips_beyond_oracle_limit(self, tmp_path):
+    def test_snf_check_uses_the_modular_route_beyond_oracle_limit(self, tmp_path):
         n = 9
         rows = [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
         path = tmp_path / "big.txt"
         path.write_text(f"{n} {n}\n" + "\n".join(rows) + "\n")
         r = run_cli("snf", str(path), "--check")
         assert r.returncode == 0
-        assert "check: skipped (oracle size limit)" in r.stdout
+        assert r.stdout.splitlines() == [
+            "rank 9; invariant factors: 1 1 1 1 1 1 1 1 1",
+            "check: ok (modular route past the oracle size limit)",
+        ]
+
+    def test_snf_check_with_torsion_beyond_oracle_limit(self, tmp_path):
+        # diag(1, 1, 1, 1, 1, 2, 2, 6, 0), mixed by unimodular row and
+        # column operations so that neither route sees the diagonal.
+        n = 9
+        rows = [[0] * n for _ in range(n)]
+        for i, d in enumerate((1, 1, 1, 1, 1, 2, 2, 6, 0)):
+            rows[i][i] = d
+        for k in range(n - 1):
+            rows[k + 1] = [p + (k + 2) * q for p, q in zip(rows[k + 1], rows[k])]
+            for row in rows:
+                row[k] += (3 - k) * row[k + 1]
+        path = tmp_path / "torsion.txt"
+        path.write_text(f"{n} {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+        r = run_cli("snf", str(path), "--check")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "rank 8; invariant factors: 1 1 1 1 1 2 2 6",
+            "check: ok (modular route past the oracle size limit)",
+        ]
 
     def test_oracle_output(self, matrix_file):
         r = run_cli("oracle", matrix_file)
@@ -384,6 +407,21 @@ class TestInternalFailureExitCode:
         monkeypatch.setattr(cli, "determinantal_divisors", lambda a: [1, 8])
         assert cli.main(["snf", str(path), "--check"]) == 3
         assert "check failed" in capsys.readouterr().err
+
+    def test_snf_check_disagreement_past_the_oracle_limit_exits_3(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from chowfiber import cli
+        from chowfiber.exact_linalg import IntMatrix, format_matrix_text
+
+        path = tmp_path / "id9.txt"
+        path.write_text(format_matrix_text(IntMatrix.identity(9)))
+        monkeypatch.setattr(cli, "invariant_factors_mod_minor", lambda a: (1,) * 8 + (2,))
+        assert cli.main(["snf", str(path), "--check"]) == 3
+        assert capsys.readouterr().err == (
+            "check failed: reduction gives [1, 1, 1, 1, 1, 1, 1, 1, 1], "
+            "modular route gives [1, 1, 1, 1, 1, 1, 1, 1, 2]\n"
+        )
 
 
 class TestReaderGone:

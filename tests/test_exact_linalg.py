@@ -1,17 +1,21 @@
+import random
 import sys
 import time
 from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
+from conftest import random_valid_model_document
 from hypothesis import given
 
+from chowfiber import exact_linalg
 from chowfiber.exact_linalg import (
     MAX_MATRIX_DIM,
     FGAbelianGroup,
     IntMatrix,
     MatrixFormatError,
     NotInLattice,
+    ORACLE_SIZE_LIMIT,
     OracleSizeLimitError,
     SelfCheckError,
     SmithDecomposition,
@@ -23,11 +27,14 @@ from chowfiber.exact_linalg import (
     int_text,
     integer_kernel,
     invariant_factors_from_divisors,
+    invariant_factors_mod_minor,
     kernel_coordinates,
     parse_matrix_text,
     snf,
     solve_in_lattice,
 )
+from chowfiber.fiber_model import build_specialization_matrix, parse_model
+from chowfiber.galois import xi_weights
 
 # The seven-component degeneration's degree table; the frozen expected
 # values below were computed with the minor-enumeration oracle before
@@ -271,6 +278,48 @@ class TestDeterminantalDivisors:
         assert invariant_factors_from_divisors([2, 8]) == [2, 4]
         assert invariant_factors_from_divisors([1, 1, 2, 0]) == [1, 1, 2]
         assert invariant_factors_from_divisors([0, 0]) == []
+
+
+class TestInvariantFactorsModMinor:
+    def test_zero_matrix(self):
+        assert invariant_factors_mod_minor(IntMatrix.zeros(3, 4)) == ()
+
+    def test_unimodular_matrix_has_minor_one(self):
+        a = IntMatrix.from_rows([[2, 3, 5], [1, 2, 4], [3, 5, 10]])
+        assert determinant(a) == 1
+        assert exact_linalg._rank_and_minor(a) == (3, 1)
+        assert invariant_factors_mod_minor(a) == (1, 1, 1)
+
+    def test_tall_column(self):
+        a = IntMatrix.from_columns([(4, 6, 10, 0, 14)])
+        assert invariant_factors_mod_minor(a) == (2,)
+
+    def test_wide_row(self):
+        assert invariant_factors_mod_minor(IntMatrix.from_rows([[6, 10, 15, 0, 0]])) == (1,)
+        assert invariant_factors_mod_minor(IntMatrix.from_rows([[0, 12, -18]])) == (6,)
+
+    def test_a_modulus_that_is_not_a_minor_is_caught(self, monkeypatch):
+        # diag(2, 2) has d_2 = 4; reduced modulo 2 its diagonal vanishes
+        # and reads as (2, 2), whose product does not divide 2.
+        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: (2, 2))
+        with pytest.raises(SelfCheckError, match="do not divide"):
+            invariant_factors_mod_minor(IntMatrix.from_rows([[2, 0], [0, 2]]))
+
+    def test_matches_snf_past_the_oracle_limit(self):
+        # The degree matrix and the quotient-route matrix of seeded valid
+        # models, where the minor oracle cannot reach.
+        for orbit_count in (32, 48):
+            rng = random.Random(1000 * orbit_count)
+            m = parse_model(
+                random_valid_model_document(
+                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+                )
+            )
+            degrees = build_specialization_matrix(m)
+            coords = kernel_coordinates(xi_weights(m.orbits).weights, degrees)
+            for a in (degrees, coords):
+                assert min(a.shape) > ORACLE_SIZE_LIMIT
+                assert invariant_factors_mod_minor(a) == snf(a).nonzero_diagonal()
 
 
 class TestCokernel:

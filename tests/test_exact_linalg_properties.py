@@ -10,6 +10,7 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
+    invariant_factors_mod_minor,
     kernel_coordinates,
     snf,
     solve_in_lattice,
@@ -28,6 +29,44 @@ def matrices(max_rows=5, max_cols=5, max_entry=9, min_rows=0, min_cols=0):
     return st.tuples(
         st.integers(min_rows, max_rows), st.integers(min_cols, max_cols)
     ).flatmap(build)
+
+
+def products_with_torsion(max_size=7):
+    """``left @ diag(scales) @ right`` with an inner dimension of at most 7.
+
+    An inner dimension below min(rows, cols) makes the product rank
+    deficient, and the scales put torsion, up to 10**30, into its
+    invariant factors.
+    """
+
+    def block(rows, cols):
+        return st.lists(
+            st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+
+    def build(shape):
+        m, n, k = shape
+        scales = st.lists(st.sampled_from((1, 2, 3, 4, 6, 12, 10**30)), min_size=k, max_size=k)
+        return st.tuples(block(m, k), scales, block(k, n)).map(
+            lambda t: IntMatrix.from_rows(
+                [
+                    [sum(t[0][i][l] * t[1][l] * t[2][l][j] for l in range(k)) for j in range(n)]
+                    for i in range(m)
+                ],
+                col_count=n,
+            )
+        )
+
+    sizes = st.integers(0, max_size)
+    return st.tuples(sizes, sizes, sizes).flatmap(build)
+
+
+@settings(max_examples=300)
+@given(st.one_of(matrices(7, 7, max_entry=10**30), products_with_torsion()))
+def test_modular_route_matches_snf(a):
+    assert invariant_factors_mod_minor(a) == snf(a).nonzero_diagonal()
 
 
 @given(matrices())
