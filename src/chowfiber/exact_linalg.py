@@ -31,6 +31,11 @@ Three deliberately different routes to the invariant factors coexist:
   the reduction, which makes it a trustworthy independent oracle:
   invariant factor k equals ``d_k / d_{k-1}``.
 
+One fraction-free (Bareiss) elimination, ``_rank_and_minor``, serves
+``determinant``, the ``det v = ±1`` law below, the oracle's minors and
+the modular route's minor.  It is part of neither reduction, and a test
+against cofactor expansion is its reference.
+
 ``snf`` always re-verifies its own output and raises
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
@@ -333,35 +338,42 @@ def determinant(a: IntMatrix) -> int:
     """Exact determinant of a square matrix (fraction-free elimination)."""
     if not a.is_square():
         raise ValueError("determinant requires a square matrix")
-    n = a.row_count
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            if m[i][k] == 0 and m[k][k] == prev:
-                # The update below would give back row i unchanged.
-                continue
+    rank, minor = _rank_and_minor(a)
+    return minor if rank == a.row_count else 0
+
+
+def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
+    """The rank ``r`` of ``a`` and a nonzero r-by-r minor, signed by the row swaps.
+
+    Bareiss elimination, column by column: the first nonzero row at or
+    below the current rank is the pivot row, and a column without one is
+    skipped.  After k pivots each entry below the pivot rows and right of
+    the last pivot column is a (k+1)-by-(k+1) minor of ``a``, so every
+    division is exact.  The last pivot (1 at rank 0) times the sign of
+    the row swaps is returned; on a square matrix of full rank it is the
+    determinant.
+    """
+    m, n = a.shape
+    w = [list(row) for row in a.rows]
+    rank, sign, prev = 0, 1, 1
+    for k in range(n):
+        for i in range(rank, m):
+            if w[i][k]:
+                break
+        else:
+            continue  # no pivot in this column
+        if i != rank:
+            w[rank], w[i], sign = w[i], w[rank], -sign
+        pivot_row, p = w[rank], w[rank][k]
+        for row in itertools.islice(w, rank + 1, None):
+            f = row[k]
+            if f == 0 and p == prev:
+                continue  # the update would give the row back unchanged
             for j in range(k + 1, n):
-                # Bareiss update: the division is exact.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.is_square() and determinant(a) in (1, -1)
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+            row[k] = 0
+        rank, prev = rank + 1, p
+    return rank, sign * prev
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +394,15 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     rather than promoting whichever remainder turns up first, is also
     what keeps the transform entries polynomially sized.
 
-    A ±1 pivot ends its round at once: it leaves no remainder and
-    divides everything.  Every row operation on ``u`` is mirrored by its
-    inverse column operation on ``u_inv``, so ``u_inv`` stays the inverse
-    of ``u``.  The updates skip what cannot change: swaps of a line with
-    itself, rows of ``s`` that are finished, and rows of ``v`` and
-    ``u_inv`` whose source entry is 0.
+    One list ``w`` holds ``[s | u]`` in rows ``0..m-1`` and ``v`` below.
+    A row operation is one list operation on ``[s | u]``, mirrored by
+    its inverse column operation on ``u_inv`` so that ``u_inv`` stays
+    the inverse of ``u``.  A column operation (index below ``n``) runs
+    once over rows ``t..``: the unfinished rows of ``s`` (rows and
+    columns before ``t`` are finished, zero off the diagonal) and every
+    row of ``v``.  The updates skip swaps of a line with itself and rows
+    of ``v`` and ``u_inv`` whose source entry is 0.  A ±1 pivot ends its
+    round at once: it leaves no remainder and divides everything.
 
     Before returning, :func:`_verify_snf` proves ``u @ u_inv == I``,
     ``a @ v == u_inv @ s`` and ``det v = ±1`` together with the laws of
@@ -395,44 +410,36 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     this is the same as ``u @ a @ v == s``.
     """
     m, n = a.shape
-    s = [list(row) for row in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    w = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.rows)]
+    w += [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     u_inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    # Rows and columns before t are finished: s is zero there outside
-    # the diagonal, so column operations on s touch rows t.. only.
     def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
         for row in u_inv:
             row[i], row[j] = row[j], row[i]
 
     def swap_cols(t: int, j: int) -> None:
-        for row in itertools.islice(s, t, None):
-            row[t], row[j] = row[j], row[t]
-        for row in v:
+        for row in itertools.islice(w, t, None):
             row[t], row[j] = row[j], row[t]
 
     def add_row(src: int, dst: int, factor: int) -> None:
-        s[dst] = [p + factor * q for p, q in zip(s[dst], s[src])]
-        u[dst] = [p + factor * q for p, q in zip(u[dst], u[src])]
+        w[dst] = [p + factor * q for p, q in zip(w[dst], w[src])]
         for row in u_inv:
             if row[dst]:
                 row[src] -= factor * row[dst]
 
     def add_col(t: int, dst: int, factor: int) -> None:
-        for rows in (itertools.islice(s, t, None), v):
-            for row in rows:
-                if row[t]:
-                    row[dst] += factor * row[t]
+        for row in itertools.islice(w, t, None):
+            if row[t]:
+                row[dst] += factor * row[t]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int] | None = None
         best_abs = 0
         for i in range(t, m):
             for j in range(t, n):
-                e = s[i][j]
+                e = w[i][j]
                 if e != 0 and (best is None or abs(e) < best_abs):
                     best, best_abs = (i, j), abs(e)
                     if best_abs == 1:
@@ -445,22 +452,22 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 swap_rows(t, pos[0])
             if pos[1] != t:
                 swap_cols(t, pos[1])
-            p = s[t][t]
+            p = w[t][t]
             for i in range(t + 1, m):
-                if s[i][t]:
-                    add_row(t, i, -(s[i][t] // p))
+                if w[i][t]:
+                    add_row(t, i, -(w[i][t] // p))
             for j in range(t + 1, n):
-                if s[t][j]:
-                    add_col(t, j, -(s[t][j] // p))
+                if w[t][j]:
+                    add_col(t, j, -(w[t][j] // p))
             if p in (1, -1):
                 break  # a unit leaves no remainder and divides everything
-            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
+            if any(w[i][t] for i in range(t + 1, m)) or any(w[t][t + 1 : n]):
                 continue
             # Row and column are clear; force the pivot to divide the
             # whole remaining submatrix, so the diagonal comes out as a
             # divisibility chain.
             offender = next(
-                (i for i in range(t + 1, m) if any(e % p for e in s[i][t + 1 :])),
+                (i for i in range(t + 1, m) if any(e % p for e in w[i][t + 1 : n])),
                 None,
             )
             if offender is None:
@@ -469,17 +476,16 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         else:
             break  # the remaining submatrix is zero
 
-        if s[t][t] < 0:
-            s[t] = [-e for e in s[t]]
-            u[t] = [-e for e in u[t]]
+        if w[t][t] < 0:
+            w[t] = [-e for e in w[t]]
             for row in u_inv:
                 row[t] = -row[t]
 
     # Every entry is already an int, so skip from_rows' per-entry coercion.
     result = SmithDecomposition(
-        s=IntMatrix(m, n, tuple(map(tuple, s))),
-        u=IntMatrix(m, m, tuple(map(tuple, u))),
-        v=IntMatrix(n, n, tuple(map(tuple, v))),
+        s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in w[:m])),
+        u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in w[:m])),
+        v=IntMatrix(n, n, tuple(map(tuple, w[m:]))),
         u_inv=IntMatrix(m, m, tuple(map(tuple, u_inv))),
     )
     _verify_snf(a, result)
@@ -512,7 +518,7 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     for row, av_row in zip(dec.u_inv.rows, (a @ dec.v).rows):
         if av_row != tuple(map(mul, row, diag)) + padding:
             raise SelfCheckError("Smith decomposition does not reproduce the input")
-    if not is_unimodular(dec.v):
+    if determinant(dec.v) not in (1, -1):
         raise SelfCheckError("Smith column transform is not unimodular")
     seen_zero = False
     for d in diag:
@@ -532,47 +538,19 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
 # ----------------------------------------------------------------------
 
 
-def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
-    """The rank ``r`` of ``a`` and the absolute value of a nonzero r-by-r minor.
-
-    Fraction-free (Bareiss) elimination with full pivoting: each step
-    takes the smallest entry of a nonzero row as pivot, and rows that
-    vanish drop out.  After k pivots every remaining entry is a
-    (k+1)-by-(k+1) minor of ``a``, so the divisions are exact and the
-    last pivot is the minor on the pivot rows and columns.  The minor of
-    an all-zero matrix is the empty one, 1.
-    """
-    w = [list(row) for row in a.rows if any(row)]
-    rank, prev = 0, 1
-    while w:
-        pivot_row = w.pop()
-        p = min(filter(None, pivot_row), key=abs)
-        j = pivot_row.index(p)
-        del pivot_row[j]
-        rows = []
-        for row in w:
-            f = row.pop(j)
-            if f or p != prev:
-                row = [(e * p - f * q) // prev for e, q in zip(row, pivot_row)]
-            if any(row):
-                rows.append(row)
-        w = rows
-        rank, prev = rank + 1, p
-    return rank, abs(prev)
-
-
 def invariant_factors_mod_minor(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of ``a``, 1s included, built without transforms.
 
     Returns what ``snf(a).nonzero_diagonal()`` returns, by the
     determinant-modulus reduction (Domich, Kannan & Trotter 1987; Cohen,
-    GTM 138, §2.4).  With ``r`` the rank and ``d`` a nonzero r-by-r minor
-    from :func:`_rank_and_minor`, the invariant factors ``s_1 | … | s_r``
-    of ``a`` multiply to ``d_r(a)``, which divides ``d``.  Adding ``d``
-    times a unit vector is a column operation on ``[a | d·I]``, and row
-    operations leave the columns of ``d·I`` spanning ``d·Z^m``, so the
-    elimination below may reduce every entry modulo ``d`` to absolute
-    value at most d/2 and still present the group of ``[a | d·I]``:
+    GTM 138, §2.4).  With ``r`` the rank and ``d`` the absolute value of
+    a nonzero r-by-r minor from :func:`_rank_and_minor`, the invariant
+    factors ``s_1 | … | s_r`` of ``a`` multiply to ``d_r(a)``, which
+    divides ``d``.  Adding ``d`` times a unit vector is a column
+    operation on ``[a | d·I]``, and row operations leave the columns of
+    ``d·I`` spanning ``d·Z^m``, so the elimination below may reduce every
+    entry modulo ``d`` to absolute value at most d/2 and still present
+    the group of ``[a | d·I]``:
     invariant factors ``s_1 … s_r`` followed by ``d`` for each of the
     other ``m − r`` rows.
 
@@ -585,9 +563,10 @@ def invariant_factors_mod_minor(a: IntMatrix) -> tuple[int, ...]:
     behind to ``m`` entries, are the factors.  Their product must divide
     ``d``, or :class:`SelfCheckError` is raised.
     """
-    r, d = _rank_and_minor(a)
+    r, minor = _rank_and_minor(a)
     if r == 0:
         return ()
+    d = abs(minor)
     half = d // 2
     w = [[(e + half) % d - half for e in row] for row in a.rows]
     diagonal: list[int] = []

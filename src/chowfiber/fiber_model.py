@@ -300,11 +300,10 @@ def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
         if oname in seen:
             raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
         seen.add(oname)
-        if mult < 1:
-            raise SchemaError(f"{where}: multiplicity must be >= 1, got {int_text(mult)}")
-        if size < 1:
-            raise SchemaError(f"{where}: size must be >= 1, got {int_text(size)}")
-        specs.append(ComponentOrbit(name=oname, size=size, multiplicity=mult))
+        try:
+            specs.append(ComponentOrbit(name=oname, size=size, multiplicity=mult))
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from None
     return tuple(specs)
 
 

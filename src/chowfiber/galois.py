@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, integer_kernel
+from .exact_linalg import IntMatrix, int_text, integer_kernel
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ class ComponentOrbit:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"orbit {self.name!r} must have size >= 1")
         if self.multiplicity < 1:
-            raise ValueError(f"orbit {self.name!r} must have multiplicity >= 1")
+            raise ValueError(f"multiplicity must be >= 1, got {int_text(self.multiplicity)}")
+        if self.size < 1:
+            raise ValueError(f"size must be >= 1, got {int_text(self.size)}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class WeightVector:
 
     def image_index(self) -> int:
         """The positive generator of the subgroup of Z the weights generate."""
-        return gcd(*self.weights) if len(self.weights) > 1 else self.weights[0]
+        return gcd(*self.weights)
 
 
 def xi_weights(orbit_list: Sequence[ComponentOrbit]) -> WeightVector:

@@ -95,6 +95,18 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(IntMatrix.zeros(2, 3))
 
+    def test_one_row_swap_flips_the_sign(self):
+        assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+
+
+class TestRankAndMinor:
+    def test_a_column_without_a_pivot_is_skipped(self):
+        assert exact_linalg._rank_and_minor(IntMatrix.from_rows([[0, 1], [0, 2]])) == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes_have_rank_0_and_the_empty_minor(self, shape):
+        assert exact_linalg._rank_and_minor(IntMatrix.zeros(*shape)) == (0, 1)
+
 
 class TestSnf:
     def test_one_by_one(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from chowfiber.exact_linalg import (
     IntMatrix,
+    _rank_and_minor,
     cokernel,
     determinant,
     determinantal_divisors,
@@ -67,6 +68,37 @@ def products_with_torsion(max_size=7):
 @given(st.one_of(matrices(7, 7, max_entry=10**30), products_with_torsion()))
 def test_modular_route_matches_snf(a):
     assert invariant_factors_mod_minor(a) == snf(a).nonzero_diagonal()
+
+
+def with_zero_lines(a):
+    """``a`` with a zero row and a zero column inserted at drawn places."""
+
+    def build(places):
+        i, j = places
+        rows = [list(row[:j]) + [0] + list(row[j:]) for row in a.rows]
+        rows.insert(i, [0] * (a.col_count + 1))
+        return IntMatrix.from_rows(rows)
+
+    return st.tuples(st.integers(0, a.row_count), st.integers(0, a.col_count)).map(build)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        matrices(6, 6, max_entry=10**30),
+        products_with_torsion(max_size=6),
+        products_with_torsion(max_size=5).flatmap(with_zero_lines),
+    )
+)
+def test_rank_and_minor_match_the_oracle(a):
+    # The minor is some nonzero r-by-r minor, so the gcd of all of them,
+    # d_r, divides it.
+    rank, minor = _rank_and_minor(a)
+    assert rank == snf(a).rank()
+    divisors = determinantal_divisors(a)
+    assert rank == sum(1 for d in divisors if d)
+    assert minor != 0
+    assert minor % (divisors[rank - 1] if rank else 1) == 0
 
 
 @given(matrices())

@@ -114,6 +114,22 @@ class TestSchemaErrors:
                 {"name": "x", "orbits": [{"name": "Y", "multiplicity": 0, "size": 1}]}
             )
 
+    @pytest.mark.parametrize(
+        "multiplicity, size, message",
+        [
+            (1, -3, "size must be >= 1, got -3"),
+            (0, 0, "multiplicity must be >= 1, got 0"),
+        ],
+    )
+    def test_orbit_law_messages(self, multiplicity, size, message):
+        orbits = [
+            {"name": "X", "multiplicity": 1, "size": 1},
+            {"name": "Y", "multiplicity": multiplicity, "size": size},
+        ]
+        with pytest.raises(SchemaError) as info:
+            parse_model({"name": "x", "orbits": orbits})
+        assert str(info.value) == f"orbits[1]: {message}"
+
     def test_unknown_orbit_in_degrees(self):
         with pytest.raises(SchemaError, match="unknown orbit 'Q'"):
             parse_model(

@@ -106,6 +106,18 @@ class TestComponentOrbit:
     def test_huge_size_is_just_a_number(self):
         assert xi_weights([ComponentOrbit("Y", 10**30, 3)]).weights == (3 * 10**30,)
 
+    def test_messages_name_the_law_and_the_value(self):
+        with pytest.raises(ValueError, match=r"^multiplicity must be >= 1, got -7$"):
+            ComponentOrbit("Y", 1, -7)
+        with pytest.raises(ValueError, match=r"^size must be >= 1, got 0$"):
+            ComponentOrbit("Y", 0, 1)
+        # Multiplicity is tested first, as the document parser did.
+        with pytest.raises(ValueError, match=r"^multiplicity must be >= 1, got 0$"):
+            ComponentOrbit("Y", 0, 0)
+        # The value is written in full past the interpreter's digit limit.
+        with pytest.raises(ValueError, match=r"got -10{5000}$"):
+            ComponentOrbit("Y", -(10**5000), 1)
+
 
 class TestWeights:
     def test_invariant_hom_rank(self):
