@@ -36,7 +36,7 @@ print("The two routes share no code, so their agreement is evidence, not tautolo
 print("\nCokernels present finitely generated abelian groups:")
 for rows in ([[2]], [[2, 4], [6, 8]]):
     m = IntMatrix.from_rows(rows)
-    print(f"  Z^{m.row_count} modulo the columns of {rows} =", cokernel(m).group)
+    print(f"  Z^{m.row_count} modulo the columns of {rows} =", cokernel(m))
 
 print("\nInteger kernels are saturated (a direct summand of the ambient lattice):")
 weights = IntMatrix.from_rows([[2, 2, 1, 1, 2, 2, 4]])

@@ -8,30 +8,31 @@ degree-zero part is computed by two independent routes that must agree.
 """
 
 from chowfiber import (
+    FGAbelianGroup,
     build_specialization_matrix,
-    cokernel,
     compute_b0,
     compute_xi_bar,
     parse_model,
     report,
+    snf,
     xi_weights,
 )
 from chowfiber.fixtures import fixture_path
 
 print("== synthetic-z2: the smallest model with torsion ==")
 model = parse_model(fixture_path("synthetic-z2").read_text())
-presentation = cokernel(build_specialization_matrix(model))
-print("B(X) =", presentation.group)
+degrees = build_specialization_matrix(model)
+dec = snf(degrees)
+print("B(X) =", FGAbelianGroup.quotient(degrees.row_count, dec.nonzero_diagonal()))
 
 weights = xi_weights(model.orbits)
-values = compute_xi_bar(weights, presentation)
-print("degree character on the canonical generators:", values)
+print("degree character on the canonical generators:", compute_xi_bar(weights, dec))
 print("index of its image in Z:", weights.image_index())
 
-both = compute_b0(weights, presentation, values)
-print("degree-zero part, quotient route:", both.route_quotient)
-print("degree-zero part, kernel route:  ", both.route_kernel)
-print("routes agree:", both.agree())
+route_quotient, route_kernel = compute_b0(weights, degrees, dec)
+print("degree-zero part, quotient route:", route_quotient)
+print("degree-zero part, kernel route:  ", route_kernel)
+print("routes agree:", route_quotient == route_kernel)
 
 print("\n== split-orbit: irreducible over k, split over its closure ==")
 rep = report(parse_model(fixture_path("split-orbit").read_text()))

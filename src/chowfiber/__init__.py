@@ -21,7 +21,6 @@ Layers, bottom up:
 """
 
 from .exact_linalg import (
-    CokernelPresentation,
     FGAbelianGroup,
     IntMatrix,
     MatrixFormatError,
@@ -61,11 +60,9 @@ from .fiber_model import (
     build_specialization_matrix,
     has_errors,
     parse_model,
-    serialize_model,
     validate,
 )
 from .chow import (
-    B0Computation,
     ChowReport,
     InvalidModel,
     compute_b0,
@@ -76,9 +73,7 @@ from .chow import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "B0Computation",
     "ChowReport",
-    "CokernelPresentation",
     "ComponentOrbit",
     "Diagnostic",
     "ExpectedResult",
@@ -115,7 +110,6 @@ __all__ = [
     "parse_matrix_text",
     "parse_model",
     "report",
-    "serialize_model",
     "snf",
     "solve_in_lattice",
     "validate",

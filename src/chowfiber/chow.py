@@ -8,19 +8,22 @@ This module computes B(X) as an explicit finitely generated abelian
 group, the induced degree character on it, its kernel B(X)_0, and the
 index (the positive generator of the image of the degree).
 
-B(X)_0 is computed twice, by genuinely different routes:
+:func:`report` holds the degree matrix and its one verified Smith
+decomposition, and every derived object reads them: B(X) is read off
+the diagonal, the induced character off ``u_inv``, and B(X)_0 is
+computed twice, by genuinely different routes:
 
 * the *quotient route* rewrites every degree column in a saturated
-  basis of the characters annihilating the fiber class and presents the
+  basis of the characters annihilating the fiber class and takes the
   quotient of that sublattice;
-* the *kernel route* takes the canonical presentation of B(X), expresses
-  the induced degree character in its coordinates, and presents the
-  kernel.
+* the *kernel route* expresses the induced degree character in the
+  canonical coordinates of B(X), where the relations are the columns of
+  ``s``, and takes the kernel.
 
 Both routes have the same shape: write a target matrix in coordinates of
-the kernel of one integer row, then present the quotient.
+the kernel of one integer row, then take the quotient.
 :func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
-with one Smith decomposition of the row.  The kernel route presents its
+with one Smith decomposition of the row.  The kernel route takes its
 quotient with a verified Smith decomposition; the quotient route reads
 only the group, so it takes its invariant factors from
 :func:`~chowfiber.exact_linalg.invariant_factors_mod_minor`, which works
@@ -47,13 +50,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exact_linalg import (
-    CokernelPresentation,
     FGAbelianGroup,
     IntMatrix,
     SelfCheckError,
+    SmithDecomposition,
     cokernel,
     invariant_factors_mod_minor,
     kernel_coordinates,
+    snf,
 )
 from .fiber_model import (
     Diagnostic,
@@ -92,17 +96,6 @@ class InvalidModel(Exception):
 
 
 @dataclass(frozen=True)
-class B0Computation:
-    """The degree-zero part computed by both routes; they must agree."""
-
-    route_quotient: FGAbelianGroup
-    route_kernel: FGAbelianGroup
-
-    def agree(self) -> bool:
-        return self.route_quotient == self.route_kernel
-
-
-@dataclass(frozen=True)
 class ChowReport:
     """Everything the pipeline knows about one model.
 
@@ -132,47 +125,48 @@ class ChowReport:
     expected: ExpectedResult | None = None
 
 
-def compute_xi_bar(
-    weights: WeightVector, presentation: CokernelPresentation
-) -> tuple[int, ...]:
+def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int, ...]:
     """The induced degree character on the generators of B(X) that ``snf`` picked.
 
-    In the canonical coordinates ``y = u @ x`` the character ``x -> w . x``
-    becomes ``y -> (w @ u^{-1}) . y``.  It is well defined on the
-    quotient only when every degree column pairs to zero against the
-    weights, which :func:`~chowfiber.fiber_model.validate` checks; then
-    it vanishes on the ``rank`` relation coordinates and the gcd of the
-    rest is the index.  The row depends on the elimination order;
-    :func:`report` publishes a canonical form.
+    ``dec`` is the Smith decomposition of the degree matrix that
+    :func:`report` holds.  In the canonical coordinates ``y = u @ x``
+    the character ``x -> w . x`` becomes ``y -> (w @ u^{-1}) . y``.  It
+    is well defined on the quotient only when every degree column pairs
+    to zero against the weights, which
+    :func:`~chowfiber.fiber_model.validate` checks; then it vanishes on
+    the ``rank`` relation coordinates and the gcd of the rest is the
+    index.  The row depends on the elimination order; :func:`report`
+    publishes a canonical form.
     """
     row = IntMatrix.from_rows([weights.weights])
-    return (row @ presentation.decomposition.u_inv).rows[0]
+    return (row @ dec.u_inv).rows[0]
 
 
 def compute_b0(
-    weights: WeightVector, presentation: CokernelPresentation, xi: tuple[int, ...]
-) -> B0Computation:
-    """The degree-zero part of B(X), by the quotient route and the kernel route.
+    weights: WeightVector, degrees: IntMatrix, dec: SmithDecomposition
+) -> tuple[FGAbelianGroup, FGAbelianGroup]:
+    """The degree-zero part of B(X) as ``(quotient route, kernel route)``.
 
-    ``presentation`` is B(X) of a validated model and ``xi`` the induced
-    character from :func:`compute_xi_bar`.
+    ``degrees`` is the degree matrix of a validated model and ``dec``
+    its Smith decomposition; the kernel route computes the induced
+    character from it with :func:`compute_xi_bar`.  The two groups must
+    agree; :func:`report` checks that they do.
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
     # basis; B(X)_0 is the quotient of that corank-one sublattice.  Only
     # its group is read, so no transforms are built for it.
-    coords = kernel_coordinates(weights.weights, presentation.relations)
+    coords = kernel_coordinates(weights.weights, degrees)
     route_quotient = FGAbelianGroup.quotient(
         coords.row_count, invariant_factors_mod_minor(coords)
     )
 
     # Kernel route: in the canonical coordinates the relation lattice is
-    # spanned by the columns of s, multiples of basis vectors; present
-    # the kernel of the character row modulo those relations.
-    relation_coords = kernel_coordinates(xi, presentation.decomposition.s)
-    route_kernel = cokernel(relation_coords).group
+    # spanned by the columns of s, multiples of basis vectors; take the
+    # kernel of the character row modulo those relations.
+    route_kernel = cokernel(kernel_coordinates(compute_xi_bar(weights, dec), dec.s))
 
-    return B0Computation(route_quotient=route_quotient, route_kernel=route_kernel)
+    return route_quotient, route_kernel
 
 
 def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
@@ -190,8 +184,9 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
     if errors and mode == STRICT:
         raise InvalidModel(diagnostics)
 
-    presentation = cokernel(build_specialization_matrix(m))
-    b = presentation.group
+    degrees = build_specialization_matrix(m)
+    dec = snf(degrees)
+    b = FGAbelianGroup.quotient(degrees.row_count, dec.nonzero_diagonal())
 
     if errors:
         b0 = None
@@ -201,19 +196,18 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         formal_only = True
     else:
         weights = xi_weights(m.orbits)
-        xi_values = compute_xi_bar(weights, presentation)
         index = weights.image_index()
-        both = compute_b0(weights, presentation, xi_values)
-        if not both.agree():
+        route_quotient, route_kernel = compute_b0(weights, degrees, dec)
+        if route_quotient != route_kernel:
             raise SelfCheckError(
                 f"the two degree-zero routes disagree: quotient route "
-                f"{both.route_quotient}, kernel route {both.route_kernel}"
+                f"{route_quotient}, kernel route {route_kernel}"
             )
-        b0 = both.route_quotient
+        b0 = route_quotient
         formal_only = False
         _check_validated_shape(m, b, b0)
-        # Both routes have read the raw row; publish its canonical form.
-        r = presentation.decomposition.rank()
+        # The canonical form of the row compute_xi_bar gives.
+        r = dec.rank()
         xi_values = (0,) * r + (index,) + (0,) * (len(m.orbits) - r - 1)
         single = m.orbits[0]
         special_case = (

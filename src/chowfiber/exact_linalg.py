@@ -2,8 +2,8 @@
 
 This module is the arithmetic engine of the package: the Smith normal
 form with its unimodular transformation matrices, integer kernels,
-lattice membership tests, and cokernel presentations of finitely
-generated abelian groups.
+lattice membership tests, and cokernels as finitely generated abelian
+groups.
 
 ``kernel_coordinates(row, targets)`` writes targets in a saturated basis
 of the kernel of one integer row, reading both the basis and the
@@ -292,10 +292,6 @@ class FGAbelianGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
 
     @classmethod
-    def trivial(cls) -> FGAbelianGroup:
-        return cls(0, ())
-
-    @classmethod
     def quotient(cls, ambient_rank: int, factors: Sequence[int]) -> FGAbelianGroup:
         """``Z^ambient_rank`` modulo a lattice whose nonzero invariant factors are ``factors``."""
         return cls(ambient_rank - len(factors), tuple(f for f in factors if f >= 2))
@@ -311,22 +307,6 @@ class FGAbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{int_text(f)}" for f in self.invariant_factors)
         return " ⊕ ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class CokernelPresentation:
-    """The quotient of ``Z^relations.row_count`` by the column span of ``relations``.
-
-    ``decomposition`` is the Smith decomposition of ``relations``: in the
-    coordinates ``y = decomposition.u @ x`` the relation lattice is
-    spanned by the columns of ``decomposition.s``, multiples of the
-    standard basis vectors, so ``y`` reads off the canonical generators
-    of ``group``.
-    """
-
-    relations: IntMatrix
-    group: FGAbelianGroup
-    decomposition: SmithDecomposition
 
 
 # ----------------------------------------------------------------------
@@ -667,11 +647,9 @@ def invariant_factors_from_divisors(divisors: Sequence[int]) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def cokernel(a: IntMatrix) -> CokernelPresentation:
-    """Present ``Z^rows / column-span(a)`` with its canonical coordinates."""
-    dec = snf(a)
-    group = FGAbelianGroup.quotient(a.row_count, dec.nonzero_diagonal())
-    return CokernelPresentation(relations=a, group=group, decomposition=dec)
+def cokernel(a: IntMatrix) -> FGAbelianGroup:
+    """The group ``Z^rows / column-span(a)``, from a verified Smith decomposition."""
+    return FGAbelianGroup.quotient(a.row_count, snf(a).nonzero_diagonal())
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

@@ -426,48 +426,6 @@ def _parse_expected(raw: object) -> ExpectedResult:
 
 
 # ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-
-def serialize_model(m: FiberModel) -> dict:
-    """The normalized document for a model; ``parse_model`` round-trips it."""
-    doc: dict = {
-        "name": m.name,
-        "hypotheses": {
-            "reduced_components_smooth": m.hypotheses.reduced_components_smooth,
-            "pic_unramified_descent": m.hypotheses.pic_unramified_descent,
-        },
-        "orbits": [
-            {"name": o.name, "multiplicity": o.multiplicity, "size": o.size}
-            for o in m.orbits
-        ],
-        "generators": [
-            {"name": g.name, "host": g.host, "degrees": dict(g.degrees)}
-            for g in m.generators
-        ],
-    }
-    if m.geometric is not None:
-        doc["geometric"] = {
-            "components": list(m.geometric.action.ground_set),
-            "frobenius": list(m.geometric.action.frobenius),
-            "orbit_of": {
-                c: oname for oname, cycle in m.geometric.members.items() for c in cycle
-            },
-            "degrees": {g: dict(cm) for g, cm in m.geometric.degrees.items()},
-        }
-    if m.notes is not None:
-        doc["notes"] = m.notes
-    if m.expected is not None:
-        doc["expected"] = {
-            "b0_rank": m.expected.b0_rank,
-            "b0_torsion": list(m.expected.b0_torsion),
-            "source": m.expected.source,
-        }
-    return doc
-
-
-# ----------------------------------------------------------------------
 # the specialization matrix and the validation laws
 # ----------------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from chowfiber import exact_linalg, fiber_model
 from chowfiber.chow import (
     IRREDUCIBLE_FIBER,
     PERMISSIVE,
-    B0Computation,
     InvalidModel,
     compute_b0,
     compute_xi_bar,
@@ -56,13 +55,13 @@ def _single_orbit(multiplicity=1, size=1, degree=None):
 
 
 def _present(m):
-    return cokernel(build_specialization_matrix(m))
+    return snf(build_specialization_matrix(m))
 
 
 def _b0(m):
     weights = xi_weights(m.orbits)
-    pres = _present(m)
-    return compute_b0(weights, pres, compute_xi_bar(weights, pres))
+    a = build_specialization_matrix(m)
+    return compute_b0(weights, a, snf(a))
 
 
 def _record_calls(monkeypatch, *functions):
@@ -129,15 +128,6 @@ class TestComputeB:
         assert rep.b == FGAbelianGroup(0, (2, 2))
         assert len(calls["snf"]) == 1
 
-    def test_presentation_bookkeeping(self):
-        m = _fixture_model("synthetic-z2")
-        pres = _present(m)
-        a = build_specialization_matrix(m)
-        assert pres.relations.row_count == len(m.orbits)
-        assert pres.relations == a
-        assert pres.decomposition == snf(a)
-        assert pres.group.rank == len(m.orbits) - snf(a).rank()
-
 
 class TestComputeXiBar:
     def test_identity_on_irreducible_fiber(self):
@@ -166,7 +156,7 @@ class TestComputeXiBar:
             w = xi_weights(m.orbits)
             values = compute_xi_bar(w, pres)
             for y in range(len(m.orbits)):
-                projected = pres.decomposition.u.column(y)
+                projected = pres.u.column(y)
                 assert sum(a * b for a, b in zip(values, projected)) == w.weights[y]
 
     @settings(max_examples=60, deadline=None)
@@ -183,26 +173,26 @@ class TestComputeXiBar:
         pres = _present(m)
         w = xi_weights(m.orbits)
         values = compute_xi_bar(w, pres)
-        r = pres.decomposition.rank()
+        r = pres.rank()
         assert values[:r] == (0,) * r
         assert gcd(*values[r:]) == w.image_index()
 
 
 class TestComputeB0:
     def test_irreducible_fiber_is_trivial(self):
-        both = _b0(_single_orbit())
-        assert both.route_quotient == TRIVIAL
-        assert both.route_kernel == TRIVIAL
+        route_quotient, route_kernel = _b0(_single_orbit())
+        assert route_quotient == TRIVIAL
+        assert route_kernel == TRIVIAL
 
     def test_doubled_column_gives_two_torsion(self):
-        both = _b0(_two_orbits((2, -2)))
-        assert both.route_quotient == FGAbelianGroup(0, (2,))
-        assert both.route_kernel == FGAbelianGroup(0, (2,))
+        route_quotient, route_kernel = _b0(_two_orbits((2, -2)))
+        assert route_quotient == FGAbelianGroup(0, (2,))
+        assert route_kernel == FGAbelianGroup(0, (2,))
 
     def test_no_generators_leaves_free_rank(self):
-        both = _b0(_two_orbits())
-        assert both.route_quotient == Z
-        assert both.route_kernel == Z
+        route_quotient, route_kernel = _b0(_two_orbits())
+        assert route_quotient == Z
+        assert route_kernel == Z
 
     def test_invalid_model_rejected(self):
         # Law-breaking columns have no coordinates in the annihilator
@@ -210,19 +200,15 @@ class TestComputeB0:
         with pytest.raises(NotInLattice):
             _b0(_fixture_model("example31"))
 
-    def test_agreement_flag(self):
-        assert B0Computation(Z, Z).agree()
-        assert not B0Computation(Z, TRIVIAL).agree()
-
     def test_routes_agree_on_random_valid_models(self):
         rng = random.Random(1729)
         for _ in range(25):
             m = _model(random_valid_model_document(rng))
-            both = _b0(m)
-            assert both.agree()
-            b = _present(m).group
-            assert b.rank == both.route_quotient.rank + 1
-            assert b.invariant_factors == both.route_quotient.invariant_factors
+            route_quotient, route_kernel = _b0(m)
+            assert route_quotient == route_kernel
+            b = cokernel(build_specialization_matrix(m))
+            assert b.rank == route_quotient.rank + 1
+            assert b.invariant_factors == route_quotient.invariant_factors
 
 
 class TestReport:
@@ -426,16 +412,14 @@ class TestReport:
                 rep = report(m)
                 a = build_specialization_matrix(m)
                 assert min(a.shape) > exact_linalg.ORACLE_SIZE_LIMIT
-                presentation = cokernel(a)
+                dec = snf(a)
                 weights = xi_weights(m.orbits)
                 basis = hom_T_basis(weights)
-                quotient = cokernel(solve_in_lattice(basis, a)).group
+                quotient = cokernel(solve_in_lattice(basis, a))
                 kernel_basis = integer_kernel(
-                    exact_linalg.IntMatrix.from_rows([compute_xi_bar(weights, presentation)])
+                    exact_linalg.IntMatrix.from_rows([compute_xi_bar(weights, dec)])
                 )
-                kernel = cokernel(
-                    solve_in_lattice(kernel_basis, presentation.decomposition.s)
-                ).group
+                kernel = cokernel(solve_in_lattice(kernel_basis, dec.s))
                 assert rep.b0 == quotient == kernel
                 groups.add(rep.b0)
         # Torsion occurs, so agreement is not vacuous.

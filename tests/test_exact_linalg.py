@@ -336,25 +336,18 @@ class TestInvariantFactorsModMinor:
 
 class TestCokernel:
     def test_single_relation(self):
-        pres = cokernel(IntMatrix.from_rows([[2]]))
-        assert pres.group == FGAbelianGroup(0, (2,))
+        assert cokernel(IntMatrix.from_rows([[2]])) == FGAbelianGroup(0, (2,))
 
     def test_no_relations(self):
-        pres = cokernel(IntMatrix.from_columns([], row_count=3))
-        assert pres.group == FGAbelianGroup(3)
+        assert cokernel(IntMatrix.from_columns([], row_count=3)) == FGAbelianGroup(3)
 
     def test_seven_component_table(self):
         # Frozen from the oracle run: determinantal divisors
         # [1, 1, 1, 1, 1, 2, 4], hence factors (1, 1, 1, 1, 1, 2, 2).
         divisors = determinantal_divisors(SEVEN_COMPONENT_MATRIX)
         assert divisors == [1, 1, 1, 1, 1, 2, 4]
-        pres = cokernel(SEVEN_COMPONENT_MATRIX)
-        assert pres.group == FGAbelianGroup(0, (2, 2))
+        assert cokernel(SEVEN_COMPONENT_MATRIX) == FGAbelianGroup(0, (2, 2))
         assert invariant_factors_from_divisors(divisors) == [1, 1, 1, 1, 1, 2, 2]
-
-    def test_change_of_basis_is_smith_row_transform(self):
-        a = IntMatrix.from_rows([[2, 4], [6, 8]])
-        assert cokernel(a).decomposition.u == snf(a).u
 
 
 class TestIntegerKernel:

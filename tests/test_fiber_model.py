@@ -11,10 +11,9 @@ from chowfiber.fiber_model import (
     build_specialization_matrix,
     has_errors,
     parse_model,
-    serialize_model,
     validate,
 )
-from chowfiber.fixtures import fixture_names, fixture_path
+from chowfiber.fixtures import fixture_path
 from chowfiber.galois import hom_T_basis, xi_weights
 
 MINIMAL = {"name": "minimal", "orbits": [{"name": "Y", "multiplicity": 1, "size": 1}]}
@@ -202,17 +201,6 @@ class TestSchemaErrors:
         }
         with pytest.raises(SchemaError, match="bijection"):
             parse_model(bad)
-
-
-class TestSerialize:
-    @pytest.mark.parametrize("name", fixture_names())
-    def test_round_trip_on_fixtures(self, name):
-        m = _fixture_model(name)
-        assert parse_model(serialize_model(m)) == m
-
-    def test_round_trip_through_json_text(self):
-        m = _fixture_model("split-orbit")
-        assert parse_model(json.dumps(serialize_model(m))) == m
 
 
 class TestSpecializationMatrix:
