@@ -46,9 +46,9 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -95,8 +95,7 @@ class InvalidModel(Exception):
         )
 
 
-@dataclass(frozen=True)
-class ChowReport:
+class ChowReport(Value):
     """Everything the pipeline knows about one model.
 
     ``b`` is always the formal cokernel of the degree matrix.  The
@@ -112,6 +111,19 @@ class ChowReport:
     it does not depend on the basis the Smith reduction picks.
     """
 
+    __slots__ = (
+        "model_name",
+        "b",
+        "b0",
+        "xi_on_generators",
+        "index",
+        "diagnostics",
+        "special_case",
+        "hypotheses",
+        "formal_only",
+        "notes",
+        "expected",
+    )
     model_name: str
     b: FGAbelianGroup
     b0: FGAbelianGroup | None
@@ -121,8 +133,34 @@ class ChowReport:
     special_case: str | None
     hypotheses: Hypotheses
     formal_only: bool
-    notes: str | None = None
-    expected: ExpectedResult | None = None
+    notes: str | None
+    expected: ExpectedResult | None
+
+    def __init__(
+        self,
+        model_name: str,
+        b: FGAbelianGroup,
+        b0: FGAbelianGroup | None,
+        xi_on_generators: tuple[int, ...] | None,
+        index: int | None,
+        diagnostics: tuple[Diagnostic, ...],
+        special_case: str | None,
+        hypotheses: Hypotheses,
+        formal_only: bool,
+        notes: str | None = None,
+        expected: ExpectedResult | None = None,
+    ) -> None:
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "xi_on_generators", xi_on_generators)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "special_case", special_case)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "formal_only", formal_only)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "expected", expected)
 
 
 def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Sequence, TextIO
 
 from .chow import (
@@ -185,7 +184,10 @@ def report_as_json(rep: ChowReport) -> dict:
             "reduced_components_smooth": rep.hypotheses.reduced_components_smooth,
             "pic_unramified_descent": rep.hypotheses.pic_unramified_descent,
         },
-        "diagnostics": [asdict(d) for d in rep.diagnostics],
+        "diagnostics": [
+            {"severity": d.severity, "code": d.code, "subject": d.subject, "message": d.message}
+            for d in rep.diagnostics
+        ],
         "notes": rep.notes,
         "expected": (
             None

@@ -51,10 +51,11 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, mul
 from typing import Iterable, Sequence
+
+from ._value import Value
 
 
 class NotInLattice(Exception):
@@ -122,8 +123,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """A dense, immutable integer matrix.
 
     ``rows`` is a tuple of row tuples.  ``row_count`` and ``col_count``
@@ -131,20 +131,40 @@ class IntMatrix:
     are first-class values rather than edge cases.
     """
 
+    __slots__ = ("row_count", "col_count", "rows")
     row_count: int
     col_count: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.row_count < 0 or self.col_count < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.rows) != self.row_count:
-            raise ValueError("row count does not match the number of rows")
-        for row in self.rows:
-            if len(row) != self.col_count:
+    def __init__(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        self._set_fields(row_count, col_count, rows)
+        for row in rows:
+            if len(row) != col_count:
                 raise ValueError("ragged rows: all rows must have col_count entries")
 
+    def _set_fields(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if row_count < 0 or col_count < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(rows) != row_count:
+            raise ValueError("row count does not match the number of rows")
+        object.__setattr__(self, "row_count", row_count)
+        object.__setattr__(self, "col_count", col_count)
+        object.__setattr__(self, "rows", rows)
+
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """The constructor without its per-row length check.
+
+        Only for rows of ``col_count`` ints that the caller built itself
+        (``snf``, products, transposes, ``identity``, ``zeros`` and
+        ``kernel_coordinates``); input from anywhere else goes through
+        the checked constructor.
+        """
+        m = object.__new__(cls)
+        m._set_fields(row_count, col_count, rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], col_count: int | None = None) -> IntMatrix:
@@ -180,11 +200,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, row_count: int, col_count: int) -> IntMatrix:
-        return cls(row_count, col_count, ((0,) * col_count,) * row_count)
+        return cls._trusted(row_count, col_count, ((0,) * col_count,) * row_count)
 
     # -- accessors ---------------------------------------------------
 
@@ -203,7 +223,7 @@ class IntMatrix:
 
     def transpose(self) -> IntMatrix:
         rows = tuple(zip(*self.rows)) if self.row_count else ((),) * self.col_count
-        return IntMatrix(self.col_count, self.row_count, rows)
+        return IntMatrix._trusted(self.col_count, self.row_count, rows)
 
     def is_square(self) -> bool:
         return self.row_count == self.col_count
@@ -227,7 +247,7 @@ class IntMatrix:
                     term = other_row if e == 1 else map(mul, itertools.repeat(e), other_row)
                     acc = tuple(term) if acc is None else tuple(map(add, acc, term))
             rows.append((0,) * other.col_count if acc is None else acc)
-        return IntMatrix(self.row_count, other.col_count, tuple(rows))
+        return IntMatrix._trusted(self.row_count, other.col_count, tuple(rows))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -246,8 +266,7 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """A Smith normal form ``s = u @ a @ v`` with unimodular ``u`` and ``v``.
 
     ``s`` is diagonal with nonnegative entries, each nonzero diagonal
@@ -255,10 +274,17 @@ class SmithDecomposition:
     the inverse of ``u``, accumulated alongside it.
     """
 
+    __slots__ = ("s", "u", "v", "u_inv")
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
+
+    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u_inv", u_inv)
 
     def rank(self) -> int:
         return sum(1 for d in self.s.diagonal_entries() if d != 0)
@@ -267,8 +293,7 @@ class SmithDecomposition:
         return tuple(d for d in self.s.diagonal_entries() if d != 0)
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Value):
     """A finitely generated abelian group ``Z^rank + Z/f_1 + ... + Z/f_k``.
 
     The invariant factors form a divisibility chain and every factor is
@@ -276,20 +301,22 @@ class FGAbelianGroup:
     representation and ``==`` decides isomorphism.
     """
 
+    __slots__ = ("rank", "invariant_factors")
     rank: int
-    invariant_factors: tuple[int, ...] = ()
+    invariant_factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(self, rank: int, invariant_factors: Iterable[int] = ()) -> None:
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        factors = tuple(int(f) for f in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+        factors = tuple(int(f) for f in invariant_factors)
         for f in factors:
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "invariant_factors", factors)
 
     @classmethod
     def quotient(cls, ambient_rank: int, factors: Sequence[int]) -> FGAbelianGroup:
@@ -461,12 +488,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             for row in u_inv:
                 row[t] = -row[t]
 
-    # Every entry is already an int, so skip from_rows' per-entry coercion.
+    # Every row is a full-length tuple of ints, so skip the checked constructors.
     result = SmithDecomposition(
-        s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in w[:m])),
-        u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in w[:m])),
-        v=IntMatrix(n, n, tuple(map(tuple, w[m:]))),
-        u_inv=IntMatrix(m, m, tuple(map(tuple, u_inv))),
+        s=IntMatrix._trusted(m, n, tuple(tuple(row[:n]) for row in w[:m])),
+        u=IntMatrix._trusted(m, m, tuple(tuple(row[n:]) for row in w[:m])),
+        v=IntMatrix._trusted(n, n, tuple(map(tuple, w[m:]))),
+        u_inv=IntMatrix._trusted(m, m, tuple(map(tuple, u_inv))),
     )
     _verify_snf(a, result)
     return result
@@ -679,12 +706,12 @@ def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
     """
     if targets.row_count != len(row):
         raise ValueError("targets row count does not match the row length")
-    dec = snf(IntMatrix(len(row), 1, tuple((int(e),) for e in row)))
+    dec = snf(IntMatrix._trusted(len(row), 1, tuple((int(e),) for e in row)))
     r = dec.rank()
     y = dec.u_inv.transpose() @ targets
     if any(any(entries) for entries in y.rows[:r]):
         raise NotInLattice("target pairs to a nonzero value against the row")
-    return IntMatrix(len(row) - r, targets.col_count, y.rows[r:])
+    return IntMatrix._trusted(len(row) - r, targets.col_count, y.rows[r:])
 
 
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:

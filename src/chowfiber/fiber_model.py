@@ -56,9 +56,9 @@ value (``orbit-constancy``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .exact_linalg import IntMatrix, int_text, too_many_digits
 from .galois import ComponentOrbit, PermutationAction, orbits, xi_weights
 
@@ -80,18 +80,22 @@ DIAGNOSTIC_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
+    __slots__ = ("severity", "code", "subject", "message")
     severity: str
     code: str
     subject: str
     message: str
 
-    def __post_init__(self) -> None:
-        if self.severity not in (SEVERITY_ERROR, SEVERITY_WARNING):
-            raise ValueError(f"unknown severity {self.severity!r}")
-        if self.code not in DIAGNOSTIC_CODES:
-            raise ValueError(f"unknown diagnostic code {self.code!r}")
+    def __init__(self, severity: str, code: str, subject: str, message: str) -> None:
+        if severity not in (SEVERITY_ERROR, SEVERITY_WARNING):
+            raise ValueError(f"unknown severity {severity!r}")
+        if code not in DIAGNOSTIC_CODES:
+            raise ValueError(f"unknown diagnostic code {code!r}")
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "message", message)
 
     def is_error(self) -> bool:
         return self.severity == SEVERITY_ERROR
@@ -100,55 +104,104 @@ class Diagnostic:
         return f"{self.severity.upper()} {self.code} {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Hypotheses:
+class Hypotheses(Value):
     """User-asserted geometric hypotheses, echoed verbatim in reports."""
 
-    reduced_components_smooth: bool = False
-    pic_unramified_descent: bool = False
+    __slots__ = ("reduced_components_smooth", "pic_unramified_descent")
+    reduced_components_smooth: bool
+    pic_unramified_descent: bool
+
+    def __init__(
+        self, reduced_components_smooth: bool = False, pic_unramified_descent: bool = False
+    ) -> None:
+        object.__setattr__(self, "reduced_components_smooth", reduced_components_smooth)
+        object.__setattr__(self, "pic_unramified_descent", pic_unramified_descent)
 
 
-@dataclass(frozen=True)
-class ExpectedResult:
+class ExpectedResult(Value):
     """A recorded expected result for fixture regression; never a pass target."""
 
+    __slots__ = ("b0_rank", "b0_torsion", "source")
     b0_rank: int
     b0_torsion: tuple[int, ...]
     source: str
 
+    def __init__(self, b0_rank: int, b0_torsion: tuple[int, ...], source: str) -> None:
+        object.__setattr__(self, "b0_rank", b0_rank)
+        object.__setattr__(self, "b0_torsion", b0_torsion)
+        object.__setattr__(self, "source", source)
 
-@dataclass(frozen=True)
-class PicGenerator:
+
+class PicGenerator(Value):
     """A chosen curve class on a component, with its degree against every orbit.
 
     ``degrees`` is total after normalization: every orbit of the model
     has an entry (zeros explicit).
     """
 
+    __slots__ = ("name", "host", "degrees")
+    __hash__ = None  # type: ignore[assignment]
     name: str
     host: str
     degrees: Mapping[str, int]
 
+    def __init__(self, name: str, host: str, degrees: Mapping[str, int]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "degrees", degrees)
 
-@dataclass(frozen=True)
-class GeometricSection:
+
+class GeometricSection(Value):
     """Raw component-level data: the Frobenius action, each orbit's
     components in cycle order, and per-component degrees."""
 
+    __slots__ = ("action", "members", "degrees")
+    __hash__ = None  # type: ignore[assignment]
     action: PermutationAction
     members: Mapping[str, tuple[str, ...]]
     degrees: Mapping[str, Mapping[str, int]]
 
+    def __init__(
+        self,
+        action: PermutationAction,
+        members: Mapping[str, tuple[str, ...]],
+        degrees: Mapping[str, Mapping[str, int]],
+    ) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "degrees", degrees)
 
-@dataclass(frozen=True)
-class FiberModel:
+
+class FiberModel(Value):
+    __slots__ = (
+        "name", "orbits", "generators", "hypotheses", "geometric", "notes", "expected"
+    )
+    __hash__ = None  # type: ignore[assignment]
     name: str
     orbits: tuple[ComponentOrbit, ...]
     generators: tuple[PicGenerator, ...]
-    hypotheses: Hypotheses = field(default_factory=Hypotheses)
-    geometric: GeometricSection | None = None
-    notes: str | None = None
-    expected: ExpectedResult | None = None
+    hypotheses: Hypotheses
+    geometric: GeometricSection | None
+    notes: str | None
+    expected: ExpectedResult | None
+
+    def __init__(
+        self,
+        name: str,
+        orbits: tuple[ComponentOrbit, ...],
+        generators: tuple[PicGenerator, ...],
+        hypotheses: Hypotheses = Hypotheses(),  # one shared value; it is immutable
+        geometric: GeometricSection | None = None,
+        notes: str | None = None,
+        expected: ExpectedResult | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "geometric", geometric)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "expected", expected)
 
     def orbit_names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.orbits)

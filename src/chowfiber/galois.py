@@ -21,35 +21,37 @@ The characters annihilating the fiber class form a corank-one sublattice;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from ._value import Value
 from .exact_linalg import IntMatrix, int_text, integer_kernel
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(Value):
     """A finite set with a single permutation acting on it.
 
     ``ground_set`` lists distinct component identifiers; ``frobenius``
     is the image list, aligned index by index.
     """
 
+    __slots__ = ("ground_set", "frobenius")
     ground_set: tuple[str, ...]
     frobenius: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ground_set", tuple(self.ground_set))
-        object.__setattr__(self, "frobenius", tuple(self.frobenius))
-        if not self.ground_set:
+    def __init__(self, ground_set: Iterable[str], frobenius: Iterable[str]) -> None:
+        ground_set = tuple(ground_set)
+        frobenius = tuple(frobenius)
+        if not ground_set:
             raise ValueError("ground set must be non-empty")
-        if len(set(self.ground_set)) != len(self.ground_set):
+        if len(set(ground_set)) != len(ground_set):
             raise ValueError("ground set identifiers must be distinct")
-        if len(self.frobenius) != len(self.ground_set):
+        if len(frobenius) != len(ground_set):
             raise ValueError("frobenius image list must match the ground set length")
-        if set(self.frobenius) != set(self.ground_set):
+        if set(frobenius) != set(ground_set):
             raise ValueError("frobenius must be a bijection of the ground set")
+        object.__setattr__(self, "ground_set", ground_set)
+        object.__setattr__(self, "frobenius", frobenius)
 
     def image_of(self, element: str) -> str:
         return self.frobenius[self.ground_set.index(element)]
@@ -79,8 +81,7 @@ def orbits(action: PermutationAction) -> list[list[str]]:
     return result
 
 
-@dataclass(frozen=True)
-class ComponentOrbit:
+class ComponentOrbit(Value):
     """One Frobenius orbit: its name, its number of geometric components,
     and their multiplicity.
 
@@ -88,27 +89,32 @@ class ComponentOrbit:
     a property of the orbit.
     """
 
+    __slots__ = ("name", "size", "multiplicity")
     name: str
     size: int
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {int_text(self.multiplicity)}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {int_text(self.size)}")
+    def __init__(self, name: str, size: int, multiplicity: int) -> None:
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {int_text(multiplicity)}")
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {int_text(size)}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Value):
     """Values of the fiber-class pairing on the orbit basis, in orbit order."""
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(w < 1 for w in self.weights):
+    def __init__(self, weights: Iterable[int]) -> None:
+        weights = tuple(int(w) for w in weights)
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.weights)

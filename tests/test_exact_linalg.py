@@ -1,7 +1,6 @@
 import random
 import sys
 import time
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -152,7 +151,7 @@ class TestSnf:
         dec = snf(a)
         rows = [list(row) for row in dec.u_inv.rows]
         rows[0][0] += 1
-        corrupted = replace(dec, u_inv=IntMatrix.from_rows(rows))
+        corrupted = _replaced(dec, u_inv=IntMatrix.from_rows(rows))
         with pytest.raises(SelfCheckError, match="inverse"):
             _verify_snf(a, corrupted)
 
@@ -172,6 +171,11 @@ class TestSnf:
         dec = snf(a)
         assert dec.u @ a @ dec.v == dec.s
         assert dec.nonzero_diagonal()[-1] > 2**64  # would overflow fixed width
+
+
+def _replaced(dec, **changes):
+    # A copy of dec with the named fields changed.
+    return SmithDecomposition(**{"s": dec.s, "u": dec.u, "v": dec.v, "u_inv": dec.u_inv, **changes})
 
 
 def _changed(matrix, i, j, delta=1):
@@ -198,19 +202,19 @@ class TestVerifySnf:
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
-            _verify_snf(a, replace(dec, u=_changed(dec.u, 3, 5)))
+            _verify_snf(a, _replaced(dec, u=_changed(dec.u, 3, 5)))
 
     def test_changed_entry_in_u_inv(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
-            _verify_snf(a, replace(dec, u_inv=_changed(dec.u_inv, 6, 2, -4)))
+            _verify_snf(a, _replaced(dec, u_inv=_changed(dec.u_inv, 6, 2, -4)))
 
     def test_changed_diagonal_entry_breaks_the_reconstruction(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="does not reproduce the input"):
-            _verify_snf(a, replace(dec, s=_changed(dec.s, 6, 6, 2)))
+            _verify_snf(a, _replaced(dec, s=_changed(dec.s, 6, 6, 2)))
 
     def test_non_unimodular_v(self):
         # Doubling a kernel column of v keeps a @ v, so only the
@@ -224,13 +228,13 @@ class TestVerifySnf:
         )
         assert a @ v == a @ dec.v
         with pytest.raises(SelfCheckError, match="column transform is not unimodular"):
-            _verify_snf(a, replace(dec, v=v))
+            _verify_snf(a, _replaced(dec, v=v))
 
     def test_off_diagonal_entry_in_s(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="not diagonal"):
-            _verify_snf(a, replace(dec, s=_changed(dec.s, 2, 7)))
+            _verify_snf(a, _replaced(dec, s=_changed(dec.s, 2, 7)))
 
     def test_negative_diagonal_entry(self):
         a, dec = _diagonal_decomposition(-2, 4)
@@ -251,7 +255,7 @@ class TestVerifySnf:
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="wrong shape"):
-            _verify_snf(a, replace(dec, v=IntMatrix.identity(a.col_count + 1)))
+            _verify_snf(a, _replaced(dec, v=IntMatrix.identity(a.col_count + 1)))
 
     @given(
         st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=5),
@@ -269,7 +273,7 @@ class TestVerifySnf:
         target = getattr(dec, field)
         changed = _changed(target, i % target.row_count, j % target.col_count, delta)
         with pytest.raises(SelfCheckError):
-            _verify_snf(a, replace(dec, **{field: changed}))
+            _verify_snf(a, _replaced(dec, **{field: changed}))
 
 
 class TestDeterminantalDivisors:
