@@ -46,7 +46,7 @@ values.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 from .exact_linalg import (

@@ -1,21 +1,15 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``validate <model>`` — print validation diagnostics, one per line;
-* ``compute <model> [--strict|--permissive] [--json]`` — the full report;
-* ``snf <matrix> [--check]`` — invariant factors of a matrix file, with
-  an optional cross-check against the minor-enumeration oracle, or past
-  the oracle's size limit against the reduction modulo a nonzero minor;
-* ``oracle <matrix>`` — the determinantal divisors themselves.
+:data:`COMMANDS` gives each command its loader, function and flags, spelled
+in full; ``--`` ends the flags.  ``-h`` or ``--help`` prints :data:`USAGE`.
 
 Exit codes: 0 success; 1 validation errors (strict mode); 2 unreadable
-input, malformed document, or schema violation; 3 internal invariant
-violation (a self-check or the agreement of the two degree-zero routes
-failed); 141 the reader of standard output went away (128 + SIGPIPE, as
-a Unix filter reports it).  The environment variable ``CHOWFIBER_COLOR``
-(auto, never, always) controls styling only; output bytes are otherwise
-deterministic.
+input, malformed document, schema violation, or malformed command line;
+3 internal invariant violation (a self-check or the agreement of the two
+degree-zero routes failed); 141 the reader of standard output went away
+(128 + SIGPIPE, as a Unix filter reports it).  The environment variable
+``CHOWFIBER_COLOR`` (auto, never, always) controls styling only; output
+bytes are otherwise deterministic.
 
 :func:`main` is the one failure boundary: it loads the input, runs the
 command on it and maps every failure to its exit code.  Input is parsed
@@ -25,11 +19,11 @@ exits 2); exact results print in full, however many digits they have.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import Sequence, TextIO
+from collections.abc import Sequence
+from io import TextIOBase
 
 from .chow import (
     INDEX_UNDEFINED,
@@ -70,7 +64,7 @@ EXIT_PIPE = 141
 _ANSI = {"red": "31", "yellow": "33", "cyan": "36", "bold": "1"}
 
 
-def _color_enabled(stream: TextIO) -> bool:
+def _color_enabled(stream: TextIOBase) -> bool:
     mode = os.environ.get("CHOWFIBER_COLOR", "auto")
     if mode == "never":
         return False
@@ -113,7 +107,7 @@ def _load_matrix(path: str) -> IntMatrix:
 # ----------------------------------------------------------------------
 
 
-def cmd_validate(model: FiberModel, args: argparse.Namespace) -> int:
+def cmd_validate(model: FiberModel, flags: set[str]) -> int:
     diagnostics = validate(model)
     color = _color_enabled(sys.stdout)
     for d in diagnostics:
@@ -121,20 +115,20 @@ def cmd_validate(model: FiberModel, args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if has_errors(diagnostics) else EXIT_OK
 
 
-def cmd_compute(model: FiberModel, args: argparse.Namespace) -> int:
-    rep = report(model, mode=PERMISSIVE if args.permissive else STRICT)
-    if args.json:
+def cmd_compute(model: FiberModel, flags: set[str]) -> int:
+    rep = report(model, mode=PERMISSIVE if "--permissive" in flags else STRICT)
+    if "--json" in flags:
         print(json.dumps(report_as_json(rep), indent=2, sort_keys=True))
     else:
         _print_report(rep, sys.stdout)
     return EXIT_OK
 
 
-def cmd_snf(matrix: IntMatrix, args: argparse.Namespace) -> int:
+def cmd_snf(matrix: IntMatrix, flags: set[str]) -> int:
     factors = snf(matrix).nonzero_diagonal()
     rendered = " ".join(str(f) for f in factors) if factors else "(none)"
     print(f"rank {len(factors)}; invariant factors: {rendered}")
-    if args.check:
+    if "--check" in flags:
         try:
             expected = invariant_factors_from_divisors(determinantal_divisors(matrix))
             route, passed = "oracle", "check: ok"
@@ -152,7 +146,7 @@ def cmd_snf(matrix: IntMatrix, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(matrix: IntMatrix, args: argparse.Namespace) -> int:
+def cmd_oracle(matrix: IntMatrix, flags: set[str]) -> int:
     divisors = determinantal_divisors(matrix)
     rendered = " ".join(str(d) for d in divisors) if divisors else "(none)"
     print(f"determinantal divisors: {rendered}")
@@ -205,7 +199,7 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _print_report(rep: ChowReport, out: TextIO) -> None:
+def _print_report(rep: ChowReport, out: TextIOBase) -> None:
     color = _color_enabled(out)
     print(f"model: {rep.model_name}", file=out)
     print(f"B(X)   = {rep.b}", file=out)
@@ -259,68 +253,74 @@ def _print_report(rep: ChowReport, out: TextIO) -> None:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chowfiber",
-        description=(
-            "Zero-cycle class groups of rational surfaces over p-adic fields, "
-            "computed exactly from special-fiber degree data."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: chowfiber validate <model.json>            # diagnostics, one per line
+       chowfiber compute  <model.json> [--strict|--permissive] [--json]
+       chowfiber snf      <matrix.txt> [--check]  # invariant factors (+ oracle check, or
+                                                  # the modular route past 8 rows and columns)
+       chowfiber oracle   <matrix.txt>            # determinantal divisors
+       chowfiber -h|--help                        # this text
+"""
 
-    p_validate = sub.add_parser("validate", help="check a model document")
-    p_validate.add_argument("path", metavar="model", help="path to a model JSON document")
-    p_validate.set_defaults(load=_load_model, func=cmd_validate)
+COMMANDS = {
+    "validate": (_load_model, cmd_validate, ()),
+    "compute": (_load_model, cmd_compute, ("--strict", "--permissive", "--json")),
+    "snf": (_load_matrix, cmd_snf, ("--check",)),
+    "oracle": (_load_matrix, cmd_oracle, ()),
+}
 
-    p_compute = sub.add_parser("compute", help="compute B(X), B(X)_0 and the index")
-    p_compute.add_argument("path", metavar="model", help="path to a model JSON document")
-    mode = p_compute.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse models with validation errors (default)",
-    )
-    mode.add_argument(
-        "--permissive",
-        action="store_true",
-        help="report the formal cokernel even when validation fails",
-    )
-    p_compute.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_compute.set_defaults(load=_load_model, func=cmd_compute)
 
-    p_snf = sub.add_parser("snf", help="invariant factors of an integer matrix file")
-    p_snf.add_argument(
-        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
-    )
-    p_snf.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "cross-check against the determinantal-divisor oracle, or past its "
-            "size limit against the reduction modulo a nonzero minor"
-        ),
-    )
-    p_snf.set_defaults(load=_load_matrix, func=cmd_snf)
+class UsageError(ValueError):
+    """A malformed command line."""
 
-    p_oracle = sub.add_parser("oracle", help="determinantal divisors of a matrix file")
-    p_oracle.add_argument(
-        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
-    )
-    p_oracle.set_defaults(load=_load_matrix, func=cmd_oracle)
 
-    return parser
+def parse_argv(argv: Sequence[str]) -> tuple[str, str, set[str]] | None:
+    """The command, path and flags that ``argv`` names; None asks for help."""
+    name, *rest = argv or [""]
+    if name in ("-h", "--help"):
+        return None
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; choose one of {', '.join(COMMANDS)}")
+    paths, flags = [], set()
+    args = iter(rest)
+    for i, arg in enumerate(args):
+        if arg == "--":
+            if paths and rest[i - 1] in flags:
+                raise UsageError("a -- after the path must follow it directly")
+            paths.extend(args)
+        elif arg in ("-h", "--help"):
+            return None
+        elif arg in COMMANDS[name][2]:
+            flags.add(arg)
+        elif arg.startswith("-"):
+            raise UsageError(f"unknown option for {name}: {arg}")
+        else:
+            paths.append(arg)
+    if {"--strict", "--permissive"} <= flags:
+        raise UsageError("--strict and --permissive are mutually exclusive")
+    if len(paths) != 1:
+        raise UsageError(f"{name} takes one path, got {len(paths)}")
+    return name, paths[0], flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     digit_limit = sys.get_int_max_str_digits()
     try:
-        loaded = args.load(args.path)
-        # Parsed under the digit limit; exact results print in full.
-        sys.set_int_max_str_digits(0)
-        code = args.func(loaded, args)
+        parsed = parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(USAGE, end="")
+            code = EXIT_OK
+        else:
+            name, path, flags = parsed
+            load, command, _ = COMMANDS[name]
+            loaded = load(path)
+            # Parsed under the digit limit; exact results print in full.
+            sys.set_int_max_str_digits(0)
+            code = command(loaded, flags)
         sys.stdout.flush()
+    except UsageError as e:
+        print(f"{USAGE}chowfiber: error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except (ParseError, SchemaError, MatrixFormatError, OracleSizeLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterable, Sequence
 from math import gcd, prod
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from ._value import Value
 

@@ -56,7 +56,7 @@ value (``orbit-constancy``).
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from ._value import Value
 from .exact_linalg import IntMatrix, int_text, too_many_digits

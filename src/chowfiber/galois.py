@@ -21,8 +21,8 @@ The characters annihilating the fiber class form a corank-one sublattice;
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from ._value import Value
 from .exact_linalg import IntMatrix, int_text, integer_kernel

@@ -31,20 +31,26 @@ def test_export_list_is_sorted_unique_and_resolves():
         assert hasattr(chowfiber, name), name
 
 
-def test_cli_import_leaves_dataclasses_out():
+def test_cli_run_leaves_argparse_typing_and_dataclasses_out(tmp_path):
     # -S keeps site-packages .pth hooks, which import modules of their
     # own, out of the child.
     src = str(Path(chowfiber.__file__).resolve().parents[1])
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 2\n2 4\n6 8\n")
     child = (
         f"import sys; sys.path.insert(0, {src!r}); import chowfiber.cli; "
-        "print(chowfiber.cli.__file__); print(' '.join(sorted(sys.modules)))"
+        f"code = chowfiber.cli.main(['snf', {str(matrix)!r}]); "
+        "print(code); print(chowfiber.cli.__file__); print(' '.join(sorted(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", child], capture_output=True, text=True, check=True
     ).stdout
-    cli_file, modules = out.splitlines()
+    printed, code, cli_file, modules = out.splitlines()
+    assert printed == "rank 2; invariant factors: 2 4"
+    assert code == "0"
     assert Path(cli_file).resolve().parents[1] == Path(src)
-    assert "dataclasses" not in modules.split()
+    loaded = set(modules.split())
+    assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "typing"}
 
 
 G = FGAbelianGroup

@@ -1,8 +1,10 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,71 @@ class TestComputeCommand:
         assert "index  = undefined-under-invalid-input" in human.stdout
         assert doc["formal_only"] is True
         assert "formal cokernel only" in human.stdout
+
+
+class TestUsage:
+    # cli.main is the failure boundary for the command line too: a
+    # malformed argv returns 2 after the usage text, never SystemExit.
+    # M and X stand for a valid model and a valid matrix file.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], 2),
+            (["bogus", "M"], 2),
+            (["compute", "--bogus", "M"], 2),
+            (["snf", "--json", "X"], 2),
+            (["compute"], 2),
+            (["compute", "M", "M"], 2),
+            (["compute", "--strict", "--permissive", "M"], 2),
+            (["compute", "M", "--json", "--"], 2),
+            (["compute", "--", "M", "--json"], 2),
+            (["-h"], 0),
+            (["--help"], 0),
+            (["compute", "-h"], 0),
+            (["snf", "X", "--help"], 0),
+            (["validate", "--", "-model.json"], 0),
+        ],
+        ids=[
+            "no-argv",
+            "unknown-command",
+            "unknown-flag",
+            "flag-of-another-command",
+            "missing-path",
+            "two-paths",
+            "strict-and-permissive",
+            "double-dash-after-a-flag-after-the-path",
+            "flag-after-double-dash-is-a-second-path",
+            "short-help",
+            "long-help",
+            "help-after-command",
+            "help-after-path",
+            "dash-path-after-double-dash",
+        ],
+    )
+    def test_argv(self, tmp_path, monkeypatch, capsys, argv, code):
+        from chowfiber import cli
+
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(_fx("trivial"), "-model.json")
+        Path("m.txt").write_text("1 1\n2\n")
+        argv = [{"M": _fx("trivial"), "X": "m.txt"}.get(a, a) for a in argv]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            assert out == ("" if "--" in argv else cli.USAGE)
+        else:
+            assert out == ""
+            lines = err.splitlines()
+            assert lines[0].startswith("usage: chowfiber")
+            assert lines[-1].startswith("chowfiber: error:")
+            assert "Traceback" not in err
+
+    def test_readme_shows_the_help_text(self):
+        from chowfiber import cli
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"```\n{cli.USAGE}```" in readme
 
 
 class TestMatrixCommands:

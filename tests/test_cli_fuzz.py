@@ -1,4 +1,4 @@
-"""Hostile-input fuzzing of the model commands.
+"""Hostile-input fuzzing of the model commands and of the command line.
 
 Every file handed to ``chowfiber validate`` or ``chowfiber compute`` must
 map to a documented exit code (0 success, 1 validation errors, 2
@@ -6,9 +6,12 @@ unreadable or malformed input) with no traceback, whatever the bytes:
 arbitrary binary, arbitrary JSON, or documents shaped like the model
 schema with huge declared sizes and degrees (up to the 4,300 digits the
 parser accepts, so results run past that many) and random geometric
-sections.
+sections.  Every argv drawn from the commands, their flags, ``-h``,
+``--`` and a few paths must map to one of those codes or 3, and parse
+exactly as ``reference_parser``, an argparse parser, does.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,9 +20,11 @@ from datetime import timedelta
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 
 from chowfiber import cli
+from chowfiber.fixtures import fixture_path
 
 COMMANDS = (
     ("validate",),
@@ -163,3 +168,117 @@ def test_arbitrary_json_values(command, value):
 def test_schema_shaped_documents(command, doc):
     code, _ = _run(command, json.dumps(doc).encode())
     event(f"{command[0]} exit {code}")
+
+
+def reference_parser():
+    """The argparse parser the command line had before :data:`cli.COMMANDS`.
+
+    Kept as the reference for which argv are accepted and what they mean;
+    only the ``set_defaults`` that bound each command to its code are gone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="chowfiber",
+        description=(
+            "Zero-cycle class groups of rational surfaces over p-adic fields, "
+            "computed exactly from special-fiber degree data."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", help="check a model document")
+    p_validate.add_argument("path", metavar="model", help="path to a model JSON document")
+
+    p_compute = sub.add_parser("compute", help="compute B(X), B(X)_0 and the index")
+    p_compute.add_argument("path", metavar="model", help="path to a model JSON document")
+    mode = p_compute.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--strict",
+        action="store_true",
+        help="refuse models with validation errors (default)",
+    )
+    mode.add_argument(
+        "--permissive",
+        action="store_true",
+        help="report the formal cokernel even when validation fails",
+    )
+    p_compute.add_argument("--json", action="store_true", help="emit the report as JSON")
+
+    p_snf = sub.add_parser("snf", help="invariant factors of an integer matrix file")
+    p_snf.add_argument(
+        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
+    )
+    p_snf.add_argument(
+        "--check",
+        action="store_true",
+        help=(
+            "cross-check against the determinantal-divisor oracle, or past its "
+            "size limit against the reduction modulo a nonzero minor"
+        ),
+    )
+
+    p_oracle = sub.add_parser("oracle", help="determinantal divisors of a matrix file")
+    p_oracle.add_argument(
+        "path", metavar="matrix", help="path to a matrix text file ('R C' header)"
+    )
+
+    return parser
+
+
+def _reference_parse(argv):
+    """(command, path, flags) as the reference parser reads argv, or None."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = reference_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    flags = {f"--{f}" for f in ("strict", "permissive", "json", "check") if getattr(ns, f, False)}
+    return ns.command, ns.path, flags
+
+
+# Placeholders for paths made per module; see ``argv_paths``.
+ARGV_TOKENS = (
+    *cli.COMMANDS,
+    "--strict",
+    "--permissive",
+    "--json",
+    "--check",
+    "-h",
+    "--help",
+    "--",
+    "-x",
+    "MODEL",
+    "MATRIX",
+    "MISSING",
+)
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "m.txt").write_text("2 2\n2 4\n6 8\n")
+    return {
+        "MODEL": str(fixture_path("synthetic-z2")),
+        "MATRIX": str(tmp / "m.txt"),
+        "MISSING": str(tmp / "missing.json"),
+    }
+
+
+@settings(fuzz_settings, max_examples=500)
+@given(tokens=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+def test_argv_maps_to_an_exit_code_and_parses_as_argparse_did(argv_paths, tokens):
+    argv = [argv_paths.get(t, t) for t in tokens]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    event(f"exit {code}")
+    if "-h" in argv or "--help" in argv:
+        return
+    try:
+        parsed = cli.parse_argv(argv)
+    except cli.UsageError:
+        parsed = None
+    assert parsed == _reference_parse(argv), argv
+    if parsed is None:
+        assert code == 2 and err.getvalue().startswith(cli.USAGE)
