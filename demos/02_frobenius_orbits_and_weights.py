@@ -6,20 +6,13 @@ components defined over the base residue field; each orbit weighs
 ``multiplicity * size`` against the fiber class.
 """
 
-from chowfiber import (
-    ComponentOrbit,
-    PermutationAction,
-    hom_T_basis,
-    orbits,
-    xi_weights,
-)
+from chowfiber import ComponentOrbit, hom_T_basis, orbits, xi_weights
 
 print("A five-element component set where Frobenius swaps two pairs:")
-action = PermutationAction(
+for cycle in orbits(
     ground_set=("A1", "A2", "B1", "B2", "C"),
     frobenius=("A2", "A1", "B2", "B1", "C"),
-)
-for cycle in orbits(action):
+):
     print("  orbit:", cycle)
 
 print("\nThe seven-component configuration used throughout the fixtures:")
@@ -34,9 +27,9 @@ seven = [
     ComponentOrbit("M", 2, 2),
 ]
 weights = xi_weights(seven)
-print("equivariant character lattice rank (one per orbit):", len(weights))
+print("equivariant character lattice rank (one per orbit):", len(weights.weights))
 print("weights (multiplicity x size):", weights.weights)
-print("total fiber multiplicity:", weights.total())
+print("total fiber multiplicity:", sum(weights.weights))
 print("index of the degree image:", weights.image_index())
 
 print("\nCharacters annihilating the fiber class (a saturated corank-one lattice):")

@@ -22,7 +22,7 @@ from chowfiber import (
 from chowfiber.fixtures import fixture_path
 
 model = parse_model(fixture_path("example31").read_text())
-print("orbits:", ", ".join(model.orbit_names()))
+print("orbits:", ", ".join(o.name for o in model.orbits))
 print("weights:", xi_weights(model.orbits).weights)
 print("degree table:")
 print(build_specialization_matrix(model))

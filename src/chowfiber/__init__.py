@@ -11,8 +11,8 @@ Layers, bottom up:
 * :mod:`chowfiber.exact_linalg` — exact integer matrices, the Smith
   normal form with its transforms, invariant factors modulo a nonzero
   minor, kernels, cokernels, and the minor-enumeration oracle;
-* :mod:`chowfiber.galois` — the Frobenius action on fiber components,
-  orbits, and the weight vector of the fiber-class pairing;
+* :mod:`chowfiber.galois` — Frobenius orbits of fiber components and
+  the weight vector of the fiber-class pairing;
 * :mod:`chowfiber.fiber_model` — the JSON input schema, normalization,
   and validation diagnostics;
 * :mod:`chowfiber.chow` — the pipeline assembling the report, with the
@@ -42,7 +42,6 @@ from .exact_linalg import (
 )
 from .galois import (
     ComponentOrbit,
-    PermutationAction,
     WeightVector,
     hom_T_basis,
     orbits,
@@ -87,7 +86,6 @@ __all__ = [
     "NotInLattice",
     "OracleSizeLimitError",
     "ParseError",
-    "PermutationAction",
     "PicGenerator",
     "SchemaError",
     "SelfCheckError",

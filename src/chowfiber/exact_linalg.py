@@ -53,7 +53,7 @@ import itertools
 import sys
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import add, mul
+from operator import add, index, mul
 
 from ._value import Value
 
@@ -108,21 +108,6 @@ def too_many_digits() -> str:
     return f"integer literal has more than {sys.get_int_max_str_digits():,} digits"
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``x*a + y*b == g``."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
-
-
 class IntMatrix(Value):
     """A dense, immutable integer matrix.
 
@@ -137,6 +122,7 @@ class IntMatrix(Value):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        """Check the shape only; ``from_rows`` and ``from_columns`` convert entries to ints."""
         self._set_fields(row_count, col_count, rows)
         for row in rows:
             if len(row) != col_count:
@@ -173,7 +159,7 @@ class IntMatrix(Value):
         ``col_count`` is only needed when ``rows`` is empty, in which
         case the result is a 0-by-``col_count`` matrix.
         """
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(index, row)) for row in rows)
         if data:
             width = len(data[0])
             if col_count is not None and col_count != width:
@@ -186,7 +172,7 @@ class IntMatrix(Value):
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[int]], row_count: int | None = None) -> IntMatrix:
         """Build a matrix whose columns are the given vectors."""
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple(map(index, c)) for c in columns]
         if cols:
             height = len(cols[0])
             if any(len(c) != height for c in cols):
@@ -212,9 +198,6 @@ class IntMatrix(Value):
     def shape(self) -> tuple[int, int]:
         return (self.row_count, self.col_count)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -224,9 +207,6 @@ class IntMatrix(Value):
     def transpose(self) -> IntMatrix:
         rows = tuple(zip(*self.rows)) if self.row_count else ((),) * self.col_count
         return IntMatrix._trusted(self.col_count, self.row_count, rows)
-
-    def is_square(self) -> bool:
-        return self.row_count == self.col_count
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(min(self.row_count, self.col_count)))
@@ -306,9 +286,10 @@ class FGAbelianGroup(Value):
     invariant_factors: tuple[int, ...]
 
     def __init__(self, rank: int, invariant_factors: Iterable[int] = ()) -> None:
+        rank = index(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        factors = tuple(int(f) for f in invariant_factors)
+        factors = tuple(map(index, invariant_factors))
         for f in factors:
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")
@@ -343,7 +324,7 @@ class FGAbelianGroup(Value):
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant of a square matrix (fraction-free elimination)."""
-    if not a.is_square():
+    if a.row_count != a.col_count:
         raise ValueError("determinant requires a square matrix")
     rank, minor = _rank_and_minor(a)
     return minor if rank == a.row_count else 0
@@ -706,7 +687,7 @@ def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
     """
     if targets.row_count != len(row):
         raise ValueError("targets row count does not match the row length")
-    dec = snf(IntMatrix._trusted(len(row), 1, tuple((int(e),) for e in row)))
+    dec = snf(IntMatrix._trusted(len(row), 1, tuple((index(e),) for e in row)))
     r = dec.rank()
     y = dec.u_inv.transpose() @ targets
     if any(any(entries) for entries in y.rows[:r]):

@@ -38,7 +38,8 @@ rejected)::
 
 An orbit's ``size`` is a count, held as a plain integer.  Components
 have names only in the optional ``geometric`` section, whose Frobenius
-cycles must realize the declared orbits and sizes exactly.
+cycles must realize the declared orbits and sizes exactly; the model
+keeps those cycles, not the image list.
 
 Degrees are maps from orbit names to integers; missing keys mean 0 and
 are normalized to explicit zeros.  The hypotheses are assertions by the
@@ -60,7 +61,7 @@ from collections.abc import Mapping, Sequence
 
 from ._value import Value
 from .exact_linalg import IntMatrix, int_text, too_many_digits
-from .galois import ComponentOrbit, PermutationAction, orbits, xi_weights
+from .galois import ComponentOrbit, orbits, xi_weights
 
 
 class ParseError(ValueError):
@@ -152,22 +153,17 @@ class PicGenerator(Value):
 
 
 class GeometricSection(Value):
-    """Raw component-level data: the Frobenius action, each orbit's
-    components in cycle order, and per-component degrees."""
+    """Raw component-level data: each orbit's components in Frobenius cycle
+    order (the image list itself is not kept), and per-component degrees."""
 
-    __slots__ = ("action", "members", "degrees")
+    __slots__ = ("members", "degrees")
     __hash__ = None  # type: ignore[assignment]
-    action: PermutationAction
     members: Mapping[str, tuple[str, ...]]
     degrees: Mapping[str, Mapping[str, int]]
 
     def __init__(
-        self,
-        action: PermutationAction,
-        members: Mapping[str, tuple[str, ...]],
-        degrees: Mapping[str, Mapping[str, int]],
+        self, members: Mapping[str, tuple[str, ...]], degrees: Mapping[str, Mapping[str, int]]
     ) -> None:
-        object.__setattr__(self, "action", action)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "degrees", degrees)
 
@@ -203,48 +199,31 @@ class FiberModel(Value):
         object.__setattr__(self, "notes", notes)
         object.__setattr__(self, "expected", expected)
 
-    def orbit_names(self) -> tuple[str, ...]:
-        return tuple(o.name for o in self.orbits)
-
 
 # ----------------------------------------------------------------------
 # schema helpers
 # ----------------------------------------------------------------------
 
 
-def _expect(value: object, kind: type, where: str, label: str) -> object:
+_LABELS = {
+    str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "an array"
+}
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` when it is a JSON value of type ``kind``, else :class:`SchemaError`."""
     # bool is a subclass of int; keep the two apart.
     if isinstance(value, bool) and kind is not bool:
-        raise SchemaError(f"{where}: expected {label}, got a boolean")
+        raise SchemaError(f"{where}: expected {_LABELS[kind]}, got a boolean")
     if not isinstance(value, kind):
-        raise SchemaError(f"{where}: expected {label}, got {type(value).__name__}")
+        raise SchemaError(f"{where}: expected {_LABELS[kind]}, got {type(value).__name__}")
+    if kind is str:
+        # JSON escapes can spell lone surrogates, which no output can encode.
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{where}: string holds a lone surrogate") from None
     return value
-
-
-def _expect_str(value: object, where: str) -> str:
-    text: str = _expect(value, str, where, "a string")  # type: ignore[assignment]
-    # JSON escapes can spell lone surrogates, which no output can encode.
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise SchemaError(f"{where}: string holds a lone surrogate") from None
-    return text
-
-
-def _expect_int(value: object, where: str) -> int:
-    return _expect(value, int, where, "an integer")  # type: ignore[return-value]
-
-
-def _expect_bool(value: object, where: str) -> bool:
-    return _expect(value, bool, where, "a boolean")  # type: ignore[return-value]
-
-
-def _expect_object(value: object, where: str) -> dict:
-    return _expect(value, dict, where, "an object")  # type: ignore[return-value]
-
-
-def _expect_array(value: object, where: str) -> list:
-    return _expect(value, list, where, "an array")  # type: ignore[return-value]
 
 
 def _check_keys(
@@ -269,7 +248,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
     Raises :class:`ParseError` for malformed JSON and :class:`SchemaError`
     for structural problems (unknown keys, unknown orbit references,
     duplicate names, multiplicity below 1, an empty orbit list, or a
-    geometric section whose action does not match the declared orbits).
+    geometric section whose Frobenius cycles do not match the declared orbits).
     """
     if isinstance(document, str):
         try:
@@ -283,7 +262,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
             raise ParseError(too_many_digits()) from None
     else:
         raw = dict(document)
-    top = _expect_object(raw, "document")
+    top = _expect(raw, dict, "document")
     _check_keys(
         top,
         "document",
@@ -291,7 +270,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
         ("hypotheses", "generators", "geometric", "notes", "expected"),
     )
 
-    name = _expect_str(top["name"], "name")
+    name = _expect(top["name"], str, "name")
     hypotheses = _parse_hypotheses(top.get("hypotheses"))
     orbit_tuple = _parse_orbits(top["orbits"])
     orbit_names = [o.name for o in orbit_tuple]
@@ -306,7 +285,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
 
     notes = None
     if "notes" in top:
-        notes = _expect_str(top["notes"], "notes")
+        notes = _expect(top["notes"], str, "notes")
     expected = None
     if "expected" in top:
         expected = _parse_expected(top["expected"])
@@ -325,31 +304,25 @@ def parse_model(document: str | Mapping) -> FiberModel:
 def _parse_hypotheses(raw: object) -> Hypotheses:
     if raw is None:
         return Hypotheses()
-    obj = _expect_object(raw, "hypotheses")
-    _check_keys(obj, "hypotheses", (), ("reduced_components_smooth", "pic_unramified_descent"))
-    return Hypotheses(
-        reduced_components_smooth=_expect_bool(
-            obj.get("reduced_components_smooth", False), "hypotheses.reduced_components_smooth"
-        ),
-        pic_unramified_descent=_expect_bool(
-            obj.get("pic_unramified_descent", False), "hypotheses.pic_unramified_descent"
-        ),
-    )
+    obj = _expect(raw, dict, "hypotheses")
+    keys = ("reduced_components_smooth", "pic_unramified_descent")
+    _check_keys(obj, "hypotheses", (), keys)
+    return Hypotheses(*(_expect(obj.get(k, False), bool, f"hypotheses.{k}") for k in keys))
 
 
 def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
-    arr = _expect_array(raw, "orbits")
+    arr = _expect(raw, list, "orbits")
     if not arr:
         raise SchemaError("orbits: the orbit list must not be empty")
     specs: list[ComponentOrbit] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
         where = f"orbits[{idx}]"
-        obj = _expect_object(item, where)
+        obj = _expect(item, dict, where)
         _check_keys(obj, where, ("name", "multiplicity", "size"))
-        oname = _expect_str(obj["name"], f"{where}.name")
-        mult = _expect_int(obj["multiplicity"], f"{where}.multiplicity")
-        size = _expect_int(obj["size"], f"{where}.size")
+        oname = _expect(obj["name"], str, f"{where}.name")
+        mult = _expect(obj["multiplicity"], int, f"{where}.multiplicity")
+        size = _expect(obj["size"], int, f"{where}.size")
         if oname in seen:
             raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
         seen.add(oname)
@@ -361,22 +334,22 @@ def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
 
 
 def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGenerator, ...]:
-    arr = _expect_array(raw, "generators")
+    arr = _expect(raw, list, "generators")
     known = set(orbit_names)
     generators: list[PicGenerator] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
         where = f"generators[{idx}]"
-        obj = _expect_object(item, where)
+        obj = _expect(item, dict, where)
         _check_keys(obj, where, ("name", "host"), ("degrees",))
-        gname = _expect_str(obj["name"], f"{where}.name")
-        host = _expect_str(obj["host"], f"{where}.host")
+        gname = _expect(obj["name"], str, f"{where}.name")
+        host = _expect(obj["host"], str, f"{where}.host")
         if gname in seen:
             raise SchemaError(f"{where}: duplicate generator name {gname!r}")
         seen.add(gname)
         if host not in known:
             raise SchemaError(f"{where}: host references unknown orbit {host!r}")
-        degrees_raw = _expect_object(obj.get("degrees", {}), f"{where}.degrees")
+        degrees_raw = _expect(obj.get("degrees", {}), dict, f"{where}.degrees")
         for key in degrees_raw:
             if key not in known:
                 raise SchemaError(f"{where}.degrees: unknown orbit {key!r}")
@@ -384,7 +357,7 @@ def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGener
         for oname, value in degrees.items():
             # Spell the label only for a value that is not a plain int.
             if type(value) is not int:
-                _expect_int(value, f"{where}.degrees.{oname}")
+                _expect(value, int, f"{where}.degrees.{oname}")
         generators.append(PicGenerator(name=gname, host=host, degrees=degrees))
     return tuple(generators)
 
@@ -394,24 +367,24 @@ def _parse_geometric(
     declared_orbits: Sequence[ComponentOrbit],
     generator_names: Sequence[str],
 ) -> GeometricSection:
-    obj = _expect_object(raw, "geometric")
+    obj = _expect(raw, dict, "geometric")
     _check_keys(obj, "geometric", ("components", "frobenius", "orbit_of"), ("degrees",))
 
     components = [
-        _expect_str(x, f"geometric.components[{i}]")
-        for i, x in enumerate(_expect_array(obj["components"], "geometric.components"))
+        _expect(x, str, f"geometric.components[{i}]")
+        for i, x in enumerate(_expect(obj["components"], list, "geometric.components"))
     ]
     images = [
-        _expect_str(x, f"geometric.frobenius[{i}]")
-        for i, x in enumerate(_expect_array(obj["frobenius"], "geometric.frobenius"))
+        _expect(x, str, f"geometric.frobenius[{i}]")
+        for i, x in enumerate(_expect(obj["frobenius"], list, "geometric.frobenius"))
     ]
     try:
-        action = PermutationAction(tuple(components), tuple(images))
+        cycles = orbits(components, images)
     except ValueError as e:
         raise SchemaError(f"geometric: {e}") from None
 
     known = set(components)
-    orbit_of_raw = _expect_object(obj["orbit_of"], "geometric.orbit_of")
+    orbit_of_raw = _expect(obj["orbit_of"], dict, "geometric.orbit_of")
     declared = {o.name: o.size for o in declared_orbits}
     orbit_of: dict[str, str] = {}
     for comp in components:
@@ -420,15 +393,15 @@ def _parse_geometric(
     for comp, oname in orbit_of_raw.items():
         if comp not in known:
             raise SchemaError(f"geometric.orbit_of: unknown component {comp!r}")
-        oname = _expect_str(oname, f"geometric.orbit_of.{comp}")
+        oname = _expect(oname, str, f"geometric.orbit_of.{comp}")
         if oname not in declared:
             raise SchemaError(f"geometric.orbit_of: unknown orbit {oname!r}")
         orbit_of[comp] = oname
 
-    # The cycle decomposition of the action must reproduce the declared
+    # The cycle decomposition of Frobenius must reproduce the declared
     # orbit partition exactly (one cycle per orbit, of the declared size).
     members: dict[str, tuple[str, ...]] = {}
-    for cycle in orbits(action):
+    for cycle in cycles:
         targets = {orbit_of[c] for c in cycle}
         if len(targets) != 1:
             raise SchemaError(
@@ -447,34 +420,34 @@ def _parse_geometric(
     if missing:
         raise SchemaError(f"geometric: no cycle realizes orbits {', '.join(missing)}")
 
-    degrees_raw = _expect_object(obj.get("degrees", {}), "geometric.degrees")
+    degrees_raw = _expect(obj.get("degrees", {}), dict, "geometric.degrees")
     degrees: dict[str, dict[str, int]] = {}
     for gname, comp_map_raw in degrees_raw.items():
         if gname not in generator_names:
             raise SchemaError(f"geometric.degrees: unknown generator {gname!r}")
-        comp_map = _expect_object(comp_map_raw, f"geometric.degrees.{gname}")
+        comp_map = _expect(comp_map_raw, dict, f"geometric.degrees.{gname}")
         for comp in comp_map:
             if comp not in known:
                 raise SchemaError(f"geometric.degrees.{gname}: unknown component {comp!r}")
         degrees[gname] = {
-            comp: _expect_int(comp_map.get(comp, 0), f"geometric.degrees.{gname}.{comp}")
+            comp: _expect(comp_map.get(comp, 0), int, f"geometric.degrees.{gname}.{comp}")
             for comp in components
         }
 
-    return GeometricSection(action=action, members=members, degrees=degrees)
+    return GeometricSection(members=members, degrees=degrees)
 
 
 def _parse_expected(raw: object) -> ExpectedResult:
-    obj = _expect_object(raw, "expected")
+    obj = _expect(raw, dict, "expected")
     _check_keys(obj, "expected", ("b0_rank", "b0_torsion", "source"))
     torsion = tuple(
-        _expect_int(x, f"expected.b0_torsion[{i}]")
-        for i, x in enumerate(_expect_array(obj["b0_torsion"], "expected.b0_torsion"))
+        _expect(x, int, f"expected.b0_torsion[{i}]")
+        for i, x in enumerate(_expect(obj["b0_torsion"], list, "expected.b0_torsion"))
     )
     return ExpectedResult(
-        b0_rank=_expect_int(obj["b0_rank"], "expected.b0_rank"),
+        b0_rank=_expect(obj["b0_rank"], int, "expected.b0_rank"),
         b0_torsion=torsion,
-        source=_expect_str(obj["source"], "expected.source"),
+        source=_expect(obj["source"], str, "expected.source"),
     )
 
 

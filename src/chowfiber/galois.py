@@ -4,7 +4,8 @@ Over the maximal unramified extension the special fiber breaks into
 geometric components; the residual Galois group is topologically
 generated by Frobenius, and since the component set is finite the whole
 action is a single permutation.  Its orbits are the components defined
-over the base residue field.
+over the base residue field, and they are all the package keeps of it:
+:func:`orbits` checks an image list and cuts it into cycles.
 
 A homomorphism from the free module on the geometric components to Z is
 Galois-equivariant exactly when it is constant on orbits, so the
@@ -23,51 +24,37 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from math import gcd
+from operator import index
 
 from ._value import Value
 from .exact_linalg import IntMatrix, int_text, integer_kernel
 
 
-class PermutationAction(Value):
-    """A finite set with a single permutation acting on it.
+def orbits(ground_set: Sequence[str], frobenius: Sequence[str]) -> list[list[str]]:
+    """Check that ``frobenius`` permutes ``ground_set`` and cut it into cycles.
 
     ``ground_set`` lists distinct component identifiers; ``frobenius``
-    is the image list, aligned index by index.
-    """
-
-    __slots__ = ("ground_set", "frobenius")
-    ground_set: tuple[str, ...]
-    frobenius: tuple[str, ...]
-
-    def __init__(self, ground_set: Iterable[str], frobenius: Iterable[str]) -> None:
-        ground_set = tuple(ground_set)
-        frobenius = tuple(frobenius)
-        if not ground_set:
-            raise ValueError("ground set must be non-empty")
-        if len(set(ground_set)) != len(ground_set):
-            raise ValueError("ground set identifiers must be distinct")
-        if len(frobenius) != len(ground_set):
-            raise ValueError("frobenius image list must match the ground set length")
-        if set(frobenius) != set(ground_set):
-            raise ValueError("frobenius must be a bijection of the ground set")
-        object.__setattr__(self, "ground_set", ground_set)
-        object.__setattr__(self, "frobenius", frobenius)
-
-    def image_of(self, element: str) -> str:
-        return self.frobenius[self.ground_set.index(element)]
-
-
-def orbits(action: PermutationAction) -> list[list[str]]:
-    """Partition the ground set into Frobenius cycles.
+    is the image list, aligned index by index.  :class:`ValueError` is
+    raised, in this order, for an empty ground set, a repeated
+    identifier, an image list of another length, and an image list that
+    is not a bijection of the ground set.
 
     Orbits appear in order of first appearance in the ground set, and
     each orbit is listed in cycle order starting from its first element;
     the output is therefore deterministic.
     """
-    image = dict(zip(action.ground_set, action.frobenius))
+    if not ground_set:
+        raise ValueError("ground set must be non-empty")
+    if len(set(ground_set)) != len(ground_set):
+        raise ValueError("ground set identifiers must be distinct")
+    if len(frobenius) != len(ground_set):
+        raise ValueError("frobenius image list must match the ground set length")
+    if set(frobenius) != set(ground_set):
+        raise ValueError("frobenius must be a bijection of the ground set")
+    image = dict(zip(ground_set, frobenius))
     seen: set[str] = set()
     result: list[list[str]] = []
-    for start in action.ground_set:
+    for start in ground_set:
         if start in seen:
             continue
         cycle = [start]
@@ -95,6 +82,7 @@ class ComponentOrbit(Value):
     multiplicity: int
 
     def __init__(self, name: str, size: int, multiplicity: int) -> None:
+        size, multiplicity = index(size), index(multiplicity)
         if multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {int_text(multiplicity)}")
         if size < 1:
@@ -111,17 +99,10 @@ class WeightVector(Value):
     weights: tuple[int, ...]
 
     def __init__(self, weights: Iterable[int]) -> None:
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(index, weights))
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def total(self) -> int:
-        """Total multiplicity of the fiber: the sum over geometric components."""
-        return sum(self.weights)
 
     def image_index(self) -> int:
         """The positive generator of the subgroup of Z the weights generate."""
@@ -138,6 +119,6 @@ def hom_T_basis(w: WeightVector) -> IntMatrix:
 
     Returns a matrix with one row per orbit whose columns span
     ``{h : sum_Y w_Y h_Y == 0}``.  Weights are positive, so there are
-    exactly ``len(w) - 1`` columns.
+    exactly ``len(w.weights) - 1`` columns.
     """
     return integer_kernel(IntMatrix.from_rows([w.weights]))

@@ -216,7 +216,7 @@ def test_criterion_6_transcribed_table_handling():
 def test_criterion_7_weight_arithmetic():
     with criterion(7, "weights of the seven-component fixture are (2,2,1,1,2,2,4)"):
         m = _fixture_model("example31")
-        assert m.orbit_names() == ("A", "B", "C", "D", "R", "S", "M")
+        assert tuple(o.name for o in m.orbits) == ("A", "B", "C", "D", "R", "S", "M")
         assert xi_weights(m.orbits).weights == (2, 2, 1, 1, 2, 2, 4)
 
 

@@ -1,9 +1,12 @@
-"""The traced benchmark run looks up every span target by name.
+"""The benchmark still runs against the library it measures.
 
 ``bench/tracing.py`` wraps each ``(module, function)`` in ``TARGETS``
 with ``getattr(chowfiber.<module>, function)``, so renaming or deleting
-one of them would crash ``bench/run.py --trace 1``.  This test reads the
-list (without writing bytecode next to it) and resolves every entry.
+one of them would crash ``bench/run.py --trace 1``.  ``bench/workloads.py``
+builds its inputs with library calls and checks every op.  These tests
+load both files (without writing bytecode next to them), resolve every
+trace target, and run a slice of each gated workload and of
+``wide-fiber``, whose geometric documents go through ``galois.orbits``.
 """
 
 import importlib
@@ -11,20 +14,40 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_target_resolves(monkeypatch):
-    targets = _load_tracing(monkeypatch).TARGETS
+    targets = _load(monkeypatch, "tracing").TARGETS
     assert targets
     for module_name, function_name in targets:
         module = importlib.import_module(f"chowfiber.{module_name}")
         assert callable(getattr(module, function_name, None)), (module_name, function_name)
+
+
+def test_workload_generators_run_and_their_checks_pass(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    for workload, count in (("report-scale", 10), ("wide-fiber", 24)):
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        cases = workloads.make_cases(workload, 7, workdir)[:count]
+        assert len(cases) == count
+        for case in cases:
+            assert workloads.check_case(case, workloads.run_case(case)) is None, case.key
+    workdir = tmp_path / "cli-fixtures"
+    workdir.mkdir()
+    commands = workloads.make_commands(7, workdir)
+    assert len(commands) == 24
+    for command in commands:
+        outcome = workloads.run_command_in_process(command)
+        assert workloads.check_command(command, outcome) is None, command.key

@@ -72,7 +72,7 @@ class TestIntMatrix:
         a = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)])
         assert a.shape == (2, 3)
         assert a.column(1) == (3, 4)
-        assert a.transpose().row(1) == (3, 4)
+        assert a.transpose().rows[1] == (3, 4)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

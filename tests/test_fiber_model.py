@@ -48,7 +48,7 @@ class TestParse:
         m = _fixture_model("example31")
         assert len(m.orbits) == 7
         assert len(m.generators) == 10
-        assert m.orbit_names() == ("A", "B", "C", "D", "R", "S", "M")
+        assert tuple(o.name for o in m.orbits) == ("A", "B", "C", "D", "R", "S", "M")
 
     def test_absent_degrees_become_zero(self):
         m = _fixture_model("example31")
@@ -201,6 +201,30 @@ class TestSchemaErrors:
         }
         with pytest.raises(SchemaError, match="bijection"):
             parse_model(bad)
+
+    @pytest.mark.parametrize(
+        "components, frobenius, message",
+        [
+            ([], [], "ground set must be non-empty"),
+            (["Y1", "Y1"], ["Y1", "Y1"], "ground set identifiers must be distinct"),
+            (["Y1", "Y2"], ["Y2"], "frobenius image list must match the ground set length"),
+            (["Y1", "Y2"], ["Y1", "Y3"], "frobenius must be a bijection of the ground set"),
+        ],
+        ids=["empty", "duplicate", "length", "bijection"],
+    )
+    def test_geometric_permutation_messages(self, components, frobenius, message):
+        bad = {
+            "name": "x",
+            "orbits": [{"name": "Y", "multiplicity": 1, "size": 2}],
+            "geometric": {
+                "components": components,
+                "frobenius": frobenius,
+                "orbit_of": {"Y1": "Y", "Y2": "Y"},
+            },
+        }
+        with pytest.raises(SchemaError) as info:
+            parse_model(bad)
+        assert str(info.value) == f"geometric: {message}"
 
 
 class TestSpecializationMatrix:
