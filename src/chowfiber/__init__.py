@@ -9,8 +9,8 @@ induced degree character, its kernel B(X)_0, and the index.
 Layers, bottom up:
 
 * :mod:`chowfiber.exact_linalg` — exact integer matrices, the Smith
-  normal form with its transforms, invariant factors modulo a nonzero
-  minor, kernels, cokernels, and the minor-enumeration oracle;
+  normal form with its transforms, invariant factors from local Smith
+  forms, kernels, cokernels, and the minor-enumeration oracle;
 * :mod:`chowfiber.galois` — Frobenius orbits of fiber components and
   the weight vector of the fiber-class pairing;
 * :mod:`chowfiber.fiber_model` — the JSON input schema, normalization,
@@ -34,8 +34,8 @@ from .exact_linalg import (
     format_matrix_text,
     integer_kernel,
     invariant_factors_from_divisors,
-    invariant_factors_mod_minor,
     kernel_coordinates,
+    local_invariant_factors,
     parse_matrix_text,
     snf,
     solve_in_lattice,
@@ -102,8 +102,8 @@ __all__ = [
     "hom_T_basis",
     "integer_kernel",
     "invariant_factors_from_divisors",
-    "invariant_factors_mod_minor",
     "kernel_coordinates",
+    "local_invariant_factors",
     "orbits",
     "parse_matrix_text",
     "parse_model",

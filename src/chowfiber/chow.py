@@ -26,19 +26,20 @@ the kernel of one integer row, then take the quotient.
 with one Smith decomposition of the row.  The kernel route takes its
 quotient with a verified Smith decomposition; the quotient route reads
 only the group, so it takes its invariant factors from
-:func:`~chowfiber.exact_linalg.invariant_factors_mod_minor`, which works
-modulo a nonzero minor and keeps no transforms.  A strict report thus
-makes four Smith decompositions (the degree matrix, the row of each
-route and the kernel route's quotient) and one modular reduction, and
-the two routes share no elimination code.  The decomposition of the
-degree matrix feeds B(X), the induced character and the kernel route;
-the quotient route never reads it.
+:func:`~chowfiber.exact_linalg.local_invariant_factors`, which works one
+prime of a gcd of minors at a time and keeps no transforms.  A strict
+report thus makes four Smith decompositions (the degree matrix, the row
+of each route and the kernel route's quotient) and one call of the
+local route, and the two routes share no elimination code.  The
+decomposition of the degree matrix feeds B(X), the induced character
+and the kernel route; the quotient route never reads it.
 
 The two answers agree as abstract groups whenever the input satisfies
 the validation laws; the pipeline asserts this agreement, which is the
 strongest cheap self-check available, and refuses to hand out a report
-that fails it.  A wrong modular answer therefore never leaves
-:func:`report`: the verified kernel route derives the same group again.
+that fails it.  A wrong answer of the local route therefore never
+leaves :func:`report`: the verified kernel route derives the same group
+again.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -55,8 +56,8 @@ from .exact_linalg import (
     SelfCheckError,
     SmithDecomposition,
     cokernel,
-    invariant_factors_mod_minor,
     kernel_coordinates,
+    local_invariant_factors,
     snf,
 )
 from .fiber_model import (
@@ -196,7 +197,7 @@ def compute_b0(
     # its group is read, so no transforms are built for it.
     coords = kernel_coordinates(weights.weights, degrees)
     route_quotient = FGAbelianGroup.quotient(
-        coords.row_count, invariant_factors_mod_minor(coords)
+        coords.row_count, local_invariant_factors(coords)
     )
 
     # Kernel route: in the canonical coordinates the relation lattice is

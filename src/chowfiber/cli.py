@@ -41,7 +41,7 @@ from .exact_linalg import (
     SelfCheckError,
     determinantal_divisors,
     invariant_factors_from_divisors,
-    invariant_factors_mod_minor,
+    local_invariant_factors,
     parse_matrix_text,
     snf,
 )
@@ -133,9 +133,9 @@ def cmd_snf(matrix: IntMatrix, flags: set[str]) -> int:
             expected = invariant_factors_from_divisors(determinantal_divisors(matrix))
             route, passed = "oracle", "check: ok"
         except OracleSizeLimitError:
-            expected = list(invariant_factors_mod_minor(matrix))
-            route = "modular route"
-            passed = "check: ok (modular route past the oracle size limit)"
+            expected = list(local_invariant_factors(matrix))
+            route = "local route"
+            passed = "check: ok (local route past the oracle size limit)"
         if list(factors) != expected:
             print(
                 f"check failed: reduction gives {list(factors)}, {route} gives {expected}",
@@ -257,7 +257,7 @@ USAGE = """\
 usage: chowfiber validate <model.json>            # diagnostics, one per line
        chowfiber compute  <model.json> [--strict|--permissive] [--json]
        chowfiber snf      <matrix.txt> [--check]  # invariant factors (+ oracle check, or
-                                                  # the modular route past 8 rows and columns)
+                                                  # the local route past 8 rows and columns)
        chowfiber oracle   <matrix.txt>            # determinantal divisors
        chowfiber -h|--help                        # this text
 """

@@ -21,11 +21,13 @@ Three deliberately different routes to the invariant factors coexist:
 * ``snf`` diagonalizes by unimodular row and column operations and
   returns the transforms with the diagonal.  It is the only route for
   anything that reads a transform, and its output is proved (below);
-* ``invariant_factors_mod_minor`` works modulo a nonzero minor and
-  keeps no transforms, so its entries stay below that minor.  It is
-  trusted for the factors alone, where a verified ``snf`` also derives
-  them: the quotient route of B(X)_0 against the kernel route, and
-  ``chowfiber snf --check`` past the oracle's size limit;
+* ``local_invariant_factors`` builds the Smith form one prime at a
+  time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
+  two nonzero maximal minors, and keeps no transforms.  When that gcd
+  is 1 it eliminates nothing.  It is trusted for the factors alone,
+  where a verified ``snf`` also derives them: the quotient route of
+  B(X)_0 against the kernel route, and ``chowfiber snf --check`` past
+  the oracle's size limit;
 * ``determinantal_divisors`` enumerates all k-by-k minors and takes
   gcds.  It is exponential and size-capped, but it shares no code with
   the reduction, which makes it a trustworthy independent oracle:
@@ -33,7 +35,7 @@ Three deliberately different routes to the invariant factors coexist:
 
 One fraction-free (Bareiss) elimination, ``_rank_and_minor``, serves
 ``determinant``, the ``det v = ±1`` law below, the oracle's minors and
-the modular route's minor.  It is part of neither reduction, and a test
+the local route's two minors.  It is part of no reduction, and a test
 against cofactor expansion is its reference.
 
 ``snf`` always re-verifies its own output and raises
@@ -122,7 +124,8 @@ class IntMatrix(Value):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        """Check the shape only; ``from_rows`` and ``from_columns`` convert entries to ints."""
+        """Coerce every entry with ``operator.index``, then check the shape."""
+        rows = tuple(tuple(map(index, row)) for row in rows)
         self._set_fields(row_count, col_count, rows)
         for row in rows:
             if len(row) != col_count:
@@ -141,12 +144,12 @@ class IntMatrix(Value):
 
     @classmethod
     def _trusted(cls, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
-        """The constructor without its per-row length check.
+        """The constructor without its entry coercion and per-row length check.
 
         Only for rows of ``col_count`` ints that the caller built itself
-        (``snf``, products, transposes, ``identity``, ``zeros`` and
-        ``kernel_coordinates``); input from anywhere else goes through
-        the checked constructor.
+        (``snf``, products, transposes, ``identity``, ``zeros``,
+        ``kernel_coordinates`` and ``local_invariant_factors``); input
+        from anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
         m._set_fields(row_count, col_count, rows)
@@ -159,7 +162,7 @@ class IntMatrix(Value):
         ``col_count`` is only needed when ``rows`` is empty, in which
         case the result is a 0-by-``col_count`` matrix.
         """
-        data = tuple(tuple(map(index, row)) for row in rows)
+        data = tuple(map(tuple, rows))
         if data:
             width = len(data[0])
             if col_count is not None and col_count != width:
@@ -172,7 +175,7 @@ class IntMatrix(Value):
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[int]], row_count: int | None = None) -> IntMatrix:
         """Build a matrix whose columns are the given vectors."""
-        cols = [tuple(map(index, c)) for c in columns]
+        cols = [tuple(c) for c in columns]
         if cols:
             height = len(cols[0])
             if any(len(c) != height for c in cols):
@@ -522,78 +525,128 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
 
 
 # ----------------------------------------------------------------------
-# invariant factors modulo a minor
+# local Smith forms
 # ----------------------------------------------------------------------
 
+#: Trial division of the minor gcd stops past this divisor; a cofactor
+#: left over is treated as a prime until a gcd shows it composite.
+_TRIAL_DIVISION_BOUND = 1000
 
-def invariant_factors_mod_minor(a: IntMatrix) -> tuple[int, ...]:
+
+class _Composite(Exception):
+    """Carries a proper divisor of a modulus that was treated as a prime."""
+
+
+def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of ``a``, 1s included, built without transforms.
 
-    Returns what ``snf(a).nonzero_diagonal()`` returns, by the
-    determinant-modulus reduction (Domich, Kannan & Trotter 1987; Cohen,
-    GTM 138, §2.4).  With ``r`` the rank and ``d`` the absolute value of
-    a nonzero r-by-r minor from :func:`_rank_and_minor`, the invariant
-    factors ``s_1 | … | s_r`` of ``a`` multiply to ``d_r(a)``, which
-    divides ``d``.  Adding ``d`` times a unit vector is a column
-    operation on ``[a | d·I]``, and row operations leave the columns of
-    ``d·I`` spanning ``d·Z^m``, so the elimination below may reduce every
-    entry modulo ``d`` to absolute value at most d/2 and still present
-    the group of ``[a | d·I]``:
-    invariant factors ``s_1 … s_r`` followed by ``d`` for each of the
-    other ``m − r`` rows.
+    Returns what ``snf(a).nonzero_diagonal()`` returns, one prime at a
+    time (local Smith forms, Saunders & Wan, ISSAC 2004).  With ``r``
+    the rank, the factors ``s_1 | … | s_r`` multiply to ``d_r(a)``, the
+    gcd of all r-by-r minors, so they divide the gcd ``g`` of the two
+    nonzero minors :func:`_rank_and_minor` finds on ``a`` and on ``a``
+    with its columns reversed.  When ``g`` is 1 every factor is 1.
+    Otherwise, for each ``p^e ∥ g``, no factor holds ``p`` more than
+    ``e`` times, so the Smith form of ``a`` over ``Z/p^(e+1)`` has
+    ``r`` nonzero pivots whose valuations are those of the factors at
+    ``p`` (:func:`_local_valuations`).
 
-    The elimination picks the smallest entry of the remaining submatrix
-    as pivot and clears its row and column by floor quotients until no
-    remainder is left, as :func:`snf` does, but keeps no transforms.
-    Each diagonal entry ``e`` stands for ``Z/gcd(e, d)``, a divisor of
-    ``d``; gcd/lcm swaps put these in a divisibility chain, and the
-    first ``r`` entries of the chain, padded by 1s in front and by ``d``
-    behind to ``m`` entries, are the factors.  Their product must divide
-    ``d``, or :class:`SelfCheckError` is raised.
+    ``g`` is factored by trial division up to a fixed bound, and a
+    cofactor left over is treated as a prime (the D5 principle of Della
+    Dora, Dicrescenzo & Duval, EUROCAL 1985): the elimination inverts
+    only entries it finds prime to the modulus, and one that shares a
+    proper factor with it splits the modulus, after which every prime
+    is worked again on the finer factors.  The product of the factors
+    must divide ``g``, or :class:`SelfCheckError` is raised.
     """
     r, minor = _rank_and_minor(a)
     if r == 0:
         return ()
-    d = abs(minor)
-    half = d // 2
-    w = [[(e + half) % d - half for e in row] for row in a.rows]
-    diagonal: list[int] = []
-    while w and w[0]:
-        best = min(filter(None, itertools.chain.from_iterable(w)), key=abs, default=0)
-        if not best:
-            break  # the rest of the matrix is zero modulo d
-        i = next(i for i, row in enumerate(w) if best in row)
-        w[0], w[i] = w[i], w[0]
-        j = w[0].index(best)
-        for row in w:
-            row[0], row[j] = row[j], row[0]
-        pivot_row = w[0]
-        for k in range(1, len(w)):
-            if f := w[k][0] // best:
-                w[k] = [(e - f * q + half) % d - half for e, q in zip(w[k], pivot_row)]
-        # Every column operation scales column 0, which only the pivot
-        # row and rows left with a remainder hold.
-        quotients = [0] + [e // best for e in pivot_row[1:]]
-        for row in w:
-            if c := row[0]:
-                row[:] = [(e - f * c + half) % d - half for e, f in zip(row, quotients)]
-        if any(row[0] for row in w[1:]) or any(pivot_row[1:]):
-            continue
-        diagonal.append(gcd(best, d))
-        w = [row[1:] for row in w[1:]]
-
-    torsion = [e for e in diagonal if e != 1]
-    for i in range(len(torsion)):
-        for j in range(i + 1, len(torsion)):
-            g = gcd(torsion[i], torsion[j])
-            torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
-    chain = [1] * (len(diagonal) - len(torsion)) + torsion + [d] * (a.row_count - len(diagonal))
-    factors = tuple(chain[:r])
-    if d % prod(factors):
+    g = abs(minor)
+    if g != 1:
+        mirrored = IntMatrix._trusted(a.row_count, a.col_count, tuple(row[::-1] for row in a.rows))
+        g = gcd(g, _rank_and_minor(mirrored)[1])
+    primes, rest = [], g
+    for p in range(2, _TRIAL_DIVISION_BOUND + 1):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        primes.append(rest)
+    while True:
+        factors = [1] * r
+        try:
+            for p in primes:
+                e, rest = 0, g
+                while rest % p == 0:
+                    e, rest = e + 1, rest // p
+                for i, v in enumerate(_local_valuations(a, p, e + 1, r)):
+                    factors[i] *= p**v
+            break
+        except _Composite as split:
+            primes = _coprime_base(primes + [split.args[0]])
+    if g % prod(factors):
         raise SelfCheckError(
-            f"invariant factors modulo {int_text(d)} do not divide that nonzero minor"
+            f"local invariant factors {factors} do not divide the minor gcd {int_text(g)}"
         )
-    return factors
+    return tuple(factors)
+
+
+def _local_valuations(a: IntMatrix, p: int, k: int, r: int) -> list[int]:
+    """Valuations at ``p`` of the first ``r`` pivots of the Smith form of ``a`` modulo ``p**k``.
+
+    Entries are kept as residues modulo ``q = p**(k - shift)``, where
+    ``shift`` counts the times every remaining entry was divisible by
+    ``p`` and was divided by it.  The pivot is an entry prime to ``p``,
+    of valuation ``shift`` in ``a``'s terms, which no other remaining
+    entry undercuts.  Its row is dropped and its inverse modulo ``q``
+    clears its column, which stays zero from then on.  Pivots that
+    vanish modulo ``p**k`` read as valuation ``k``.  Raises
+    :class:`_Composite` when an entry not divisible by ``p`` still
+    shares a factor with it.
+    """
+    q = p**k
+    w = [[e % q for e in row] for row in a.rows]
+    valuations: list[int] = []
+    shift = 0
+    while len(valuations) < r:
+        pos = next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e % p), None)
+        if pos is None:
+            if not any(map(any, w)):
+                return valuations + [k] * (r - len(valuations))
+            w = [[e // p for e in row] for row in w]
+            q //= p
+            shift += 1
+            continue
+        i, j = pos
+        pivot_row = w.pop(i)
+        if (f := gcd(pivot_row[j], p)) != 1:
+            raise _Composite(f)
+        inverse = pow(pivot_row[j], -1, q)
+        for row in w:
+            if c := row[j] * inverse % q:
+                row[:] = [(e - c * t) % q for e, t in zip(row, pivot_row)]
+        valuations.append(shift)
+    return valuations
+
+
+def _coprime_base(numbers: list[int]) -> list[int]:
+    """Pairwise coprime numbers above 1 whose powers multiply to each of ``numbers``."""
+    base: list[int] = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        x = todo.pop()
+        for i, y in enumerate(base):
+            if (f := gcd(x, y)) > 1:
+                del base[i]
+                todo += [n for n in (f, x // f, y // f) if n > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 # ----------------------------------------------------------------------

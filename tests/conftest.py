@@ -1,4 +1,34 @@
+from chowfiber.exact_linalg import IntMatrix
 from chowfiber.galois import WeightVector, hom_T_basis
+
+
+def unimodular_product(rng, rows, cols, diagonal):
+    """``u @ diag(diagonal) @ v`` for seeded random unimodular ``u`` and ``v``.
+
+    ``diag(diagonal)`` is rows-by-cols with ``diagonal`` (at most
+    min(rows, cols) entries) leading its diagonal and zeros elsewhere.
+    ``u`` and ``v`` are products of elementary operations, each adding
+    ±1 or ±2 times one line to another or swapping two lines, applied to
+    the matrix directly.  The invariant factors of the product are those
+    of ``diag(diagonal)``: ``diagonal`` itself, with its zeros dropped,
+    when it is a divisibility chain.
+    """
+    a = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diagonal):
+        a[i][i] = d
+    for _ in range(4 * (rows + cols)):
+        by_rows = rng.random() < 0.5
+        count = rows if by_rows else cols
+        if count < 2:
+            continue
+        i, j = rng.sample(range(count), 2)
+        swap, f = rng.random() < 0.2, rng.choice((-2, -1, 1, 2))
+        if by_rows:
+            a[i], a[j] = (a[j], a[i]) if swap else (a[i], [p + f * q for p, q in zip(a[j], a[i])])
+        else:
+            for r in a:
+                r[i], r[j] = (r[j], r[i]) if swap else (r[i], r[j] + f * r[i])
+    return IntMatrix.from_rows(a, col_count=cols)
 
 
 def random_valid_model_document(

@@ -25,6 +25,7 @@ from chowfiber import (
 
 def test_export_list_is_sorted_unique_and_resolves():
     names = chowfiber.__all__
+    assert len(names) == 40
     assert list(names) == sorted(set(names))
     for name in names:
         assert hasattr(chowfiber, name), name
@@ -163,6 +164,7 @@ def test_model_default_hypotheses_is_one_shared_value():
         pytest.param(lambda: FGAbelianGroup(0, [2.5]), id="group-factor"),
         pytest.param(lambda: FGAbelianGroup(1.5), id="group-rank"),
         pytest.param(lambda: WeightVector((1.5, 2)), id="weights"),
+        pytest.param(lambda: IntMatrix(1, 1, ((2.5,),)), id="matrix"),
         pytest.param(lambda: IntMatrix.from_rows([[1.5]]), id="from-rows"),
         pytest.param(lambda: IntMatrix.from_rows([["3"]]), id="from-rows-text"),
         pytest.param(lambda: IntMatrix.from_columns([[2.7, 1]]), id="from-columns"),
@@ -177,6 +179,12 @@ def test_model_default_hypotheses_is_one_shared_value():
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_matrix_entries_are_plain_ints():
+    a = IntMatrix(2, 2, ((True, 2), (3, 4)))
+    assert [type(e) for row in a.rows for e in row] == [int] * 4
+    assert type(chowfiber.snf(a).s.rows[0][0]) is int
 
 
 def test_group_equality_decides_isomorphism():

@@ -307,12 +307,12 @@ class TestReport:
 
     def test_one_pass(self, monkeypatch):
         # One validation, one degree matrix, four Smith decompositions and
-        # one modular reduction, however many orbits the model has: the
-        # degree matrix, the kernel row of each B(X)_0 route and the
-        # kernel route's quotient are decomposed; the quotient route's
-        # quotient is reduced modulo a minor.
+        # one local route, however many orbits the model has: the degree
+        # matrix, the kernel row of each B(X)_0 route and the kernel
+        # route's quotient are decomposed; the quotient route's quotient
+        # is read off local Smith forms.
         snf_calls = []
-        modular_calls = []
+        local_calls = []
         for orbit_count in (3, 9):
             rng = random.Random(2003 + orbit_count)
             m = _model(
@@ -324,7 +324,7 @@ class TestReport:
                 calls = _record_calls(
                     patch,
                     exact_linalg.snf,
-                    exact_linalg.invariant_factors_mod_minor,
+                    exact_linalg.local_invariant_factors,
                     fiber_model.validate,
                     fiber_model.build_specialization_matrix,
                 )
@@ -332,9 +332,9 @@ class TestReport:
             assert len(calls["validate"]) == 1
             assert len(calls["build_specialization_matrix"]) == 1
             snf_calls.append(len(calls["snf"]))
-            modular_calls.append(len(calls["invariant_factors_mod_minor"]))
+            local_calls.append(len(calls["local_invariant_factors"]))
         assert snf_calls == [4, 4]
-        assert modular_calls == [1, 1]
+        assert local_calls == [1, 1]
 
     @pytest.mark.parametrize(
         "fault",
@@ -343,13 +343,13 @@ class TestReport:
             pytest.param(lambda f: f[:-1], id="one-factor-fewer"),
         ],
     )
-    def test_wrong_modular_factors_never_leave_report(self, monkeypatch, fault):
-        # The quotient route takes its factors from the modular reduction
-        # alone; the verified kernel route must catch a wrong answer.
+    def test_wrong_local_factors_never_leave_report(self, monkeypatch, fault):
+        # The quotient route takes its factors from the local route alone;
+        # the verified kernel route must catch a wrong answer.
         from chowfiber import chow
 
-        honest = chow.invariant_factors_mod_minor
-        monkeypatch.setattr(chow, "invariant_factors_mod_minor", lambda a: fault(honest(a)))
+        honest = chow.local_invariant_factors
+        monkeypatch.setattr(chow, "local_invariant_factors", lambda a: fault(honest(a)))
         rng = random.Random(2003)
         m = _model(random_valid_model_document(rng, orbit_count=6, generator_count=8))
         with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import unimodular_product
 
-from chowfiber.exact_linalg import FGAbelianGroup
+from chowfiber.exact_linalg import FGAbelianGroup, format_matrix_text
 from chowfiber.fixtures import fixture_names, fixture_path
 
 
@@ -249,7 +251,7 @@ class TestMatrixCommands:
         r = run_cli("snf", str(path))
         assert r.stdout == "rank 0; invariant factors: (none)\n"
 
-    def test_snf_check_uses_the_modular_route_beyond_oracle_limit(self, tmp_path):
+    def test_snf_check_uses_the_local_route_beyond_oracle_limit(self, tmp_path):
         n = 9
         rows = [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
         path = tmp_path / "big.txt"
@@ -258,7 +260,7 @@ class TestMatrixCommands:
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "rank 9; invariant factors: 1 1 1 1 1 1 1 1 1",
-            "check: ok (modular route past the oracle size limit)",
+            "check: ok (local route past the oracle size limit)",
         ]
 
     def test_snf_check_with_torsion_beyond_oracle_limit(self, tmp_path):
@@ -278,7 +280,22 @@ class TestMatrixCommands:
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "rank 8; invariant factors: 1 1 1 1 1 2 2 6",
-            "check: ok (modular route past the oracle size limit)",
+            "check: ok (local route past the oracle size limit)",
+        ]
+
+    def test_snf_check_with_large_torsion_on_ten_by_ten(self, tmp_path):
+        # diag(1, ..., 1, 4, 12, 12 * (2**61 - 1), 0) mixed by seeded
+        # unimodular operations: the local route factors 2, 3 and a
+        # prime above its trial division bound.
+        q = 2**61 - 1
+        a = unimodular_product(random.Random(10), 10, 10, (1,) * 6 + (4, 12, 12 * q, 0))
+        path = tmp_path / "torsion10.txt"
+        path.write_text(format_matrix_text(a))
+        r = run_cli("snf", str(path), "--check")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            f"rank 9; invariant factors: 1 1 1 1 1 1 4 12 {12 * q}",
+            "check: ok (local route past the oracle size limit)",
         ]
 
     def test_oracle_output(self, matrix_file):
@@ -483,11 +500,11 @@ class TestInternalFailureExitCode:
 
         path = tmp_path / "id9.txt"
         path.write_text(format_matrix_text(IntMatrix.identity(9)))
-        monkeypatch.setattr(cli, "invariant_factors_mod_minor", lambda a: (1,) * 8 + (2,))
+        monkeypatch.setattr(cli, "local_invariant_factors", lambda a: (1,) * 8 + (2,))
         assert cli.main(["snf", str(path), "--check"]) == 3
         assert capsys.readouterr().err == (
             "check failed: reduction gives [1, 1, 1, 1, 1, 1, 1, 1, 1], "
-            "modular route gives [1, 1, 1, 1, 1, 1, 1, 1, 2]\n"
+            "local route gives [1, 1, 1, 1, 1, 1, 1, 1, 2]\n"
         )
 
 

@@ -4,7 +4,7 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from conftest import random_valid_model_document
+from conftest import random_valid_model_document, unimodular_product
 from hypothesis import given
 
 from chowfiber import exact_linalg
@@ -26,8 +26,8 @@ from chowfiber.exact_linalg import (
     int_text,
     integer_kernel,
     invariant_factors_from_divisors,
-    invariant_factors_mod_minor,
     kernel_coordinates,
+    local_invariant_factors,
     parse_matrix_text,
     snf,
     solve_in_lattice,
@@ -297,29 +297,75 @@ class TestDeterminantalDivisors:
 
 
 class TestInvariantFactorsModMinor:
+    # local_invariant_factors: invariant factors modulo the prime powers
+    # of a gcd of minors.
+
     def test_zero_matrix(self):
-        assert invariant_factors_mod_minor(IntMatrix.zeros(3, 4)) == ()
+        assert local_invariant_factors(IntMatrix.zeros(3, 4)) == ()
 
     def test_unimodular_matrix_has_minor_one(self):
         a = IntMatrix.from_rows([[2, 3, 5], [1, 2, 4], [3, 5, 10]])
         assert determinant(a) == 1
         assert exact_linalg._rank_and_minor(a) == (3, 1)
-        assert invariant_factors_mod_minor(a) == (1, 1, 1)
+        assert local_invariant_factors(a) == (1, 1, 1)
 
     def test_tall_column(self):
         a = IntMatrix.from_columns([(4, 6, 10, 0, 14)])
-        assert invariant_factors_mod_minor(a) == (2,)
+        assert local_invariant_factors(a) == (2,)
 
     def test_wide_row(self):
-        assert invariant_factors_mod_minor(IntMatrix.from_rows([[6, 10, 15, 0, 0]])) == (1,)
-        assert invariant_factors_mod_minor(IntMatrix.from_rows([[0, 12, -18]])) == (6,)
+        assert local_invariant_factors(IntMatrix.from_rows([[6, 10, 15, 0, 0]])) == (1,)
+        assert local_invariant_factors(IntMatrix.from_rows([[0, 12, -18]])) == (6,)
 
     def test_a_modulus_that_is_not_a_minor_is_caught(self, monkeypatch):
-        # diag(2, 2) has d_2 = 4; reduced modulo 2 its diagonal vanishes
-        # and reads as (2, 2), whose product does not divide 2.
+        # diag(2, 2) has d_2 = 4; with 2 passed off as both minors the
+        # factors (2, 2) read modulo 2**2 do not divide the minor gcd 2.
         monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: (2, 2))
         with pytest.raises(SelfCheckError, match="do not divide"):
-            invariant_factors_mod_minor(IntMatrix.from_rows([[2, 0], [0, 2]]))
+            local_invariant_factors(IntMatrix.from_rows([[2, 0], [0, 2]]))
+
+    # Mersenne primes above the trial division bound.
+    Q1, Q2 = 2**61 - 1, 2**89 - 1
+
+    @pytest.mark.parametrize(
+        "diagonal, splits",
+        [
+            pytest.param((Q1, Q2), True, id="two-primes"),
+            pytest.param((Q1, Q1 * Q2), True, id="square-in-the-cofactor"),
+            pytest.param((Q1 * Q2,), False, id="composite-never-inverted"),
+            pytest.param((1, 1, Q1, Q2), None, id="two-primes-mixed"),
+            pytest.param((2, 6 * Q1, 6 * Q1 * Q2), None, id="small-and-large-mixed"),
+        ],
+    )
+    def test_a_composite_cofactor_is_split_when_it_must_be(self, monkeypatch, diagonal, splits):
+        # The cofactor left after trial division is a product of primes
+        # above the bound.  It is worked as a prime until an entry shares
+        # a proper factor with it, and the answer is right either way.
+        split_factors = []
+        honest = exact_linalg._coprime_base
+        monkeypatch.setattr(
+            exact_linalg,
+            "_coprime_base",
+            lambda numbers: split_factors.append(numbers[-1]) or honest(numbers),
+        )
+        n = len(diagonal)
+        if splits is None:
+            a = unimodular_product(random.Random(n), n, n, diagonal)
+        else:
+            a = IntMatrix.from_rows(
+                [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
+            )
+        assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
+        if splits is not None:
+            assert bool(split_factors) == splits
+            assert all(self.Q1 * self.Q2 % f == 0 for f in split_factors)
+
+    def test_coprime_base(self):
+        base, q1, q2 = exact_linalg._coprime_base, self.Q1, self.Q2
+        assert base([]) == []
+        assert sorted(base([12, 18])) == [2, 3]
+        assert sorted(base([q1 * q2, q1])) == [q1, q2]
+        assert base([q1**2, q1]) == [q1]
 
     def test_matches_snf_past_the_oracle_limit(self):
         # The degree matrix and the quotient-route matrix of seeded valid
@@ -335,7 +381,17 @@ class TestInvariantFactorsModMinor:
             coords = kernel_coordinates(xi_weights(m.orbits).weights, degrees)
             for a in (degrees, coords):
                 assert min(a.shape) > ORACLE_SIZE_LIMIT
-                assert invariant_factors_mod_minor(a) == snf(a).nonzero_diagonal()
+                assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_matches_a_known_diagonal_past_the_oracle_limit(self, n):
+        # u @ diag(d) @ v with unimodular u and v has the invariant
+        # factors d: torsion from a small prime power to a product of
+        # 10**30 and a prime above the trial division bound, and rank n - 2.
+        chain = (2, 6, 6 * self.Q1, 6 * self.Q1 * 10**30)
+        diagonal = (1,) * (n - 6) + chain + (0, 0)
+        a = unimodular_product(random.Random(n), n, n + 3, diagonal)
+        assert local_invariant_factors(a) == (1,) * (n - 6) + chain
 
 
 class TestCokernel:

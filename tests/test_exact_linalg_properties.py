@@ -1,6 +1,9 @@
 """Property tests for the integer linear algebra invariants."""
 
+import random
+
 import hypothesis.strategies as st
+from conftest import unimodular_product
 from hypothesis import given, settings
 
 from chowfiber.exact_linalg import (
@@ -11,8 +14,8 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
-    invariant_factors_mod_minor,
     kernel_coordinates,
+    local_invariant_factors,
     snf,
     solve_in_lattice,
 )
@@ -64,10 +67,29 @@ def products_with_torsion(max_size=7):
     return st.tuples(sizes, sizes, sizes).flatmap(build)
 
 
+def mixed_diagonals(max_size=7):
+    """``u @ diag(d) @ v`` with seeded unimodular ``u`` and ``v`` (see ``unimodular_product``).
+
+    ``d`` is drawn freely, not as a divisibility chain: zeros make the
+    product rank deficient, 10**30 puts high powers of 2 and 5 into its
+    torsion, and 2**61 - 1 a prime above the trial division bound.
+    """
+
+    def build(shape):
+        m, n = shape
+        entries = st.sampled_from((0, 1, 2, 3, 4, 6, 12, 2**61 - 1, 10**30))
+        return st.tuples(
+            st.integers(0, 2**32), st.lists(entries, max_size=min(m, n))
+        ).map(lambda t: unimodular_product(random.Random(t[0]), m, n, t[1]))
+
+    sizes = st.integers(0, max_size)
+    return st.tuples(sizes, sizes).flatmap(build)
+
+
 @settings(max_examples=300)
-@given(st.one_of(matrices(7, 7, max_entry=10**30), products_with_torsion()))
-def test_modular_route_matches_snf(a):
-    assert invariant_factors_mod_minor(a) == snf(a).nonzero_diagonal()
+@given(st.one_of(matrices(7, 7, max_entry=10**30), products_with_torsion(), mixed_diagonals()))
+def test_local_route_matches_snf(a):
+    assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
 
 
 def with_zero_lines(a):
