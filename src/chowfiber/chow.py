@@ -34,12 +34,13 @@ local route, and the two routes share no elimination code.  The
 decomposition of the degree matrix feeds B(X), the induced character
 and the kernel route; the quotient route never reads it.
 
-The two answers agree as abstract groups whenever the input satisfies
-the validation laws; the pipeline asserts this agreement, which is the
-strongest cheap self-check available, and refuses to hand out a report
-that fails it.  A wrong answer of the local route therefore never
-leaves :func:`report`: the verified kernel route derives the same group
-again.
+Whenever the input satisfies the validation laws, the degree character
+maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith
+diagonal already fixes B(X)_0: one free generator fewer, the same
+torsion.  :func:`report` checks this law once, by asserting that both
+routes give that group, which is the strongest cheap self-check
+available, and refuses to hand out a report that fails it.  A wrong
+answer of either route therefore never leaves :func:`report`.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -188,8 +189,9 @@ def compute_b0(
 
     ``degrees`` is the degree matrix of a validated model and ``dec``
     its Smith decomposition; the kernel route computes the induced
-    character from it with :func:`compute_xi_bar`.  The two groups must
-    agree; :func:`report` checks that they do.
+    character from it with :func:`compute_xi_bar`.  Both groups must be
+    the degree-zero part that B(X) fixes; :func:`report` checks that
+    they are.
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
@@ -236,15 +238,19 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
     else:
         weights = xi_weights(m.orbits)
         index = weights.image_index()
+        # The degree character maps B(X) onto index·Z, so on valid input
+        # B(X) ≅ Z ⊕ B(X)_0: the free rank drops by one, the torsion stays.
+        if b.rank < 1:
+            raise SelfCheckError("validated model produced a torsion-only quotient")
+        b0 = FGAbelianGroup(b.rank - 1, b.invariant_factors)
         route_quotient, route_kernel = compute_b0(weights, degrees, dec)
-        if route_quotient != route_kernel:
+        if not route_quotient == route_kernel == b0:
             raise SelfCheckError(
-                f"the two degree-zero routes disagree: quotient route "
-                f"{route_quotient}, kernel route {route_kernel}"
+                f"the two degree-zero routes disagree with B(X) = {b}, whose "
+                f"degree-zero part is {b0}: quotient route {route_quotient}, "
+                f"kernel route {route_kernel}"
             )
-        b0 = route_quotient
         formal_only = False
-        _check_validated_shape(m, b, b0)
         # The canonical form of the row compute_xi_bar gives.
         r = dec.rank()
         xi_values = (0,) * r + (index,) + (0,) * (len(m.orbits) - r - 1)
@@ -268,22 +274,3 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         notes=m.notes,
         expected=m.expected,
     )
-
-
-def _check_validated_shape(m: FiberModel, b: FGAbelianGroup, b0: FGAbelianGroup) -> None:
-    # On validated input the degree character maps B(X) onto a nonzero
-    # subgroup of Z, so the free rank drops by exactly one in the kernel
-    # and the torsion is untouched.  A single orbit of multiplicity one
-    # forces every column to vanish, so B(X) = Z and B(X)_0 = 0.
-    if b.rank < 1:
-        raise SelfCheckError("validated model produced a torsion-only quotient")
-    if b0.rank != b.rank - 1 or b0.invariant_factors != b.invariant_factors:
-        raise SelfCheckError(
-            f"degree-zero part {b0} is not a corank-one subgroup of {b} "
-            f"with the same torsion"
-        )
-    if len(m.orbits) == 1 and m.orbits[0].multiplicity == 1:
-        if b != FGAbelianGroup(1) or not b0.is_trivial():
-            raise SelfCheckError(
-                "a single multiplicity-one orbit must give B(X) = Z and trivial B(X)_0"
-            )

@@ -5,11 +5,11 @@ in full; ``--`` ends the flags.  ``-h`` or ``--help`` prints :data:`USAGE`.
 
 Exit codes: 0 success; 1 validation errors (strict mode); 2 unreadable
 input, malformed document, schema violation, or malformed command line;
-3 internal invariant violation (a self-check or the agreement of the two
-degree-zero routes failed); 141 the reader of standard output went away
-(128 + SIGPIPE, as a Unix filter reports it).  The environment variable
-``CHOWFIBER_COLOR`` (auto, never, always) controls styling only; output
-bytes are otherwise deterministic.
+3 internal invariant violation (a self-check failed, such as the check
+that both degree-zero routes give the group B(X) fixes); 141 the reader
+of standard output went away (128 + SIGPIPE, as a Unix filter reports
+it).  The environment variable ``CHOWFIBER_COLOR`` (auto, never,
+always) controls styling only; output bytes are otherwise deterministic.
 
 :func:`main` is the one failure boundary: it loads the input, runs the
 command on it and maps every failure to its exit code.  Input is parsed
@@ -19,7 +19,6 @@ exits 2); exact results print in full, however many digits they have.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -61,7 +60,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_PIPE = 141
 
-_ANSI = {"red": "31", "yellow": "33", "cyan": "36", "bold": "1"}
+_ANSI = {"red": "31", "yellow": "33", "cyan": "36"}
 
 
 def _color_enabled(stream: TextIOBase) -> bool:
@@ -118,6 +117,7 @@ def cmd_validate(model: FiberModel, flags: set[str]) -> int:
 def cmd_compute(model: FiberModel, flags: set[str]) -> int:
     rep = report(model, mode=PERMISSIVE if "--permissive" in flags else STRICT)
     if "--json" in flags:
+        import json  # here, so processes that print no JSON never load it
         print(json.dumps(report_as_json(rep), indent=2, sort_keys=True))
     else:
         _print_report(rep, sys.stdout)

@@ -307,9 +307,6 @@ class FGAbelianGroup(Value):
         """``Z^ambient_rank`` modulo a lattice whose nonzero invariant factors are ``factors``."""
         return cls(ambient_rank - len(factors), tuple(f for f in factors if f >= 2))
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.invariant_factors
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.rank == 1:
@@ -556,8 +553,9 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     Dora, Dicrescenzo & Duval, EUROCAL 1985): the elimination inverts
     only entries it finds prime to the modulus, and one that shares a
     proper factor with it splits the modulus, after which every prime
-    is worked again on the finer factors.  The product of the factors
-    must divide ``g``, or :class:`SelfCheckError` is raised.
+    is worked again on the finer factors.  The factors must form a
+    divisibility chain whose product divides ``g``, or
+    :class:`SelfCheckError` is raised.
     """
     r, minor = _rank_and_minor(a)
     if r == 0:
@@ -592,6 +590,8 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
         raise SelfCheckError(
             f"local invariant factors {factors} do not divide the minor gcd {int_text(g)}"
         )
+    if any(y % x for x, y in zip(factors, factors[1:])):
+        raise SelfCheckError(f"local invariant factors {factors} are not a divisibility chain")
     return tuple(factors)
 
 
@@ -785,15 +785,23 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
     The first significant line is ``R C`` (row and column counts); then
     R lines of C whitespace-separated base-10 integers.  Blank lines and
-    lines starting with ``#`` are ignored.  Neither count may exceed
+    lines starting with ``#`` are ignored.  Every other line, its line
+    break included, must be ASCII and hold no ``_``; ``int`` and
+    ``str.split`` would otherwise also take digits of other scripts,
+    ``_`` digit grouping and Unicode spaces.  Neither count may exceed
     :data:`MAX_MATRIX_DIM`.
     """
     significant: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
-        significant.append((lineno, stripped))
+        if not raw.isascii() or "_" in raw:
+            raise MatrixFormatError(
+                f"line {lineno}: only ASCII digits, signs and spaces may appear"
+            )
+        if stripped:
+            significant.append((lineno, stripped))
     if not significant:
         raise MatrixFormatError("empty input: expected a header line 'R C'")
     header_line, header = significant[0]

@@ -56,7 +56,6 @@ value (``orbit-constancy``).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 
 from ._value import Value
@@ -251,6 +250,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
     geometric section whose Frobenius cycles do not match the declared orbits).
     """
     if isinstance(document, str):
+        import json  # here, so processes that read only matrices never load it
         try:
             raw = json.loads(document)
         except json.JSONDecodeError as e:

@@ -1,5 +1,30 @@
+from chowfiber import exact_linalg
 from chowfiber.exact_linalg import IntMatrix
 from chowfiber.galois import WeightVector, hom_T_basis
+
+#: Three single-component orbits of multiplicity one; B(X) = Z + Z/2 + Z/6.
+ABC_DOCUMENT = {
+    "name": "abc",
+    "orbits": [{"name": n, "multiplicity": 1, "size": 1} for n in "ABC"],
+    "generators": [
+        {"name": "g", "host": "A", "degrees": {"A": 2, "B": -2}},
+        {"name": "h", "host": "B", "degrees": {"B": 6, "C": -6}},
+    ],
+}
+
+
+def reverse_local_valuations_at_3(monkeypatch):
+    """Make the local route read its valuations at 3 in reverse order.
+
+    On :data:`ABC_DOCUMENT` its factors then break the divisibility chain.
+    """
+    honest = exact_linalg._local_valuations
+
+    def reversed_at_3(a, p, k, r):
+        valuations = honest(a, p, k, r)
+        return valuations[::-1] if p == 3 else valuations
+
+    monkeypatch.setattr(exact_linalg, "_local_valuations", reversed_at_3)
 
 
 def unimodular_product(rng, rows, cols, diagonal):

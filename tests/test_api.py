@@ -50,7 +50,7 @@ def test_cli_run_leaves_argparse_typing_and_dataclasses_out(tmp_path):
     assert code == "0"
     assert Path(cli_file).resolve().parents[1] == Path(src)
     loaded = set(modules.split())
-    assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "typing"}
+    assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "typing", "json"}
 
 
 G = FGAbelianGroup

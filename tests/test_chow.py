@@ -6,7 +6,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from conftest import random_valid_model_document
+from conftest import ABC_DOCUMENT, random_valid_model_document, reverse_local_valuations_at_3
 from hypothesis import given, settings
 
 from chowfiber import exact_linalg, fiber_model
@@ -353,6 +353,34 @@ class TestReport:
         rng = random.Random(2003)
         m = _model(random_valid_model_document(rng, orbit_count=6, generator_count=8))
         with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):
+            report(m)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            pytest.param(FGAbelianGroup(0), id="last-factor-dropped"),
+            pytest.param(FGAbelianGroup(1, (2,)), id="rank-plus-one"),
+        ],
+    )
+    def test_routes_that_agree_but_miss_b_never_leave_report(self, monkeypatch, wrong):
+        # synthetic-z2 has B(X) = Z + Z/2, so B(X)_0 must be Z/2; both
+        # routes return the same wrong group, so only the law that B(X)
+        # fixes B(X)_0 can catch it.
+        from chowfiber import chow
+
+        m = _fixture_model("synthetic-z2")
+        assert report(m).b == FGAbelianGroup(1, (2,))
+        monkeypatch.setattr(chow, "compute_b0", lambda weights, degrees, dec: (wrong, wrong))
+        with pytest.raises(SelfCheckError):
+            report(m)
+
+    def test_a_local_route_off_the_divisibility_chain_never_leaves_report(self, monkeypatch):
+        # A local route whose factors break the chain is a self-check
+        # failure, not the ValueError of FGAbelianGroup.
+        m = _model(ABC_DOCUMENT)
+        assert report(m).b == FGAbelianGroup(1, (2, 6))
+        reverse_local_valuations_at_3(monkeypatch)
+        with pytest.raises(SelfCheckError, match="not a divisibility chain"):
             report(m)
 
     def test_large_trivial_model_costs_what_its_transforms_hold(self):

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import unimodular_product
+from conftest import ABC_DOCUMENT, reverse_local_valuations_at_3, unimodular_product
 
 from chowfiber.exact_linalg import FGAbelianGroup, format_matrix_text
 from chowfiber.fixtures import fixture_names, fixture_path
@@ -482,6 +482,20 @@ class TestInternalFailureExitCode:
 
         monkeypatch.setattr(cli, "report", boom)
         assert cli.main(["compute", _fx("trivial")]) == 3
+
+    def test_compute_maps_a_broken_divisibility_chain_to_exit_3(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # A local route whose factors break the chain must exit 3, not
+        # escape as a ValueError.
+        from chowfiber import cli
+
+        path = tmp_path / "abc.json"
+        path.write_text(json.dumps(ABC_DOCUMENT))
+        assert cli.main(["compute", str(path)]) == 0
+        reverse_local_valuations_at_3(monkeypatch)
+        assert cli.main(["compute", str(path)]) == 3
+        assert "not a divisibility chain" in capsys.readouterr().err
 
     def test_snf_check_disagreement_exits_3(self, monkeypatch, tmp_path, capsys):
         from chowfiber import cli

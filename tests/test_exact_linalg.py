@@ -585,6 +585,26 @@ class TestMatrixText:
             parse_matrix_text(f"1 2\n1 {entry}\n")
         assert str(info.value) == "line 2: integer literal has more than 4,300 digits"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1_0 1\n" + "1\n" * 10, id="underscore-in-header"),
+            pytest.param("1 1\n1_000\n", id="underscore-in-entry"),
+            pytest.param("1 1\n\uff15\n", id="full-width-digit"),
+            pytest.param("1 1\n\u0663\n", id="arabic-indic-digit"),
+            pytest.param("1 2\n1\u00a02\n", id="no-break-space"),
+            pytest.param("1 2\n1\u20032\n", id="em-space"),
+            pytest.param("2 1\n1\u20282\n", id="line-separator"),
+        ],
+    )
+    def test_only_ascii_without_underscores(self, text):
+        with pytest.raises(MatrixFormatError, match="only ASCII digits, signs and spaces"):
+            parse_matrix_text(text)
+
+    def test_comments_may_hold_any_text(self):
+        text = "# B(X) \u2245 Z \u2295 Z/2, \u00e9t\u00e9\n1 1\n2\n"
+        assert parse_matrix_text(text) == IntMatrix.from_rows([[2]])
+
     def test_malformed_entry_before_a_long_one(self):
         with pytest.raises(MatrixFormatError, match="entries must be base-10 integers"):
             parse_matrix_text("1 2\nx " + "7" * 5000 + "\n")
