@@ -23,16 +23,17 @@ computed twice, by genuinely different routes:
 Both routes have the same shape: write a target matrix in coordinates of
 the kernel of one integer row, then take the quotient.
 :func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
-with one Smith decomposition of the row.  The kernel route takes its
-quotient with a verified Smith decomposition; the quotient route reads
-only the group, so it takes its invariant factors from
+from the gcd chain of the row, in O(n) operations per target and with
+no Smith decomposition.  The kernel route takes its quotient with a
+verified Smith decomposition; the quotient route reads only the group,
+so it takes its invariant factors from
 :func:`~chowfiber.exact_linalg.local_invariant_factors`, which works one
 prime of a gcd of minors at a time and keeps no transforms.  A strict
-report thus makes four Smith decompositions (the degree matrix, the row
-of each route and the kernel route's quotient) and one call of the
-local route, and the two routes share no elimination code.  The
-decomposition of the degree matrix feeds B(X), the induced character
-and the kernel route; the quotient route never reads it.
+report thus makes two Smith decompositions (the degree matrix and the
+kernel route's quotient) and one call of the local route, and the two
+routes share no elimination code.  The decomposition of the degree
+matrix feeds B(X), the induced character and the kernel route; the
+quotient route never reads it.
 
 Whenever the input satisfies the validation laws, the degree character
 maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith

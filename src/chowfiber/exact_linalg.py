@@ -6,10 +6,11 @@ lattice membership tests, and cokernels as finitely generated abelian
 groups.
 
 ``kernel_coordinates(row, targets)`` writes targets in a saturated basis
-of the kernel of one integer row, reading both the basis and the
-coordinates off a single Smith decomposition of that row.
-``integer_kernel`` followed by ``solve_in_lattice`` gives the same
-lattice with two decompositions and stays as the reference path.
+of the kernel of one integer row.  It builds the basis from the gcd
+chain of the row's entries, in O(n) operations per target, and makes no
+Smith decomposition.  ``integer_kernel`` followed by
+``solve_in_lattice`` gives the same lattice with two decompositions and
+stays as the reference path.
 
 Everything works on Python's native ``int``, which is arbitrary
 precision.  That is not a convenience but a requirement: the
@@ -148,8 +149,9 @@ class IntMatrix(Value):
 
         Only for rows of ``col_count`` ints that the caller built itself
         (``snf``, products, transposes, ``identity``, ``zeros``,
-        ``kernel_coordinates`` and ``local_invariant_factors``); input
-        from anywhere else goes through the checked constructor.
+        ``kernel_coordinates``, from the entries of an ``IntMatrix`` and
+        a row it coerced, and ``local_invariant_factors``); input from
+        anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
         m._set_fields(row_count, col_count, rows)
@@ -726,26 +728,93 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, row_count=a.col_count)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``x*a + y*b == g``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _gcd_chain(row: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The prefix gcds of ``row``, each with its Bézout step, checked.
+
+    Entry ``k`` is ``(g_k, a_k, b_k)`` with ``g_k = gcd(row[:k+1]) =
+    a_k·g_(k−1) + b_k·row[k]`` and ``g_(−1) = 0``.  Each step must hold
+    that identity with ``g_k >= 0`` dividing both ``g_(k−1)`` and
+    ``row[k]`` (both zero when ``g_k`` is), which makes ``g_k`` their
+    gcd; otherwise :class:`SelfCheckError` is raised.
+    """
+    chain: list[tuple[int, int, int]] = []
+    prev = 0
+    for k, w in enumerate(row):
+        g, a, b = step = _xgcd(prev, w)
+        if a * prev + b * w != g or g < 0 or (prev % g or w % g if g else prev or w):
+            raise SelfCheckError(f"Bézout step {k} of the gcd chain is wrong")
+        chain.append(step)
+        prev = g
+    return chain
+
+
 def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
     """Coordinates of every column of ``targets`` in a saturated basis of ``ker(row)``.
 
-    One Smith decomposition of the column ``rowᵀ`` gives ``u @ rowᵀ``
-    zero past its first ``r = rank`` entries, so rows ``r..`` of ``u`` are
-    a saturated basis of the kernel.  Since ``uᵀ @ u_invᵀ == I``, a
-    target ``t`` is ``uᵀ @ y`` with ``y = u_invᵀ @ t``; it lies in the
-    kernel exactly when ``y[:r]`` vanishes, and then ``y[r:]`` are its
-    coordinates.  ``snf`` already verified ``u @ u_inv == I``, so no
-    further check is needed.  Raises :class:`NotInLattice` when some
-    column pairs to nonzero against ``row``.
+    The basis is the triangular one the gcd chain of ``row`` gives
+    (Bradley, *Math. Comp.* 25, 1971), so no Smith decomposition is
+    made.  With ``g_k``, ``a_k`` and ``b_k`` from :func:`_gcd_chain`,
+    ``p_k = (a_k·p_(k−1), b_k)`` pairs to ``g_k`` against ``row[:k+1]``.
+    Past the first nonzero entry ``f``, column ``k`` is
+    ``(−(row[k]/g_k)·p_(k−1), g_(k−1)/g_k, 0, …)``; before it, column
+    ``k`` is the unit vector ``e_k``; ``f`` itself has no column.
+
+    A target is solved from its last entry down.  The part of the
+    columns already solved that lies at and above entry ``k`` is a
+    multiple of ``p_k``, so one running scalar carries it and a target
+    costs O(n) operations.  Each result is then checked by evaluating
+    the basis on its coordinates, and :class:`SelfCheckError` is raised
+    unless that gives the target back.  Raises :class:`NotInLattice`
+    when some column pairs to nonzero against ``row``.
     """
-    if targets.row_count != len(row):
+    n = len(row)
+    if targets.row_count != n:
         raise ValueError("targets row count does not match the row length")
-    dec = snf(IntMatrix._trusted(len(row), 1, tuple((index(e),) for e in row)))
-    r = dec.rank()
-    y = dec.u_inv.transpose() @ targets
-    if any(any(entries) for entries in y.rows[:r]):
-        raise NotInLattice("target pairs to a nonzero value against the row")
-    return IntMatrix._trusted(len(row) - r, targets.col_count, y.rows[r:])
+    row = tuple(map(index, row))
+    chain = _gcd_chain(row)
+    first = next((k for k, w in enumerate(row) if w), n)
+    # Column k past `first`, from the last one up: k, its entry
+    # g_(k−1)/g_k at k, row[k]/g_k and the Bézout step (a_k, b_k).
+    steps = [
+        (k, chain[k - 1][0] // chain[k][0], row[k] // chain[k][0], *chain[k][1:])
+        for k in range(n - 1, first, -1)
+    ]
+    unit = chain[first][2] if first < n else 0  # p_f = unit·e_f
+    columns = []
+    for t in zip(*targets.rows) if n else ((),) * targets.col_count:
+        if sum(map(mul, row, t)):
+            raise NotInLattice("target pairs to a nonzero value against the row")
+        c = list(t)  # entries before `first` are their own coordinates
+        s = 0
+        for k, q, m, a, b in steps:
+            c[k] = (t[k] + s * b) // q
+            s = s * a + c[k] * m
+        # The check: the basis evaluated on c, where -s·p_k is the part of
+        # the columns past k at and above entry k, gives t back.
+        rebuilt, s = c[:], 0
+        for k, q, m, a, b in steps:
+            rebuilt[k] = c[k] * q - s * b
+            s = s * a + c[k] * m
+        if first < n:
+            rebuilt[first] = -s * unit
+        if tuple(rebuilt) != t:
+            raise SelfCheckError("kernel coordinates do not rebuild their target")
+        del c[first : first + 1]
+        columns.append(c)
+    rank = n - (first < n)  # of ker(row)
+    rows = tuple(zip(*columns)) if columns else ((),) * rank
+    return IntMatrix._trusted(rank, targets.col_count, rows)
 
 
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
@@ -780,19 +849,32 @@ def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
 # ----------------------------------------------------------------------
 
 
+#: The ASCII control characters :func:`parse_matrix_text` refuses: all but
+#: tab, line feed and carriage return.
+_LAYOUT_CONTROLS = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0x7F)))
+
+
 def parse_matrix_text(text: str) -> IntMatrix:
     """Parse the plain matrix interchange format.
 
     The first significant line is ``R C`` (row and column counts); then
     R lines of C whitespace-separated base-10 integers.  Blank lines and
-    lines starting with ``#`` are ignored.  Every other line, its line
-    break included, must be ASCII and hold no ``_``; ``int`` and
-    ``str.split`` would otherwise also take digits of other scripts,
-    ``_`` digit grouping and Unicode spaces.  Neither count may exceed
+    lines starting with ``#`` are ignored.  No line, comments included,
+    may hold an ASCII control character other than tab, carriage return
+    and line feed: ``str.splitlines`` and ``str.split`` would read some
+    of them as line breaks or spaces.  Every other line, its line break
+    included, must be ASCII and hold no ``_``; ``int`` and ``str.split``
+    would otherwise also take digits of other scripts, ``_`` digit
+    grouping and Unicode spaces.  Neither count may exceed
     :data:`MAX_MATRIX_DIM`.
     """
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        if not _LAYOUT_CONTROLS.isdisjoint(raw):
+            bad = next(c for c in raw if c in _LAYOUT_CONTROLS)
+            raise MatrixFormatError(
+                f"line {lineno}: control character U+{ord(bad):04X} may not appear"
+            )
         stripped = raw.strip()
         if stripped.startswith("#"):
             continue

@@ -9,8 +9,8 @@ component to each curve.  Those degrees form the specialization matrix
 whose cokernel the ``chow`` module turns into the zero-cycle class
 group.
 
-Document format (JSON object, strict: unknown top-level keys are
-rejected)::
+Document format (JSON object, strict: unknown top-level keys, and in
+JSON text a key repeated within one object, are rejected)::
 
     {
       "name": "...",                       required
@@ -241,22 +241,37 @@ def _check_keys(
 # ----------------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of a JSON document, refusing a key that appears twice in it."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"key {key!r} appears more than once in one object")
+            seen.add(key)
+    return obj
+
+
 def parse_model(document: str | Mapping) -> FiberModel:
     """Parse and normalize a model document (JSON text or a parsed object).
 
     Raises :class:`ParseError` for malformed JSON and :class:`SchemaError`
-    for structural problems (unknown keys, unknown orbit references,
-    duplicate names, multiplicity below 1, an empty orbit list, or a
-    geometric section whose Frobenius cycles do not match the declared orbits).
+    for structural problems (unknown or repeated keys, unknown orbit
+    references, duplicate names, multiplicity below 1, an empty orbit
+    list, or a geometric section whose Frobenius cycles do not match the
+    declared orbits).
     """
     if isinstance(document, str):
         import json  # here, so processes that read only matrices never load it
         try:
-            raw = json.loads(document)
+            raw = json.loads(document, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
         except RecursionError:
             raise ParseError("document is nested too deeply") from None
+        except SchemaError:
+            raise
         except ValueError:
             # The one other refusal: an integer literal past the digit limit.
             raise ParseError(too_many_digits()) from None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 import time
@@ -306,11 +308,11 @@ class TestReport:
             assert rep.b.rank >= 1
 
     def test_one_pass(self, monkeypatch):
-        # One validation, one degree matrix, four Smith decompositions and
+        # One validation, one degree matrix, two Smith decompositions and
         # one local route, however many orbits the model has: the degree
-        # matrix, the kernel row of each B(X)_0 route and the kernel
-        # route's quotient are decomposed; the quotient route's quotient
-        # is read off local Smith forms.
+        # matrix and the kernel route's quotient are decomposed; the
+        # kernel row of each B(X)_0 route is read off its gcd chain, and
+        # the quotient route's quotient off local Smith forms.
         snf_calls = []
         local_calls = []
         for orbit_count in (3, 9):
@@ -333,8 +335,22 @@ class TestReport:
             assert len(calls["build_specialization_matrix"]) == 1
             snf_calls.append(len(calls["snf"]))
             local_calls.append(len(calls["local_invariant_factors"]))
-        assert snf_calls == [4, 4]
+        assert snf_calls == [2, 2]
         assert local_calls == [1, 1]
+
+    @pytest.mark.parametrize("orbit_count", [1000, 2000])
+    def test_wide_model_makes_two_smith_decompositions(self, monkeypatch, orbit_count):
+        # A gate on work, not on wall time: one generator on many
+        # single-component orbits.  Neither kernel row of the B(X)_0
+        # routes is decomposed, however long it is.
+        orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(orbit_count)]
+        generator = {"name": "g", "host": "O0", "degrees": {"O0": 1, "O1": -1}}
+        m = _model({"name": "wide", "orbits": orbits, "generators": [generator]})
+        calls = _record_calls(monkeypatch, exact_linalg.snf, exact_linalg.local_invariant_factors)
+        rep = report(m)
+        assert len(calls["snf"]) == 2
+        assert len(calls["local_invariant_factors"]) == 1
+        assert rep.b0 == FGAbelianGroup(orbit_count - 2)
 
     @pytest.mark.parametrize(
         "fault",
@@ -472,3 +488,22 @@ class TestReport:
                 canonical = (0,) * r + (rep.index,) + (0,) * (rep.b.rank - 1)
                 assert rep.xi_on_generators == canonical
                 assert report_as_json(report(_model(shuffled))) == report_as_json(rep)
+
+
+#: SHA-256 over ``json.dumps(report_as_json(report(m)), sort_keys=True)``
+#: of the 240 seeded valid models below, concatenated in order.  The
+#: outputs of ``report()`` must not move when its algorithms change.
+SEEDED_REPORTS_SHA256 = "b80d4c3a2024ac09ac86dfddf0a19fa731945ba04d388f617045c72bd53cc1cd"
+
+
+def test_seeded_reports_are_pinned():
+    # n = 4..11 orbits with n + 2 generators, 30 seeds each.
+    digest = hashlib.sha256()
+    for orbit_count in range(4, 12):
+        for k in range(30):
+            rng = random.Random(1000 * orbit_count + k)
+            doc = random_valid_model_document(
+                rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+            )
+            digest.update(json.dumps(report_as_json(report(_model(doc))), sort_keys=True).encode())
+    assert digest.hexdigest() == SEEDED_REPORTS_SHA256

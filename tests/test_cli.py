@@ -328,6 +328,15 @@ class TestHostileInput:
             ("compute", "latin1.json", '{"name": "\u00e9"}'.encode("latin-1")),
             ("snf", "latin1.matrix", "# \u00e9\n1 1\n1\n".encode("latin-1")),
             ("snf", "header.matrix", b"0 100000"),
+            ("snf", "control.matrix", b"2 1\n1\x1c2\n"),
+            (
+                "compute",
+                "repeated.json",
+                b'{"name": "t", "name": "u", "orbits": [{"name": "A", "size": 1, '
+                b'"multiplicity": 1}, {"name": "B", "size": 1, "multiplicity": 1}], '
+                b'"generators": [{"name": "g", "host": "A", '
+                b'"degrees": {"A": 3, "B": -2, "A": 2}}]}',
+            ),
         ],
         ids=[
             "too-many-digits",
@@ -335,6 +344,8 @@ class TestHostileInput:
             "model-not-utf8",
             "matrix-not-utf8",
             "declared-too-large",
+            "matrix-control-character",
+            "repeated-key",
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, command, filename, content):

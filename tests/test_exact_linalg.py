@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 
@@ -511,6 +512,35 @@ class TestKernelCoordinates:
         with pytest.raises(ValueError, match="row length"):
             kernel_coordinates((1, 1), _columns((0, 0, 0)))
 
+    def test_long_row_makes_no_smith_decomposition(self, monkeypatch):
+        # A gate on work, not on wall time: the basis comes from the gcd
+        # chain of the row, so a 4,000-entry row decomposes nothing.
+        def no_snf(a):
+            raise AssertionError("kernel_coordinates made a Smith decomposition")
+
+        monkeypatch.setattr(exact_linalg, "snf", no_snf)
+        n = 4000
+        row = (0, 0) + tuple(range(6, n + 4))
+        # e_0, and the kernel vector row[3]·e_2 − row[2]·e_3.
+        targets = _columns((1,) + (0,) * (n - 1), (0, 0, 7, -6) + (0,) * (n - 4))
+        coords = kernel_coordinates(row, targets)
+        assert coords.shape == (n - 1, 2)
+        assert coords.column(0) == (1,) + (0,) * (n - 2)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda g, x, y: (g, x, y + 1), id="coefficient-off-by-one"),
+            pytest.param(lambda g, x, y: (2 * g, 2 * x, 2 * y), id="twice-the-gcd"),
+            pytest.param(lambda g, x, y: (-g, -x, -y), id="negative-gcd"),
+        ],
+    )
+    def test_corrupted_bezout_step_raises(self, monkeypatch, fault):
+        honest = exact_linalg._xgcd
+        monkeypatch.setattr(exact_linalg, "_xgcd", lambda a, b: fault(*honest(a, b)))
+        with pytest.raises(SelfCheckError, match="Bézout step 0 of the gcd chain is wrong"):
+            kernel_coordinates((6, 10, 15), _columns((5, -3, 0)))
+
 
 class TestFGAbelianGroup:
     def test_rendering(self):
@@ -600,6 +630,25 @@ class TestMatrixText:
     def test_only_ascii_without_underscores(self, text):
         with pytest.raises(MatrixFormatError, match="only ASCII digits, signs and spaces"):
             parse_matrix_text(text)
+
+    @pytest.mark.parametrize("control", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            pytest.param("1 2\n1{}2\n", id="between-entries"),
+            pytest.param("2 1\n1{}2\n", id="as-a-line-break"),
+            pytest.param("# note{}\n1 1\n2\n", id="in-a-comment"),
+        ],
+    )
+    def test_control_characters_are_not_layout(self, control, template):
+        text = template.format(control)
+        line = 1 if text.startswith("#") else 2
+        message = f"line {line}: control character U+{ord(control):04X} may not appear"
+        with pytest.raises(MatrixFormatError, match=re.escape(message)):
+            parse_matrix_text(text)
+
+    def test_tab_and_carriage_return_are_layout(self):
+        assert parse_matrix_text("1\t2\r\n3\t4\r\n") == IntMatrix.from_rows([[3, 4]])
 
     def test_comments_may_hold_any_text(self):
         text = "# B(X) \u2245 Z \u2295 Z/2, \u00e9t\u00e9\n1 1\n2\n"

@@ -4,9 +4,11 @@ import random
 
 import hypothesis.strategies as st
 from conftest import unimodular_product
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from chowfiber import exact_linalg
 from chowfiber.exact_linalg import (
+    FGAbelianGroup,
     IntMatrix,
     _rank_and_minor,
     cokernel,
@@ -226,11 +228,41 @@ def test_solve_in_lattice_recovers_coordinates(a, coeffs):
     assert solve_in_lattice(a, a @ x) == x
 
 
-@given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
-    st.integers(0, 4),
-    st.randoms(use_true_random=False),
-)
+def gcd_chain_rows(max_size=7):
+    """Integer rows that walk every branch of the gcd chain.
+
+    Zeros, leading ones included, small entries of either sign and
+    entries up to 200 bits; a single entry and all zeros are in range.
+    """
+    entry = st.one_of(
+        st.just(0), st.integers(-12, 12), st.integers(-(2**200), 2**200)
+    )
+    return st.lists(entry, min_size=1, max_size=max_size)
+
+
+def dense_kernel_basis(row):
+    """The basis ``kernel_coordinates`` solves in, column by column, as a dense matrix.
+
+    Built from the checked Bézout steps of ``exact_linalg._gcd_chain``:
+    ``p`` is the Bézout vector of the prefix, written out in full.
+    """
+    n = len(row)
+    columns, p, prev = [], [0] * n, 0
+    for k, (w, (g, a, b)) in enumerate(zip(row, exact_linalg._gcd_chain(row))):
+        if prev:
+            columns.append([-(w // g) * x for x in p[:k]] + [prev // g] + [0] * (n - k - 1))
+        elif w == 0:
+            columns.append([1 if i == k else 0 for i in range(n)])
+        p = [a * x for x in p]
+        p[k] = b
+        prev = g
+    return IntMatrix.from_columns(columns, row_count=n)
+
+
+@example(w=[0, 0, 0], target_count=2, rng=random.Random(0))
+@example(w=[0, 0, 6, 0, -10, 15], target_count=3, rng=random.Random(1))
+@example(w=[2**200 + 1], target_count=1, rng=random.Random(2))
+@given(gcd_chain_rows(), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_kernel_coordinates_match_the_lattice_solve(w, target_count, rng):
     basis = integer_kernel(IntMatrix.from_rows([w]))
     coeffs = IntMatrix.from_rows(
@@ -242,6 +274,13 @@ def test_kernel_coordinates_match_the_lattice_solve(w, target_count, rng):
     reference = solve_in_lattice(basis, targets)
     assert fast.shape == reference.shape
     assert cokernel(fast) == cokernel(reference)
+    # The gcd-chain basis is a saturated basis of ker(w), and the
+    # coordinates rebuild every target in it.
+    dense = dense_kernel_basis(w)
+    assert dense.shape == basis.shape
+    assert IntMatrix.from_rows([w]) @ dense == IntMatrix.zeros(1, dense.col_count)
+    assert cokernel(dense) == FGAbelianGroup(len(w) - dense.col_count)
+    assert dense @ fast == targets
 
 
 @settings(max_examples=60)

@@ -91,6 +91,28 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="unknown keys"):
             parse_model({**MINIMAL, "color": "blue"})
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            pytest.param(
+                '{"name": "t", "name": "u", "orbits": [{"name": "A", "multiplicity": 1, "size": 1}]}',
+                "name",
+                id="top-level",
+            ),
+            pytest.param(
+                '{"name": "t", "orbits": [{"name": "A", "multiplicity": 1, "size": 1}, '
+                '{"name": "B", "multiplicity": 1, "size": 1}], "generators": [{"name": "g", '
+                '"host": "A", "degrees": {"A": 3, "B": -2, "A": 2}}]}',
+                "A",
+                id="in-degrees",
+            ),
+        ],
+    )
+    def test_repeated_key_in_json_text(self, text, key):
+        # json.loads would keep the last value of a repeated key silently.
+        with pytest.raises(SchemaError, match=f"key '{key}' appears more than once"):
+            parse_model(text)
+
     def test_empty_orbit_list(self):
         with pytest.raises(SchemaError, match="must not be empty"):
             parse_model({"name": "x", "orbits": []})
