@@ -139,32 +139,6 @@ class ChowReport(Value):
     notes: str | None
     expected: ExpectedResult | None
 
-    def __init__(
-        self,
-        model_name: str,
-        b: FGAbelianGroup,
-        b0: FGAbelianGroup | None,
-        xi_on_generators: tuple[int, ...] | None,
-        index: int | None,
-        diagnostics: tuple[Diagnostic, ...],
-        special_case: str | None,
-        hypotheses: Hypotheses,
-        formal_only: bool,
-        notes: str | None = None,
-        expected: ExpectedResult | None = None,
-    ) -> None:
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "xi_on_generators", xi_on_generators)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "special_case", special_case)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "formal_only", formal_only)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "expected", expected)
-
 
 def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int, ...]:
     """The induced degree character on the generators of B(X) that ``snf`` picked.
@@ -262,16 +236,17 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
             else None
         )
 
+    # One positional value per field: the fast path of Value.__init__.
     return ChowReport(
-        model_name=m.name,
-        b=b,
-        b0=b0,
-        xi_on_generators=xi_values,
-        index=index,
-        diagnostics=tuple(diagnostics),
-        special_case=special_case,
-        hypotheses=m.hypotheses,
-        formal_only=formal_only,
-        notes=m.notes,
-        expected=m.expected,
+        m.name,
+        b,
+        b0,
+        xi_values,
+        index,
+        tuple(diagnostics),
+        special_case,
+        m.hypotheses,
+        formal_only,
+        m.notes,
+        m.expected,
     )

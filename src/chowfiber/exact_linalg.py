@@ -265,12 +265,6 @@ class SmithDecomposition(Value):
     v: IntMatrix
     u_inv: IntMatrix
 
-    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u_inv", u_inv)
-
     def rank(self) -> int:
         return sum(1 for d in self.s.diagonal_entries() if d != 0)
 
@@ -471,12 +465,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             for row in u_inv:
                 row[t] = -row[t]
 
-    # Every row is a full-length tuple of ints, so skip the checked constructors.
+    # s, u, v, u_inv: every row is a full-length tuple of ints, so skip the checks.
     result = SmithDecomposition(
-        s=IntMatrix._trusted(m, n, tuple(tuple(row[:n]) for row in w[:m])),
-        u=IntMatrix._trusted(m, m, tuple(tuple(row[n:]) for row in w[:m])),
-        v=IntMatrix._trusted(n, n, tuple(map(tuple, w[m:]))),
-        u_inv=IntMatrix._trusted(m, m, tuple(map(tuple, u_inv))),
+        IntMatrix._trusted(m, n, tuple(tuple(row[:n]) for row in w[:m])),
+        IntMatrix._trusted(m, m, tuple(tuple(row[n:]) for row in w[:m])),
+        IntMatrix._trusted(n, n, tuple(map(tuple, w[m:]))),
+        IntMatrix._trusted(m, m, tuple(map(tuple, u_inv))),
     )
     _verify_snf(a, result)
     return result
@@ -852,6 +846,9 @@ def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
 #: The ASCII control characters :func:`parse_matrix_text` refuses: all but
 #: tab, line feed and carriage return.
 _LAYOUT_CONTROLS = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0x7F)))
+#: The non-ASCII line breaks of ``str.splitlines``: only a comment line can
+#: end at one without failing the ASCII rule.
+_UNICODE_LINE_BREAKS = ("\x85", "\u2028", "\u2029")
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
@@ -861,12 +858,12 @@ def parse_matrix_text(text: str) -> IntMatrix:
     R lines of C whitespace-separated base-10 integers.  Blank lines and
     lines starting with ``#`` are ignored.  No line, comments included,
     may hold an ASCII control character other than tab, carriage return
-    and line feed: ``str.splitlines`` and ``str.split`` would read some
-    of them as line breaks or spaces.  Every other line, its line break
-    included, must be ASCII and hold no ``_``; ``int`` and ``str.split``
-    would otherwise also take digits of other scripts, ``_`` digit
-    grouping and Unicode spaces.  Neither count may exceed
-    :data:`MAX_MATRIX_DIM`.
+    and line feed, nor U+0085, U+2028 or U+2029: ``str.splitlines`` and
+    ``str.split`` would read them as line breaks or spaces.  Every other
+    line, its line break included, must be ASCII and hold no ``_``;
+    ``int`` and ``str.split`` would otherwise also take digits of other
+    scripts, ``_`` digit grouping and Unicode spaces.  Neither count may
+    exceed :data:`MAX_MATRIX_DIM`.
     """
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
@@ -877,6 +874,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
             )
         stripped = raw.strip()
         if stripped.startswith("#"):
+            if raw.endswith(_UNICODE_LINE_BREAKS):
+                raise MatrixFormatError(
+                    f"line {lineno}: line break U+{ord(raw[-1]):04X} may not appear"
+                )
             continue
         if not raw.isascii() or "_" in raw:
             raise MatrixFormatError(

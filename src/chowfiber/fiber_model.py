@@ -108,14 +108,9 @@ class Hypotheses(Value):
     """User-asserted geometric hypotheses, echoed verbatim in reports."""
 
     __slots__ = ("reduced_components_smooth", "pic_unramified_descent")
+    _defaults = {"reduced_components_smooth": False, "pic_unramified_descent": False}
     reduced_components_smooth: bool
     pic_unramified_descent: bool
-
-    def __init__(
-        self, reduced_components_smooth: bool = False, pic_unramified_descent: bool = False
-    ) -> None:
-        object.__setattr__(self, "reduced_components_smooth", reduced_components_smooth)
-        object.__setattr__(self, "pic_unramified_descent", pic_unramified_descent)
 
 
 class ExpectedResult(Value):
@@ -125,11 +120,6 @@ class ExpectedResult(Value):
     b0_rank: int
     b0_torsion: tuple[int, ...]
     source: str
-
-    def __init__(self, b0_rank: int, b0_torsion: tuple[int, ...], source: str) -> None:
-        object.__setattr__(self, "b0_rank", b0_rank)
-        object.__setattr__(self, "b0_torsion", b0_torsion)
-        object.__setattr__(self, "source", source)
 
 
 class PicGenerator(Value):
@@ -145,11 +135,6 @@ class PicGenerator(Value):
     host: str
     degrees: Mapping[str, int]
 
-    def __init__(self, name: str, host: str, degrees: Mapping[str, int]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "degrees", degrees)
-
 
 class GeometricSection(Value):
     """Raw component-level data: each orbit's components in Frobenius cycle
@@ -160,18 +145,14 @@ class GeometricSection(Value):
     members: Mapping[str, tuple[str, ...]]
     degrees: Mapping[str, Mapping[str, int]]
 
-    def __init__(
-        self, members: Mapping[str, tuple[str, ...]], degrees: Mapping[str, Mapping[str, int]]
-    ) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "degrees", degrees)
-
 
 class FiberModel(Value):
     __slots__ = (
         "name", "orbits", "generators", "hypotheses", "geometric", "notes", "expected"
     )
     __hash__ = None  # type: ignore[assignment]
+    # The default hypotheses are one shared value; it is immutable.
+    _defaults = {"hypotheses": Hypotheses(), "geometric": None, "notes": None, "expected": None}
     name: str
     orbits: tuple[ComponentOrbit, ...]
     generators: tuple[PicGenerator, ...]
@@ -179,24 +160,6 @@ class FiberModel(Value):
     geometric: GeometricSection | None
     notes: str | None
     expected: ExpectedResult | None
-
-    def __init__(
-        self,
-        name: str,
-        orbits: tuple[ComponentOrbit, ...],
-        generators: tuple[PicGenerator, ...],
-        hypotheses: Hypotheses = Hypotheses(),  # one shared value; it is immutable
-        geometric: GeometricSection | None = None,
-        notes: str | None = None,
-        expected: ExpectedResult | None = None,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "geometric", geometric)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "expected", expected)
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +268,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
     if "expected" in top:
         expected = _parse_expected(top["expected"])
 
-    return FiberModel(
-        name=name,
-        orbits=orbit_tuple,
-        generators=generators,
-        hypotheses=hypotheses,
-        geometric=geometric,
-        notes=notes,
-        expected=expected,
-    )
+    return FiberModel(name, orbit_tuple, generators, hypotheses, geometric, notes, expected)
 
 
 def _parse_hypotheses(raw: object) -> Hypotheses:
@@ -373,7 +328,7 @@ def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGener
             # Spell the label only for a value that is not a plain int.
             if type(value) is not int:
                 _expect(value, int, f"{where}.degrees.{oname}")
-        generators.append(PicGenerator(name=gname, host=host, degrees=degrees))
+        generators.append(PicGenerator(gname, host, degrees))
     return tuple(generators)
 
 

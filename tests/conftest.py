@@ -96,3 +96,43 @@ def random_valid_model_document(
             }
         )
     return {"name": "random-valid", "orbits": orbits, "generators": generators}
+
+
+def known_answer_model_document(rng, orbit_count, index, diagonal):
+    """A valid model whose groups are known without ``snf`` or the oracle.
+
+    Orbit i has size 1 and multiplicity ``index * w[i]`` with ``w[0] = 1``,
+    so the weights are ``index * w`` and the columns ``e_j - w[j] * e_0``
+    (j >= 1) form a saturated basis K of their kernel; K extends to the
+    unimodular basis (e_0, K) of Z^n.  The n + 2 generator columns are
+    ``D = K @ M`` with ``M = unimodular_product(rng, n - 1, n + 2,
+    diagonal)``, so B(X) = Z + coker(M), B(X)_0 = coker(M), the index is
+    ``index`` and the canonical degree character holds ``index`` at
+    position rank(M).  ``diagonal`` is a divisibility chain of at most
+    n - 1 positive entries.
+
+    Returns the document and the expected ``(b, b0, xi_on_generators)``.
+    """
+    n = orbit_count
+    w = [1] + [rng.randint(1, 9) for _ in range(n - 1)]
+    m = unimodular_product(rng, n - 1, n + 2, diagonal)
+    orbits = [{"name": f"O{i}", "multiplicity": index * w[i], "size": 1} for i in range(n)]
+    generators = []
+    for g, coeffs in enumerate(zip(*m.rows)):
+        column = (-sum(wj * c for wj, c in zip(w[1:], coeffs)), *coeffs)
+        generators.append(
+            {
+                "name": f"g{g}",
+                "host": f"O{rng.randrange(n)}",
+                "degrees": {f"O{i}": e for i, e in enumerate(column) if e},
+            }
+        )
+    document = {"name": "known-answer", "orbits": orbits, "generators": generators}
+    factors = tuple(d for d in diagonal if d >= 2)
+    r = len(diagonal)
+    expected = (
+        exact_linalg.FGAbelianGroup(n - r, factors),
+        exact_linalg.FGAbelianGroup(n - 1 - r, factors),
+        (0,) * r + (index,) + (0,) * (n - r - 1),
+    )
+    return document, expected

@@ -151,6 +151,70 @@ class TestValueSemantics:
         assert pickle.loads(pickle.dumps(value)) == value
 
 
+#: The value classes that only store their fields: they take Value's constructor.
+STORING = (
+    SmithDecomposition, Hypotheses, ExpectedResult, PicGenerator, GeometricSection, FiberModel,
+    ChowReport,
+)
+STORING_CASES = [(cls, fields) for cls, fields, _ in VALUE_CASES if cls in STORING]
+
+
+def test_storing_classes_write_no_constructor():
+    assert {cls for cls, _ in STORING_CASES} == set(STORING)
+    for cls in STORING:
+        assert "__init__" not in vars(cls), cls
+
+
+@pytest.mark.parametrize("cls, fields", STORING_CASES)
+class TestValueConstructor:
+    def test_positional_keyword_and_mixed_calls_agree(self, cls, fields):
+        named = dict(zip(cls.__slots__, fields))
+        value = cls(*fields)
+        assert cls(**named) == value
+        for split in range(len(fields) + 1):
+            rest = dict(list(named.items())[split:])
+            assert cls(*fields[:split], **rest) == value
+        assert cls(**dict(reversed(named.items()))) == value
+
+    def test_missing_field(self, cls, fields):
+        # Every field without a default; Hypotheses has none.
+        for name in cls.__slots__:
+            if name not in cls._defaults:
+                named = dict(zip(cls.__slots__, fields))
+                del named[name]
+                with pytest.raises(TypeError, match=f"missing field {name!r}"):
+                    cls(**named)
+
+    def test_unknown_field(self, cls, fields):
+        with pytest.raises(TypeError, match="unknown field 'bogus'"):
+            cls(*fields, bogus=1)
+        with pytest.raises(TypeError, match="unknown field 'bogus'"):
+            cls(bogus=1, **dict(zip(cls.__slots__, fields)))
+
+    def test_repeated_field(self, cls, fields):
+        name = cls.__slots__[0]
+        with pytest.raises(TypeError, match=f"two values for field {name!r}"):
+            cls(*fields, **{name: fields[0]})
+
+    def test_surplus_field(self, cls, fields):
+        with pytest.raises(TypeError, match=f"takes {len(fields)} fields but"):
+            cls(*fields, None)
+
+
+def test_defaults_fill_the_fields_left_out():
+    assert Hypotheses(True) == Hypotheses(True, False)
+    assert Hypotheses(pic_unramified_descent=True) == Hypotheses(False, True)
+    assert Hypotheses() == Hypotheses(False, False)
+    model = FiberModel("m", (ORBIT,), ())
+    assert model == FiberModel("m", (ORBIT,), (), Hypotheses(), None, None, None)
+    assert FiberModel("m", (ORBIT,), (), notes="n").notes == "n"
+
+
+def test_report_fields_have_no_defaults():
+    with pytest.raises(TypeError, match="missing field 'notes'"):
+        ChowReport("m", G(1), G(0), (1,), 1, (), None, Hypotheses(), False)
+
+
 def test_model_default_hypotheses_is_one_shared_value():
     a = FiberModel("a", (ORBIT,), ())
     b = FiberModel("b", (ORBIT,), ())

@@ -8,7 +8,12 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from conftest import ABC_DOCUMENT, random_valid_model_document, reverse_local_valuations_at_3
+from conftest import (
+    ABC_DOCUMENT,
+    known_answer_model_document,
+    random_valid_model_document,
+    reverse_local_valuations_at_3,
+)
 from hypothesis import given, settings
 
 from chowfiber import exact_linalg, fiber_model
@@ -25,7 +30,9 @@ from chowfiber.exact_linalg import (
     NotInLattice,
     SelfCheckError,
     cokernel,
+    determinantal_divisors,
     integer_kernel,
+    invariant_factors_from_divisors,
     snf,
     solve_in_lattice,
 )
@@ -507,3 +514,31 @@ def test_seeded_reports_are_pinned():
             )
             digest.update(json.dumps(report_as_json(report(_model(doc))), sort_keys=True).encode())
     assert digest.hexdigest() == SEEDED_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("orbit_count", range(3, 9))
+def test_known_answer_models_agree_with_the_minor_oracle(orbit_count):
+    # The construction itself, checked where the oracle reaches.
+    rng = random.Random(orbit_count)
+    diagonal = (1,) * (orbit_count - 3) + (2, 6)
+    doc, (b, b0, _xi) = known_answer_model_document(rng, orbit_count, 3, diagonal)
+    model = _model(doc)
+    degrees = build_specialization_matrix(model)
+    factors = invariant_factors_from_divisors(determinantal_divisors(degrees))
+    assert FGAbelianGroup.quotient(degrees.row_count, factors) == b
+    assert xi_weights(model.orbits).image_index() == 3
+
+
+@pytest.mark.parametrize(
+    "orbit_count, index, diagonal",
+    [
+        pytest.param(32, 1, (1,) * 26 + (2, 6, 6 * 10**10, 6 * 10**20, 6 * 10**30), id="n32"),
+        pytest.param(32, 7, (1,) * 26 + (2, 6 * 10**30), id="n32-free-b0"),
+        pytest.param(48, 12, (1,) * 43 + (3, 6, 6 * 10**15, 6 * 10**30), id="n48"),
+    ],
+)
+def test_report_on_known_answer_models_past_the_oracle(orbit_count, index, diagonal):
+    rng = random.Random(f"known:{orbit_count}:{index}")
+    doc, (b, b0, xi) = known_answer_model_document(rng, orbit_count, index, diagonal)
+    rep = report(_model(doc))
+    assert (rep.b, rep.b0, rep.xi_on_generators, rep.index) == (b, b0, xi, index)

@@ -318,6 +318,16 @@ class TestMatrixCommands:
         r = run_cli("snf", str(path))
         assert r.returncode == 2
 
+    def test_line_separator_in_a_comment_exits_2(self, tmp_path, capsys):
+        from chowfiber import cli
+
+        path = tmp_path / "separator.txt"
+        path.write_text("# note\u20281 1\n5\n", encoding="utf-8")
+        assert cli.main(["snf", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1: line break U+2028 may not appear" in captured.err
+
 
 class TestHostileInput:
     @pytest.mark.parametrize(

@@ -647,6 +647,14 @@ class TestMatrixText:
         with pytest.raises(MatrixFormatError, match=re.escape(message)):
             parse_matrix_text(text)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_breaks_do_not_end_a_comment(self, separator):
+        # str.splitlines breaks there, so the rest would be read as the header.
+        text = f"# note{separator}1 1\n5\n"
+        message = f"line 1: line break U+{ord(separator):04X} may not appear"
+        with pytest.raises(MatrixFormatError, match=re.escape(message)):
+            parse_matrix_text(text)
+
     def test_tab_and_carriage_return_are_layout(self):
         assert parse_matrix_text("1\t2\r\n3\t4\r\n") == IntMatrix.from_rows([[3, 4]])
 
