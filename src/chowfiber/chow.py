@@ -24,16 +24,17 @@ Both routes have the same shape: write a target matrix in coordinates of
 the kernel of one integer row, then take the quotient.
 :func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
 from the gcd chain of the row, in O(n) operations per target and with
-no Smith decomposition.  The kernel route takes its quotient with a
-verified Smith decomposition; the quotient route reads only the group,
-so it takes its invariant factors from
+no Smith decomposition.  The kernel route's quotient matrix is ``s``
+with one zero row dropped, already in Smith form, so
+:func:`~chowfiber.exact_linalg.cokernel` reads its group off it after
+checking the laws of a Smith form, with no elimination.  The quotient
+route reads only the group, so it takes its invariant factors from
 :func:`~chowfiber.exact_linalg.local_invariant_factors`, which works one
 prime of a gcd of minors at a time and keeps no transforms.  A strict
-report thus makes two Smith decompositions (the degree matrix and the
-kernel route's quotient) and one call of the local route, and the two
-routes share no elimination code.  The decomposition of the degree
-matrix feeds B(X), the induced character and the kernel route; the
-quotient route never reads it.
+report thus makes one Smith decomposition (the degree matrix) and one
+call of the local route, and the two routes share no elimination code.
+The decomposition of the degree matrix feeds B(X), the induced
+character and the kernel route; the quotient route never reads it.
 
 Whenever the input satisfies the validation laws, the degree character
 maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith
@@ -164,9 +165,10 @@ def compute_b0(
 
     ``degrees`` is the degree matrix of a validated model and ``dec``
     its Smith decomposition; the kernel route computes the induced
-    character from it with :func:`compute_xi_bar`.  Both groups must be
-    the degree-zero part that B(X) fixes; :func:`report` checks that
-    they are.
+    character from it with :func:`compute_xi_bar`.  Neither route makes
+    a Smith decomposition of its own, so ``dec`` is the only one a
+    strict report makes.  Both groups must be the degree-zero part that
+    B(X) fixes; :func:`report` checks that they are.
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
@@ -179,7 +181,10 @@ def compute_b0(
 
     # Kernel route: in the canonical coordinates the relation lattice is
     # spanned by the columns of s, multiples of basis vectors; take the
-    # kernel of the character row modulo those relations.
+    # kernel of the character row modulo those relations.  On valid input
+    # s_i·ξ̄_i = 0 makes ξ̄ vanish on the first r coordinates, so the
+    # coordinates are s with a zero row dropped: a Smith form already,
+    # which cokernel checks and reads without a second decomposition.
     route_kernel = cokernel(kernel_coordinates(compute_xi_bar(weights, dec), dec.s))
 
     return route_quotient, route_kernel

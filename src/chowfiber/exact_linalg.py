@@ -43,11 +43,17 @@ against cofactor expansion is its reference.
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
 proof is ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det v = ±1``,
-with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
-It is complete: ``u @ u_inv == I`` makes ``u`` unimodular with inverse
-``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a @ v ==
-s``.  Products skip the zero entries of their left operand, so checking
-transforms near the identity costs what they hold.
+with ``s`` diagonal, nonnegative, zeros last and a divisibility chain;
+``_smith_form_defect`` states those four laws of a Smith form once.
+The proof is complete: ``u @ u_inv == I`` makes ``u`` unimodular with
+inverse ``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a
+@ v == s``.  Products skip the zero entries of their left operand, so
+checking transforms near the identity costs what they hold.
+
+``cokernel`` reads a matrix that already keeps the four laws as its own
+Smith form: with identity transforms every product of the proof is an
+identity, so the laws alone prove it, and no elimination is made.  Any
+other matrix goes through ``snf``.
 """
 
 from __future__ import annotations
@@ -148,10 +154,10 @@ class IntMatrix(Value):
         """The constructor without its entry coercion and per-row length check.
 
         Only for rows of ``col_count`` ints that the caller built itself
-        (``snf``, products, transposes, ``identity``, ``zeros``,
-        ``kernel_coordinates``, from the entries of an ``IntMatrix`` and
-        a row it coerced, and ``local_invariant_factors``); input from
-        anywhere else goes through the checked constructor.
+        (``snf``, products, transposes, ``kernel_coordinates``, from the
+        entries of an ``IntMatrix`` and a row it coerced, and
+        ``local_invariant_factors``); input from anywhere else goes
+        through the checked constructor.
         """
         m = object.__new__(cls)
         m._set_fields(row_count, col_count, rows)
@@ -189,14 +195,6 @@ class IntMatrix(Value):
             raise ValueError("row_count is required for a matrix with no columns")
         return cls(row_count, 0, ((),) * row_count)
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, row_count: int, col_count: int) -> IntMatrix:
-        return cls._trusted(row_count, col_count, ((0,) * col_count,) * row_count)
-
     # -- accessors ---------------------------------------------------
 
     @property
@@ -205,9 +203,6 @@ class IntMatrix(Value):
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.col_count)]
 
     def transpose(self) -> IntMatrix:
         rows = tuple(zip(*self.rows)) if self.row_count else ((),) * self.col_count
@@ -394,9 +389,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     this is the same as ``u @ a @ v == s``.
     """
     m, n = a.shape
-    w = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.rows)]
-    w += [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u_inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    w = [list(row) + [0] * m for row in a.rows] + [[0] * n for _ in range(n)]
+    u_inv = [[0] * m for _ in range(m)]
+    for i in range(m):
+        w[i][n + i] = u_inv[i][i] = 1
+    for j in range(n):
+        w[m + j][j] = 1
 
     def swap_rows(i: int, j: int) -> None:
         w[i], w[j] = w[j], w[i]
@@ -479,10 +477,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     """Prove ``dec`` a Smith decomposition of ``a``, or raise :class:`SelfCheckError`.
 
-    The checks are ``s`` diagonal, ``u @ u_inv == I``, ``a @ v ==
-    u_inv @ s`` and ``det v = ±1``, then the sign, order and divisibility
-    laws of the diagonal.  They are complete: an integer matrix with an
-    integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
+    The checks are ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det
+    v = ±1``, then the laws of a Smith form on ``s``
+    (:func:`_smith_form_defect`).  They are complete: an integer matrix
+    with an integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
     ``u`` unimodular with inverse ``u_inv``, and multiplying ``a @ v ==
     u_inv @ s`` on the left by ``u`` gives ``u @ a @ v == s``.  As ``s``
     is diagonal, ``u_inv @ s`` only scales the columns of ``u_inv``.
@@ -492,9 +490,6 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     if shapes != ((m, n), (m, m), (m, m), (n, n)):
         raise SelfCheckError("Smith decomposition has the wrong shape")
     diag = dec.s.diagonal_entries()
-    for i, row in enumerate(dec.s.rows):
-        if any(row[:i]) or any(row[i + 1 :]):
-            raise SelfCheckError("Smith form is not diagonal")
     for i, row in enumerate((dec.u @ dec.u_inv).rows):
         if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
             raise SelfCheckError("Smith row transform does not match its inverse")
@@ -504,17 +499,29 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
             raise SelfCheckError("Smith decomposition does not reproduce the input")
     if determinant(dec.v) not in (1, -1):
         raise SelfCheckError("Smith column transform is not unimodular")
-    seen_zero = False
-    for d in diag:
-        if d < 0:
-            raise SelfCheckError("Smith diagonal has a negative entry")
-        if d == 0:
-            seen_zero = True
-        elif seen_zero:
-            raise SelfCheckError("zero entries must come last on the Smith diagonal")
+    if (defect := _smith_form_defect(dec.s)) is not None:
+        raise SelfCheckError(defect)
+
+
+def _smith_form_defect(s: IntMatrix) -> str | None:
+    """Which law of a Smith form ``s`` breaks, or ``None`` if it keeps them all.
+
+    The laws: ``s`` is diagonal, its diagonal is nonnegative, its zeros
+    come last and its nonzero entries form a divisibility chain.  The
+    cost is one pass over the entries.
+    """
+    for i, row in enumerate(s.rows):
+        if any(row[:i]) or any(row[i + 1 :]):
+            return "Smith form is not diagonal"
+    diag = s.diagonal_entries()
+    if any(d < 0 for d in diag):
+        return "Smith diagonal has a negative entry"
     for p, q in zip(diag, diag[1:]):
-        if p != 0 and q != 0 and q % p != 0:
-            raise SelfCheckError("Smith diagonal is not a divisibility chain")
+        if q and not p:
+            return "zero entries must come last on the Smith diagonal"
+        if p and q % p:
+            return "Smith diagonal is not a divisibility chain"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -705,8 +712,17 @@ def invariant_factors_from_divisors(divisors: Sequence[int]) -> list[int]:
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:
-    """The group ``Z^rows / column-span(a)``, from a verified Smith decomposition."""
-    return FGAbelianGroup.quotient(a.row_count, snf(a).nonzero_diagonal())
+    """The group ``Z^rows / column-span(a)``, from a verified Smith form.
+
+    When ``a`` already keeps the laws of a Smith form
+    (:func:`_smith_form_defect`), it is its own Smith form with identity
+    transforms.  Every product of the proof in :func:`_verify_snf` is
+    then an identity, so those laws are the whole proof, and the group
+    is read off ``a`` with no elimination.  Any other ``a`` goes
+    through :func:`snf`.
+    """
+    s = a if _smith_form_defect(a) is None else snf(a).s
+    return FGAbelianGroup.quotient(a.row_count, [d for d in s.diagonal_entries() if d])
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -856,7 +872,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
     The first significant line is ``R C`` (row and column counts); then
     R lines of C whitespace-separated base-10 integers.  Blank lines and
-    lines starting with ``#`` are ignored.  No line, comments included,
+    lines starting with ``#`` are ignored, so when C is 0 a header with
+    no line after it stands for R empty rows.  No line, comments included,
     may hold an ASCII control character other than tab, carriage return
     and line feed, nor U+0085, U+2028 or U+2029: ``str.splitlines`` and
     ``str.split`` would read them as line breaks or spaces.  Every other
@@ -902,6 +919,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
             f"line {header_line}: dimensions must be at most {MAX_MATRIX_DIM}, got {r} {c}"
         )
     body = significant[1:]
+    if c == 0 and not body:
+        return IntMatrix(r, 0, ((),) * r)  # its R empty rows are blank lines
     if len(body) != r:
         raise MatrixFormatError(f"expected {r} matrix rows, found {len(body)}")
     rows: list[list[int]] = []

@@ -13,6 +13,24 @@ ABC_DOCUMENT = {
 }
 
 
+def identity(n):
+    """The n-by-n identity matrix."""
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], col_count=n)
+
+
+def zeros(row_count, col_count):
+    """The row_count-by-col_count zero matrix."""
+    return IntMatrix.from_rows([[0] * col_count] * row_count, col_count=col_count)
+
+
+def diagonal_matrix(row_count, col_count, diagonal):
+    """The row_count-by-col_count matrix with ``diagonal`` leading its diagonal, zeros elsewhere."""
+    rows = [[0] * col_count for _ in range(row_count)]
+    for i, d in enumerate(diagonal):
+        rows[i][i] = d
+    return IntMatrix.from_rows(rows, col_count=col_count)
+
+
 def reverse_local_valuations_at_3(monkeypatch):
     """Make the local route read its valuations at 3 in reverse order.
 

@@ -97,7 +97,7 @@ def test_criterion_2_cokernel_invariance():
                 g = cokernel(IntMatrix.from_columns(columns, row_count=a.row_count))
                 return (g.rank, g.invariant_factors)
 
-            cols = a.columns()
+            cols = list(a.transpose().rows)
             order = list(range(len(cols)))
             rng.shuffle(order)
             assert coker([cols[j] for j in order]) == reference

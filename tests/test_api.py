@@ -54,7 +54,8 @@ def test_cli_run_leaves_argparse_typing_and_dataclasses_out(tmp_path):
 
 
 G = FGAbelianGroup
-M = IntMatrix
+ONE = IntMatrix.from_rows([[1]])
+ZERO = IntMatrix.from_rows([[0]])
 WARN = ("warning", "no-generators", "m", "text")
 ORBIT = ComponentOrbit("A", 1, 1)
 
@@ -62,11 +63,8 @@ ORBIT = ComponentOrbit("A", 1, 1)
 VALUE_CASES = [
     (IntMatrix, (1, 2, ((1, 2),)), [(1, 2, ((1, 3),))]),
     (IntMatrix, (0, 2, ()), [(0, 3, ())]),
-    (SmithDecomposition, (M.identity(1), M.identity(1), M.identity(1), M.identity(1)),
-     [(M.zeros(1, 1), M.identity(1), M.identity(1), M.identity(1)),
-      (M.identity(1), M.zeros(1, 1), M.identity(1), M.identity(1)),
-      (M.identity(1), M.identity(1), M.zeros(1, 1), M.identity(1)),
-      (M.identity(1), M.identity(1), M.identity(1), M.zeros(1, 1))]),
+    (SmithDecomposition, (ONE, ONE, ONE, ONE),
+     [(ZERO, ONE, ONE, ONE), (ONE, ZERO, ONE, ONE), (ONE, ONE, ZERO, ONE), (ONE, ONE, ONE, ZERO)]),
     (FGAbelianGroup, (1, (2,)), [(2, (2,)), (1, (3,))]),
     (FGAbelianGroup, (0, ()), [(1, ()), (0, (2,))]),
     (ComponentOrbit, ("A", 2, 3), [("B", 2, 3), ("A", 1, 3), ("A", 2, 1)]),

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import ABC_DOCUMENT, reverse_local_valuations_at_3, unimodular_product
+from conftest import ABC_DOCUMENT, identity, reverse_local_valuations_at_3, unimodular_product
 
 from chowfiber.exact_linalg import FGAbelianGroup, format_matrix_text
 from chowfiber.fixtures import fixture_names, fixture_path
@@ -250,6 +250,13 @@ class TestMatrixCommands:
         path.write_text("2 2\n0 0\n0 0\n")
         r = run_cli("snf", str(path))
         assert r.stdout == "rank 0; invariant factors: (none)\n"
+
+    def test_snf_check_of_rows_without_columns(self, tmp_path):
+        path = tmp_path / "no-columns.txt"
+        path.write_text("3 0\n")
+        r = run_cli("snf", str(path), "--check")
+        assert r.returncode == 0
+        assert r.stdout == "rank 0; invariant factors: (none)\ncheck: ok\n"
 
     def test_snf_check_uses_the_local_route_beyond_oracle_limit(self, tmp_path):
         n = 9
@@ -531,10 +538,8 @@ class TestInternalFailureExitCode:
         self, monkeypatch, tmp_path, capsys
     ):
         from chowfiber import cli
-        from chowfiber.exact_linalg import IntMatrix, format_matrix_text
-
         path = tmp_path / "id9.txt"
-        path.write_text(format_matrix_text(IntMatrix.identity(9)))
+        path.write_text(format_matrix_text(identity(9)))
         monkeypatch.setattr(cli, "local_invariant_factors", lambda a: (1,) * 8 + (2,))
         assert cli.main(["snf", str(path), "--check"]) == 3
         assert capsys.readouterr().err == (

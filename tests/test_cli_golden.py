@@ -22,8 +22,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import identity
+
 from chowfiber import cli
-from chowfiber.exact_linalg import IntMatrix, format_matrix_text
+from chowfiber.exact_linalg import format_matrix_text
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
 from chowfiber.fixtures import fixture_names, fixture_path
 
@@ -37,7 +39,7 @@ ERROR_INPUTS = {
     "latin1.matrix": "# é\n1 1\n1\n".encode("latin-1"),
     "digits.json": b'{"name": "x", "orbits": ' + b"7" * 5000 + b"}",
     "header.matrix": b"0 100000",
-    "identity9.matrix": format_matrix_text(IntMatrix.identity(9)).encode(),
+    "identity9.matrix": format_matrix_text(identity(9)).encode(),
     "ragged.matrix": b"2 2\n1 2\n3\n",
     "multiplicity0.json": json.dumps(
         {"name": "x", "orbits": [{"name": "A", "multiplicity": 0, "size": 1}]}

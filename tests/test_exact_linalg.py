@@ -5,7 +5,13 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from conftest import random_valid_model_document, unimodular_product
+from conftest import (
+    diagonal_matrix,
+    identity,
+    random_valid_model_document,
+    unimodular_product,
+    zeros,
+)
 from hypothesis import given
 
 from chowfiber import exact_linalg
@@ -77,7 +83,7 @@ class TestIntMatrix:
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) @ IntMatrix.identity(3)
+            identity(2) @ identity(3)
 
     def test_apply(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -87,13 +93,13 @@ class TestIntMatrix:
 class TestDeterminant:
     def test_known_values(self):
         assert determinant(IntMatrix.from_rows([[2, 4], [6, 8]])) == -8
-        assert determinant(IntMatrix.identity(4)) == 1
-        assert determinant(IntMatrix.zeros(3, 3)) == 0
+        assert determinant(identity(4)) == 1
+        assert determinant(zeros(3, 3)) == 0
         assert determinant(IntMatrix.from_rows([], col_count=0)) == 1
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            determinant(IntMatrix.zeros(2, 3))
+            determinant(zeros(2, 3))
 
     def test_one_row_swap_flips_the_sign(self):
         assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
@@ -105,7 +111,7 @@ class TestRankAndMinor:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
     def test_empty_shapes_have_rank_0_and_the_empty_minor(self, shape):
-        assert exact_linalg._rank_and_minor(IntMatrix.zeros(*shape)) == (0, 1)
+        assert exact_linalg._rank_and_minor(zeros(*shape)) == (0, 1)
 
 
 class TestSnf:
@@ -130,7 +136,7 @@ class TestSnf:
 
     def test_empty_matrices(self):
         for shape in [(0, 0), (0, 3), (3, 0)]:
-            dec = snf(IntMatrix.zeros(*shape))
+            dec = snf(zeros(*shape))
             assert dec.s.shape == shape
             assert dec.u.shape == (shape[0], shape[0])
             assert dec.v.shape == (shape[1], shape[1])
@@ -189,11 +195,9 @@ def _diagonal_decomposition(*diagonal):
     # a = s = diag(...) with identity transforms: every law but the
     # ones on the diagonal itself holds.
     n = len(diagonal)
-    s = IntMatrix.from_rows(
-        [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
-    )
-    identity = IntMatrix.identity(n)
-    return s, SmithDecomposition(s=s, u=identity, v=identity, u_inv=identity)
+    s = diagonal_matrix(n, n, diagonal)
+    unit = identity(n)
+    return s, SmithDecomposition(s=s, u=unit, v=unit, u_inv=unit)
 
 
 class TestVerifySnf:
@@ -256,7 +260,7 @@ class TestVerifySnf:
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         with pytest.raises(SelfCheckError, match="wrong shape"):
-            _verify_snf(a, _replaced(dec, v=IntMatrix.identity(a.col_count + 1)))
+            _verify_snf(a, _replaced(dec, v=identity(a.col_count + 1)))
 
     @given(
         st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=5),
@@ -282,14 +286,14 @@ class TestDeterminantalDivisors:
         assert determinantal_divisors(IntMatrix.from_rows([[2, 4], [6, 8]])) == [2, 8]
 
     def test_identity(self):
-        assert determinantal_divisors(IntMatrix.identity(4)) == [1, 1, 1, 1]
+        assert determinantal_divisors(identity(4)) == [1, 1, 1, 1]
 
     def test_zero_matrix(self):
-        assert determinantal_divisors(IntMatrix.zeros(2, 3)) == [0, 0]
+        assert determinantal_divisors(zeros(2, 3)) == [0, 0]
 
     def test_size_limit(self):
         with pytest.raises(OracleSizeLimitError, match="oracle size limit"):
-            determinantal_divisors(IntMatrix.identity(9))
+            determinantal_divisors(identity(9))
 
     def test_factor_quotients(self):
         assert invariant_factors_from_divisors([2, 8]) == [2, 4]
@@ -302,7 +306,7 @@ class TestInvariantFactorsModMinor:
     # of a gcd of minors.
 
     def test_zero_matrix(self):
-        assert local_invariant_factors(IntMatrix.zeros(3, 4)) == ()
+        assert local_invariant_factors(zeros(3, 4)) == ()
 
     def test_unimodular_matrix_has_minor_one(self):
         a = IntMatrix.from_rows([[2, 3, 5], [1, 2, 4], [3, 5, 10]])
@@ -395,9 +399,52 @@ class TestInvariantFactorsModMinor:
         assert local_invariant_factors(a) == (1,) * (n - 6) + chain
 
 
+def _refuse_snf(a):
+    raise AssertionError("cokernel made a Smith elimination")
+
+
 class TestCokernel:
     def test_single_relation(self):
         assert cokernel(IntMatrix.from_rows([[2]])) == FGAbelianGroup(0, (2,))
+
+    @pytest.mark.parametrize(
+        "a, group",
+        [
+            pytest.param(IntMatrix.from_rows([[2]]), FGAbelianGroup(0, (2,)), id="1x1"),
+            pytest.param(zeros(0, 0), FGAbelianGroup(0), id="0x0"),
+            pytest.param(zeros(0, 3), FGAbelianGroup(0), id="0x3"),
+            pytest.param(zeros(3, 0), FGAbelianGroup(3), id="3x0"),
+            pytest.param(diagonal_matrix(3, 4, (1, 2, 6)), FGAbelianGroup(0, (2, 6)), id="wide"),
+            pytest.param(diagonal_matrix(4, 3, (2, 0)), FGAbelianGroup(3, (2,)), id="tall"),
+            pytest.param(diagonal_matrix(3999, 1, (3,)), FGAbelianGroup(3998, (3,)), id="3999x1"),
+        ],
+    )
+    def test_smith_form_input_is_its_own_decomposition(self, monkeypatch, a, group):
+        # Input that keeps every law of a Smith form is read as it is.
+        # The 3999x1 column has the shape of the kernel route's quotient
+        # for the wide one-generator model at n = 4,000, where snf would
+        # build a 3999x3999 transform.
+        monkeypatch.setattr(exact_linalg, "snf", _refuse_snf)
+        assert cokernel(a) == group
+
+    @pytest.mark.parametrize(
+        "a, group",
+        [
+            pytest.param(diagonal_matrix(2, 2, (2, 3)), FGAbelianGroup(0, (6,)), id="chain"),
+            pytest.param(diagonal_matrix(2, 2, (4, 2)), FGAbelianGroup(0, (2, 4)), id="order"),
+            pytest.param(diagonal_matrix(1, 1, (-2,)), FGAbelianGroup(0, (2,)), id="sign"),
+            pytest.param(diagonal_matrix(2, 2, (0, 2)), FGAbelianGroup(1, (2,)), id="zeros-last"),
+            pytest.param(
+                IntMatrix.from_rows([[2, 1], [0, 4]]), FGAbelianGroup(0, (8,)), id="off-diagonal"
+            ),
+        ],
+    )
+    def test_input_off_one_law_goes_through_snf(self, monkeypatch, a, group):
+        calls = []
+        honest = exact_linalg.snf
+        monkeypatch.setattr(exact_linalg, "snf", lambda m: calls.append(m) or honest(m))
+        assert cokernel(a) == group
+        assert calls == [a]
 
     def test_no_relations(self):
         assert cokernel(IntMatrix.from_columns([], row_count=3)) == FGAbelianGroup(3)
@@ -419,19 +466,19 @@ class TestIntegerKernel:
         assert x + y == 0 and abs(x) == 1
 
     def test_identity_has_trivial_kernel(self):
-        assert integer_kernel(IntMatrix.identity(3)).shape == (3, 0)
+        assert integer_kernel(identity(3)).shape == (3, 0)
 
     def test_weight_row(self):
         w = IntMatrix.from_rows([[2, 2, 1, 1, 2, 2, 4]])
         k = integer_kernel(w)
         assert k.shape == (7, 6)
-        for col in k.columns():
+        for col in k.transpose().rows:
             assert w.apply(col) == (0,)
 
     def test_composition_is_zero(self):
         a = SEVEN_COMPONENT_MATRIX
         k = integer_kernel(a)
-        assert a @ k == IntMatrix.zeros(a.row_count, k.col_count)
+        assert a @ k == zeros(a.row_count, k.col_count)
         assert k.col_count == a.col_count - snf(a).rank()
 
 
@@ -442,7 +489,7 @@ def _columns(*vectors, row_count=None):
 class TestSolveInLattice:
     def test_identity_basis(self):
         target = _columns((4, -1, 7))
-        assert solve_in_lattice(IntMatrix.identity(3), target) == target
+        assert solve_in_lattice(identity(3), target) == target
 
     def test_parity_obstruction(self):
         basis = _columns((2, 0))
@@ -588,6 +635,14 @@ class TestMatrixText:
         text = "# header\n\n2 2\n# body\n1 2\n\n3 4\n"
         assert parse_matrix_text(text) == IntMatrix.from_rows([[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2)])
+    def test_round_trip_of_every_shape(self, shape):
+        # The rows of an R-by-0 matrix are empty lines, which the parser
+        # skips as blank; a header with nothing after it stands for them.
+        m, n = shape
+        a = IntMatrix.from_rows([[i - j for j in range(n)] for i in range(m)], col_count=n)
+        assert parse_matrix_text(format_matrix_text(a)) == a
+
     def test_empty_matrix(self):
         assert parse_matrix_text("0 3\n") == IntMatrix.from_rows([], col_count=3)
         assert parse_matrix_text(f"0 {MAX_MATRIX_DIM}\n").shape == (0, MAX_MATRIX_DIM)
@@ -600,6 +655,8 @@ class TestMatrixText:
             "1 2\n1\n",
             "1 2\na b\n",
             "2 2\n1 2\n",
+            "3 0\n5\n",
+            "1 0\n0\n",
             "-1 2\n",
             "0 100000\n",
             f"{MAX_MATRIX_DIM + 1} 1\n",

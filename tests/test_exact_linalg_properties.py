@@ -1,9 +1,11 @@
 """Property tests for the integer linear algebra invariants."""
 
+import itertools
 import random
+from operator import mul
 
 import hypothesis.strategies as st
-from conftest import unimodular_product
+from conftest import diagonal_matrix, identity, unimodular_product, zeros
 from hypothesis import example, given, settings
 
 from chowfiber import exact_linalg
@@ -129,7 +131,7 @@ def test_rank_and_minor_match_the_oracle(a):
 def test_snf_reconstructs_and_transforms_are_unimodular(a):
     dec = snf(a)
     assert dec.u @ a @ dec.v == dec.s
-    assert dec.u @ dec.u_inv == IntMatrix.identity(a.row_count)
+    assert dec.u @ dec.u_inv == identity(a.row_count)
     assert determinant(dec.u) in (1, -1)
     assert determinant(dec.v) in (1, -1)
     diag = dec.s.diagonal_entries()
@@ -193,26 +195,53 @@ def test_cokernel_invariance(a, rng):
 
     if a.col_count:
         j = rng.randrange(a.col_count)
-        cols = a.columns()
+        cols = list(a.transpose().rows)
         cols[j] = tuple(-e for e in cols[j])
         assert cokernel(IntMatrix.from_columns(cols, row_count=a.row_count)) == base
 
         if a.col_count >= 2:
             i, j = rng.sample(range(a.col_count), 2)
-            cols = a.columns()
+            cols = list(a.transpose().rows)
             cols[i] = tuple(p + q for p, q in zip(cols[i], cols[j]))
             assert cokernel(IntMatrix.from_columns(cols, row_count=a.row_count)) == base
 
     padded = IntMatrix.from_columns(
-        a.columns() + [(0,) * a.row_count], row_count=a.row_count
+        [*a.transpose().rows, (0,) * a.row_count], row_count=a.row_count
     )
     assert cokernel(padded) == base
+
+
+def diagonal_matrices(max_size=5):
+    """Diagonal matrices of any shape; about half keep every law of a Smith form.
+
+    Those take their diagonal from running products of 0, 1, 2 and 3,
+    which makes it nonnegative, a divisibility chain and zeros last;
+    the others take any small entries.
+    """
+
+    def build(shape):
+        m, n = shape
+        k = min(m, n)
+        chain = st.lists(st.sampled_from((0, 1, 2, 3)), min_size=k, max_size=k).map(
+            lambda steps: list(itertools.accumulate(steps, mul))
+        )
+        anything = st.lists(st.integers(-6, 6), min_size=k, max_size=k)
+        return st.one_of(chain, anything).map(lambda d: diagonal_matrix(m, n, d))
+
+    return st.tuples(st.integers(0, max_size), st.integers(0, max_size)).flatmap(build)
+
+
+@given(st.one_of(diagonal_matrices(), matrices()))
+def test_cokernel_is_the_quotient_by_the_smith_diagonal(a):
+    # cokernel reads input already in Smith form without snf; the group
+    # must be the one snf gives all the same.
+    assert cokernel(a) == FGAbelianGroup.quotient(a.row_count, snf(a).nonzero_diagonal())
 
 
 @given(matrices())
 def test_integer_kernel_composition(a):
     k = integer_kernel(a)
-    assert a @ k == IntMatrix.zeros(a.row_count, k.col_count)
+    assert a @ k == zeros(a.row_count, k.col_count)
     assert k.col_count == a.col_count - snf(a).rank()
 
 
@@ -278,7 +307,7 @@ def test_kernel_coordinates_match_the_lattice_solve(w, target_count, rng):
     # coordinates rebuild every target in it.
     dense = dense_kernel_basis(w)
     assert dense.shape == basis.shape
-    assert IntMatrix.from_rows([w]) @ dense == IntMatrix.zeros(1, dense.col_count)
+    assert IntMatrix.from_rows([w]) @ dense == zeros(1, dense.col_count)
     assert cokernel(dense) == FGAbelianGroup(len(w) - dense.col_count)
     assert dense @ fast == targets
 

@@ -187,7 +187,7 @@ class TestHomTBasis:
         w = WeightVector((2, 2, 1, 1, 2, 2, 4))
         basis = hom_T_basis(w)
         assert basis.shape == (7, 6)
-        for col in basis.columns():
+        for col in basis.transpose().rows:
             assert sum(a * b for a, b in zip(w.weights, col)) == 0
 
     def test_single_orbit_has_no_characters(self):
