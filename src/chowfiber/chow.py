@@ -20,21 +20,18 @@ computed twice, by genuinely different routes:
   canonical coordinates of B(X), where the relations are the columns of
   ``s``, and takes the kernel.
 
-Both routes have the same shape: write a target matrix in coordinates of
-the kernel of one integer row, then take the quotient.
-:func:`~chowfiber.exact_linalg.kernel_coordinates` does the first step
-from the gcd chain of the row, in O(n) operations per target and with
-no Smith decomposition.  The kernel route's quotient matrix is ``s``
-with one zero row dropped, already in Smith form, so
-:func:`~chowfiber.exact_linalg.cokernel` reads its group off it after
-checking the laws of a Smith form, with no elimination.  The quotient
-route reads only the group, so it takes its invariant factors from
+The quotient route writes the degree matrix in coordinates of the
+kernel of the weight row with
+:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd chain
+of the row, and takes its invariant factors from
 :func:`~chowfiber.exact_linalg.local_invariant_factors`, which works one
-prime of a gcd of minors at a time and keeps no transforms.  A strict
-report thus makes one Smith decomposition (the degree matrix) and one
-call of the local route, and the two routes share no elimination code.
-The decomposition of the degree matrix feeds B(X), the induced
-character and the kernel route; the quotient route never reads it.
+prime of a gcd of minors at a time and keeps no transforms.  The kernel
+route makes no elimination: the relations are diagonal, so once the
+character is checked to vanish on them, its kernel modulo them is read
+off the Smith diagonal.  A strict report thus makes one Smith
+decomposition (the degree matrix) and one call of the local route.  The
+decomposition feeds B(X), the induced character and the kernel route;
+the quotient route never reads it.
 
 Whenever the input satisfies the validation laws, the degree character
 maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith
@@ -58,7 +55,6 @@ from .exact_linalg import (
     IntMatrix,
     SelfCheckError,
     SmithDecomposition,
-    cokernel,
     kernel_coordinates,
     local_invariant_factors,
     snf,
@@ -168,7 +164,8 @@ def compute_b0(
     character from it with :func:`compute_xi_bar`.  Neither route makes
     a Smith decomposition of its own, so ``dec`` is the only one a
     strict report makes.  Both groups must be the degree-zero part that
-    B(X) fixes; :func:`report` checks that they are.
+    B(X) fixes; :func:`report` checks that they are.  Raises
+    :class:`SelfCheckError` if the induced character breaks a relation.
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
@@ -179,13 +176,18 @@ def compute_b0(
         coords.row_count, local_invariant_factors(coords)
     )
 
-    # Kernel route: in the canonical coordinates the relation lattice is
-    # spanned by the columns of s, multiples of basis vectors; take the
-    # kernel of the character row modulo those relations.  On valid input
-    # s_i·ξ̄_i = 0 makes ξ̄ vanish on the first r coordinates, so the
-    # coordinates are s with a zero row dropped: a Smith form already,
-    # which cokernel checks and reads without a second decomposition.
-    route_kernel = cokernel(kernel_coordinates(compute_xi_bar(weights, dec), dec.s))
+    # Kernel route: in the canonical coordinates the relations are the
+    # columns s_i·e_i of s, so the character row ξ̄ descends to B(X) only
+    # if it vanishes on the first r coordinates.  Its kernel is then Z^r
+    # plus the kernel on the rest, one rank short when ξ̄ is nonzero, and
+    # the relations span s_i·Z in the Z^r: the nonzero Smith diagonal.
+    xi_bar = compute_xi_bar(weights, dec)
+    r = dec.rank()
+    if any(xi_bar[:r]):
+        raise SelfCheckError("the induced degree character does not vanish on the relations")
+    route_kernel = FGAbelianGroup.quotient(
+        len(xi_bar) - any(xi_bar[r:]), dec.nonzero_diagonal()
+    )
 
     return route_quotient, route_kernel
 

@@ -43,17 +43,11 @@ against cofactor expansion is its reference.
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
 proof is ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det v = ±1``,
-with ``s`` diagonal, nonnegative, zeros last and a divisibility chain;
-``_smith_form_defect`` states those four laws of a Smith form once.
-The proof is complete: ``u @ u_inv == I`` makes ``u`` unimodular with
-inverse ``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a
-@ v == s``.  Products skip the zero entries of their left operand, so
-checking transforms near the identity costs what they hold.
-
-``cokernel`` reads a matrix that already keeps the four laws as its own
-Smith form: with identity transforms every product of the proof is an
-identity, so the laws alone prove it, and no elimination is made.  Any
-other matrix goes through ``snf``.
+with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
+It is complete: ``u @ u_inv == I`` makes ``u`` unimodular with inverse
+``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a @ v ==
+s``.  Products skip the zero entries of their left operand, so checking
+transforms near the identity costs what they hold.
 """
 
 from __future__ import annotations
@@ -477,10 +471,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     """Prove ``dec`` a Smith decomposition of ``a``, or raise :class:`SelfCheckError`.
 
-    The checks are ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det
-    v = ±1``, then the laws of a Smith form on ``s``
-    (:func:`_smith_form_defect`).  They are complete: an integer matrix
-    with an integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
+    The checks are ``s`` diagonal, ``u @ u_inv == I``, ``a @ v ==
+    u_inv @ s`` and ``det v = ±1``, then the sign, order and divisibility
+    laws of the diagonal.  They are complete: an integer matrix with an
+    integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
     ``u`` unimodular with inverse ``u_inv``, and multiplying ``a @ v ==
     u_inv @ s`` on the left by ``u`` gives ``u @ a @ v == s``.  As ``s``
     is diagonal, ``u_inv @ s`` only scales the columns of ``u_inv``.
@@ -490,6 +484,9 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     if shapes != ((m, n), (m, m), (m, m), (n, n)):
         raise SelfCheckError("Smith decomposition has the wrong shape")
     diag = dec.s.diagonal_entries()
+    for i, row in enumerate(dec.s.rows):
+        if any(row[:i]) or any(row[i + 1 :]):
+            raise SelfCheckError("Smith form is not diagonal")
     for i, row in enumerate((dec.u @ dec.u_inv).rows):
         if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
             raise SelfCheckError("Smith row transform does not match its inverse")
@@ -499,29 +496,13 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
             raise SelfCheckError("Smith decomposition does not reproduce the input")
     if determinant(dec.v) not in (1, -1):
         raise SelfCheckError("Smith column transform is not unimodular")
-    if (defect := _smith_form_defect(dec.s)) is not None:
-        raise SelfCheckError(defect)
-
-
-def _smith_form_defect(s: IntMatrix) -> str | None:
-    """Which law of a Smith form ``s`` breaks, or ``None`` if it keeps them all.
-
-    The laws: ``s`` is diagonal, its diagonal is nonnegative, its zeros
-    come last and its nonzero entries form a divisibility chain.  The
-    cost is one pass over the entries.
-    """
-    for i, row in enumerate(s.rows):
-        if any(row[:i]) or any(row[i + 1 :]):
-            return "Smith form is not diagonal"
-    diag = s.diagonal_entries()
     if any(d < 0 for d in diag):
-        return "Smith diagonal has a negative entry"
+        raise SelfCheckError("Smith diagonal has a negative entry")
     for p, q in zip(diag, diag[1:]):
         if q and not p:
-            return "zero entries must come last on the Smith diagonal"
+            raise SelfCheckError("zero entries must come last on the Smith diagonal")
         if p and q % p:
-            return "Smith diagonal is not a divisibility chain"
-    return None
+            raise SelfCheckError("Smith diagonal is not a divisibility chain")
 
 
 # ----------------------------------------------------------------------
@@ -712,17 +693,8 @@ def invariant_factors_from_divisors(divisors: Sequence[int]) -> list[int]:
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:
-    """The group ``Z^rows / column-span(a)``, from a verified Smith form.
-
-    When ``a`` already keeps the laws of a Smith form
-    (:func:`_smith_form_defect`), it is its own Smith form with identity
-    transforms.  Every product of the proof in :func:`_verify_snf` is
-    then an identity, so those laws are the whole proof, and the group
-    is read off ``a`` with no elimination.  Any other ``a`` goes
-    through :func:`snf`.
-    """
-    s = a if _smith_form_defect(a) is None else snf(a).s
-    return FGAbelianGroup.quotient(a.row_count, [d for d in s.diagonal_entries() if d])
+    """The group ``Z^rows / column-span(a)``, from a verified Smith decomposition."""
+    return FGAbelianGroup.quotient(a.row_count, snf(a).nonzero_diagonal())
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

@@ -249,7 +249,9 @@ def parse_model(document: str | Mapping) -> FiberModel:
     )
 
     name = _expect(top["name"], str, "name")
-    hypotheses = _parse_hypotheses(top.get("hypotheses"))
+    hypotheses = Hypotheses()
+    if "hypotheses" in top:
+        hypotheses = _parse_hypotheses(top["hypotheses"])
     orbit_tuple = _parse_orbits(top["orbits"])
     orbit_names = [o.name for o in orbit_tuple]
 
@@ -272,8 +274,6 @@ def parse_model(document: str | Mapping) -> FiberModel:
 
 
 def _parse_hypotheses(raw: object) -> Hypotheses:
-    if raw is None:
-        return Hypotheses()
     obj = _expect(raw, dict, "hypotheses")
     keys = ("reduced_components_smooth", "pic_unramified_descent")
     _check_keys(obj, "hypotheses", (), keys)

@@ -33,6 +33,7 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
+    kernel_coordinates,
     snf,
     solve_in_lattice,
 )
@@ -317,10 +318,9 @@ class TestReport:
     def test_one_pass(self, monkeypatch):
         # One validation, one degree matrix, one Smith decomposition and
         # one local route, however many orbits the model has: only the
-        # degree matrix is decomposed; the kernel row of each B(X)_0 route
-        # is read off its gcd chain, the kernel route's quotient is a
-        # Smith form already, and the quotient route's quotient is read
-        # off local Smith forms.
+        # degree matrix is decomposed; the quotient route's kernel row is
+        # read off its gcd chain and its quotient off local Smith forms,
+        # and the kernel route reads the Smith diagonal.
         snf_calls = []
         local_calls = []
         for orbit_count in (3, 9):
@@ -349,9 +349,9 @@ class TestReport:
     @pytest.mark.parametrize("orbit_count", [1000, 2000])
     def test_wide_model_makes_one_smith_decomposition(self, monkeypatch, orbit_count):
         # A gate on work, not on wall time: one generator on many
-        # single-component orbits.  Neither kernel row of the B(X)_0
-        # routes is decomposed, however long it is, nor the kernel
-        # route's quotient.
+        # single-component orbits.  The quotient route's kernel row is
+        # not decomposed, however long it is, and the kernel route makes
+        # no elimination at all.
         orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(orbit_count)]
         generator = {"name": "g", "host": "O0", "degrees": {"O0": 1, "O1": -1}}
         m = _model({"name": "wide", "orbits": orbits, "generators": [generator]})
@@ -379,6 +379,33 @@ class TestReport:
         m = _model(random_valid_model_document(rng, orbit_count=6, generator_count=8))
         with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):
             report(m)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            pytest.param(
+                lambda xi: (xi[0] + 1, *xi[1:]), "does not vanish", id="nonzero-on-a-relation"
+            ),
+            pytest.param(
+                lambda xi: (0,) * len(xi), "the two degree-zero routes disagree", id="zero"
+            ),
+        ],
+    )
+    def test_a_wrong_induced_character_exits_3(self, monkeypatch, capsys, fault, message):
+        # synthetic-z2 has a degree matrix of rank 1, so entry 0 of ξ̄ is
+        # a relation coordinate.  The quotient route has proved w·a = 0,
+        # so ξ̄·s = w·a·v = 0 and a wrong ξ̄ can only be a fault.
+        from chowfiber import chow, cli
+
+        m = _fixture_model("synthetic-z2")
+        assert snf(build_specialization_matrix(m)).rank() == 1
+        honest = chow.compute_xi_bar
+        monkeypatch.setattr(chow, "compute_xi_bar", lambda w, dec: fault(honest(w, dec)))
+        with pytest.raises(SelfCheckError, match=message):
+            report(m)
+        assert cli.main(["compute", str(fixture_path("synthetic-z2"))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: ") and message in err
 
     @pytest.mark.parametrize(
         "wrong",
@@ -505,16 +532,22 @@ class TestReport:
 SEEDED_REPORTS_SHA256 = "b80d4c3a2024ac09ac86dfddf0a19fa731945ba04d388f617045c72bd53cc1cd"
 
 
-def test_seeded_reports_are_pinned():
+def _seeded_models():
     # n = 4..11 orbits with n + 2 generators, 30 seeds each.
-    digest = hashlib.sha256()
     for orbit_count in range(4, 12):
         for k in range(30):
             rng = random.Random(1000 * orbit_count + k)
-            doc = random_valid_model_document(
-                rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+            yield _model(
+                random_valid_model_document(
+                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
+                )
             )
-            digest.update(json.dumps(report_as_json(report(_model(doc))), sort_keys=True).encode())
+
+
+def test_seeded_reports_are_pinned():
+    digest = hashlib.sha256()
+    for m in _seeded_models():
+        digest.update(json.dumps(report_as_json(report(m)), sort_keys=True).encode())
     assert digest.hexdigest() == SEEDED_REPORTS_SHA256
 
 
@@ -531,6 +564,21 @@ def test_known_answer_models_agree_with_the_minor_oracle(orbit_count):
     assert xi_weights(model.orbits).image_index() == 3
 
 
+def _kernel_route_matches_its_reference(m):
+    # The kernel route reads B(X)_0 off the Smith diagonal; the reference
+    # writes s in a kernel basis of ξ̄ and takes the quotient by snf.
+    weights = xi_weights(m.orbits)
+    degrees = build_specialization_matrix(m)
+    dec = snf(degrees)
+    _, route_kernel = compute_b0(weights, degrees, dec)
+    assert route_kernel == cokernel(kernel_coordinates(compute_xi_bar(weights, dec), dec.s))
+
+
+def test_kernel_route_matches_its_reference_on_seeded_models():
+    for m in _seeded_models():
+        _kernel_route_matches_its_reference(m)
+
+
 @pytest.mark.parametrize(
     "orbit_count, index, diagonal",
     [
@@ -542,5 +590,7 @@ def test_known_answer_models_agree_with_the_minor_oracle(orbit_count):
 def test_report_on_known_answer_models_past_the_oracle(orbit_count, index, diagonal):
     rng = random.Random(f"known:{orbit_count}:{index}")
     doc, (b, b0, xi) = known_answer_model_document(rng, orbit_count, index, diagonal)
-    rep = report(_model(doc))
+    m = _model(doc)
+    rep = report(m)
     assert (rep.b, rep.b0, rep.xi_on_generators, rep.index) == (b, b0, xi, index)
+    _kernel_route_matches_its_reference(m)

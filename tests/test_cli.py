@@ -354,6 +354,12 @@ class TestHostileInput:
                 b'"generators": [{"name": "g", "host": "A", '
                 b'"degrees": {"A": 3, "B": -2, "A": 2}}]}',
             ),
+            (
+                "compute",
+                "null.json",
+                b'{"name": "x", "orbits": [{"name": "A", "multiplicity": 1, "size": 1}], '
+                b'"hypotheses": null}',
+            ),
         ],
         ids=[
             "too-many-digits",
@@ -363,6 +369,7 @@ class TestHostileInput:
             "declared-too-large",
             "matrix-control-character",
             "repeated-key",
+            "null-hypotheses",
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, command, filename, content):

@@ -233,9 +233,10 @@ def diagonal_matrices(max_size=5):
 
 @given(st.one_of(diagonal_matrices(), matrices()))
 def test_cokernel_is_the_quotient_by_the_smith_diagonal(a):
-    # cokernel reads input already in Smith form without snf; the group
-    # must be the one snf gives all the same.
-    assert cokernel(a) == FGAbelianGroup.quotient(a.row_count, snf(a).nonzero_diagonal())
+    # The Smith diagonal from the minor oracle, which shares no code with
+    # snf; about half the diagonal inputs are a Smith form already.
+    factors = invariant_factors_from_divisors(determinantal_divisors(a))
+    assert cokernel(a) == FGAbelianGroup.quotient(a.row_count, factors)
 
 
 @given(matrices())

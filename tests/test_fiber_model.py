@@ -113,6 +113,38 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=f"key '{key}' appears more than once"):
             parse_model(text)
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("hypotheses",), "hypotheses: expected an object"),
+            (("notes",), "notes: expected a string"),
+            (("generators",), "generators: expected an array"),
+            (("geometric",), "geometric: expected an object"),
+            (("expected",), "expected: expected an object"),
+            (("generators", 0, "degrees"), "generators[0].degrees: expected an object"),
+            (("geometric", "degrees"), "geometric.degrees: expected an object"),
+        ],
+        ids=[
+            "hypotheses",
+            "notes",
+            "generators",
+            "geometric",
+            "expected",
+            "generator-degrees",
+            "geometric-degrees",
+        ],
+    )
+    def test_null_optional_key_is_refused(self, path, message):
+        # A null is not an absent key: every optional key refuses it.
+        doc = json.loads(fixture_path("split-orbit").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = None
+        with pytest.raises(SchemaError) as info:
+            parse_model(doc)
+        assert str(info.value) == f"{message}, got NoneType"
+
     def test_empty_orbit_list(self):
         with pytest.raises(SchemaError, match="must not be empty"):
             parse_model({"name": "x", "orbits": []})
