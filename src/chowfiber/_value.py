@@ -4,12 +4,14 @@ A value class lists its fields in ``__slots__``, in constructor order.
 A class whose values only store their fields writes no ``__init__``:
 ``Value.__init__`` takes one value per field, positionally or by name,
 and fills a field left out from the class's ``_defaults``.  A class
-that checks or coerces its arguments writes its own ``__init__`` and
-sets each field there through ``object.__setattr__``.  Afterwards every
-assignment and deletion is refused.  Two values are equal when they
-have the same type and equal fields, so a value never equals a tuple of
-its fields, and the hash is taken over the same fields.  A class whose
-fields hold dicts sets ``__hash__ = None``.
+that checks or coerces its arguments writes its own ``__init__``, which
+checks them, then passes one value per field positionally to
+``Value.__init__`` (its fast path), so ``Value.__init__`` is the one
+place a field is stored.  Afterwards every assignment and deletion is
+refused.  Two values are equal when they have the same type and equal
+fields, so a value never equals a tuple of its fields, and the hash is
+taken over the same fields.  A class whose fields hold dicts sets
+``__hash__ = None``.
 
 The classes are written out by hand rather than generated, because a
 fresh ``chowfiber`` process is mostly interpreter start-up and import,

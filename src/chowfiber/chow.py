@@ -53,6 +53,7 @@ from ._value import Value
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
+    NotInLattice,
     SelfCheckError,
     SmithDecomposition,
     kernel_coordinates,
@@ -165,7 +166,9 @@ def compute_b0(
     a Smith decomposition of its own, so ``dec`` is the only one a
     strict report makes.  Both groups must be the degree-zero part that
     B(X) fixes; :func:`report` checks that they are.  Raises
-    :class:`SelfCheckError` if the induced character breaks a relation.
+    :class:`SelfCheckError` if the induced character breaks a relation,
+    and :class:`NotInLattice` if a degree column leaves ker(w), which
+    :func:`report` turns into :class:`SelfCheckError`.
     """
     # Quotient route: every valid degree column annihilates the fiber
     # class, so it has integer coordinates in a saturated annihilator
@@ -225,7 +228,10 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         if b.rank < 1:
             raise SelfCheckError("validated model produced a torsion-only quotient")
         b0 = FGAbelianGroup(b.rank - 1, b.invariant_factors)
-        route_quotient, route_kernel = compute_b0(weights, degrees, dec)
+        try:
+            route_quotient, route_kernel = compute_b0(weights, degrees, dec)
+        except NotInLattice as e:
+            raise SelfCheckError(f"a validated degree column leaves ker(w): {e}") from None
         if not route_quotient == route_kernel == b0:
             raise SelfCheckError(
                 f"the two degree-zero routes disagree with B(X) = {b}, whose "

@@ -127,19 +127,16 @@ class IntMatrix(Value):
     def __init__(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
         """Coerce every entry with ``operator.index``, then check the shape."""
         rows = tuple(tuple(map(index, row)) for row in rows)
-        self._set_fields(row_count, col_count, rows)
-        for row in rows:
-            if len(row) != col_count:
-                raise ValueError("ragged rows: all rows must have col_count entries")
+        self._store(row_count, col_count, rows)
+        if any(len(row) != col_count for row in rows):
+            raise ValueError("ragged input: a vector has the wrong number of entries")
 
-    def _set_fields(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
+    def _store(self, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> None:
         if row_count < 0 or col_count < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(rows) != row_count:
             raise ValueError("row count does not match the number of rows")
-        object.__setattr__(self, "row_count", row_count)
-        object.__setattr__(self, "col_count", col_count)
-        object.__setattr__(self, "rows", rows)
+        Value.__init__(self, row_count, col_count, rows)
 
     # -- constructors ------------------------------------------------
 
@@ -148,13 +145,13 @@ class IntMatrix(Value):
         """The constructor without its entry coercion and per-row length check.
 
         Only for rows of ``col_count`` ints that the caller built itself
-        (``snf``, products, transposes, ``kernel_coordinates``, from the
-        entries of an ``IntMatrix`` and a row it coerced, and
-        ``local_invariant_factors``); input from anywhere else goes
-        through the checked constructor.
+        (``snf``, products, transposes, ``integer_kernel`` from the rows
+        of ``v``, ``kernel_coordinates`` from the entries of an
+        ``IntMatrix`` and a row it coerced, and ``local_invariant_factors``);
+        input from anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
-        m._set_fields(row_count, col_count, rows)
+        m._store(row_count, col_count, rows)
         return m
 
     @classmethod
@@ -168,26 +165,16 @@ class IntMatrix(Value):
         if data:
             width = len(data[0])
             if col_count is not None and col_count != width:
-                raise ValueError("col_count disagrees with the supplied rows")
+                raise ValueError("the given vector length disagrees with the supplied vectors")
             return cls(len(data), width, data)
         if col_count is None:
-            raise ValueError("col_count is required for a matrix with no rows")
+            raise ValueError("a vector length is required when no vectors are given")
         return cls(0, col_count, ())
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[int]], row_count: int | None = None) -> IntMatrix:
-        """Build a matrix whose columns are the given vectors."""
-        cols = [tuple(c) for c in columns]
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise ValueError("ragged columns")
-            if row_count is not None and row_count != height:
-                raise ValueError("row_count disagrees with the supplied columns")
-            return cls(height, len(cols), tuple(zip(*cols)) if height else ())
-        if row_count is None:
-            raise ValueError("row_count is required for a matrix with no columns")
-        return cls(row_count, 0, ((),) * row_count)
+        """The matrix whose columns are ``columns``: :meth:`from_rows` of them, transposed."""
+        return cls.from_rows(columns, row_count).transpose()
 
     # -- accessors ---------------------------------------------------
 
@@ -278,14 +265,11 @@ class FGAbelianGroup(Value):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         factors = tuple(map(index, invariant_factors))
-        for f in factors:
-            if f < 2:
-                raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "invariant_factors", factors)
+        if any(f < 2 for f in factors):
+            raise ValueError("invariant factors must be >= 2")
+        if any(b % a for a, b in zip(factors, factors[1:])):
+            raise ValueError("invariant factors must form a divisibility chain")
+        Value.__init__(self, rank, factors)
 
     @classmethod
     def quotient(cls, ambient_rank: int, factors: Sequence[int]) -> FGAbelianGroup:
@@ -706,8 +690,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     """
     dec = snf(a)
     r = dec.rank()
-    cols = [dec.v.column(j) for j in range(r, a.col_count)]
-    return IntMatrix.from_columns(cols, row_count=a.col_count)
+    return IntMatrix._trusted(a.col_count, a.col_count - r, tuple(row[r:] for row in dec.v.rows))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -793,10 +776,9 @@ def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
         if tuple(rebuilt) != t:
             raise SelfCheckError("kernel coordinates do not rebuild their target")
         del c[first : first + 1]
-        columns.append(c)
+        columns.append(tuple(c))
     rank = n - (first < n)  # of ker(row)
-    rows = tuple(zip(*columns)) if columns else ((),) * rank
-    return IntMatrix._trusted(rank, targets.col_count, rows)
+    return IntMatrix._trusted(targets.col_count, rank, tuple(columns)).transpose()
 
 
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:

@@ -92,10 +92,7 @@ class Diagnostic(Value):
             raise ValueError(f"unknown severity {severity!r}")
         if code not in DIAGNOSTIC_CODES:
             raise ValueError(f"unknown diagnostic code {code!r}")
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "message", message)
+        Value.__init__(self, severity, code, subject, message)
 
     def is_error(self) -> bool:
         return self.severity == SEVERITY_ERROR

@@ -26,14 +26,18 @@ _DIR = Path(__file__).resolve().parent
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled fixture; ``.json`` may be omitted."""
-    filename = name if name.endswith(".json") else f"{name}.json"
-    path = _DIR / filename
-    if not path.is_file():
+    """Filesystem path of the bundled fixture ``name``; ``.json`` may be omitted.
+
+    Only a name from :func:`fixture_names` is accepted, so no path, absolute
+    or relative, reaches a file outside the bundle; any other name raises
+    :class:`FileNotFoundError`.
+    """
+    stem = name.removesuffix(".json")
+    if stem not in fixture_names():
         raise FileNotFoundError(
             f"no bundled fixture {name!r}; available: {', '.join(fixture_names())}"
         )
-    return path
+    return _DIR / f"{stem}.json"
 
 
 def fixture_names() -> list[str]:

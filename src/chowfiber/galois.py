@@ -87,9 +87,7 @@ class ComponentOrbit(Value):
             raise ValueError(f"multiplicity must be >= 1, got {int_text(multiplicity)}")
         if size < 1:
             raise ValueError(f"size must be >= 1, got {int_text(size)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        Value.__init__(self, name, size, multiplicity)
 
 
 class WeightVector(Value):
@@ -102,7 +100,7 @@ class WeightVector(Value):
         weights = tuple(map(index, weights))
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", weights)
+        Value.__init__(self, weights)
 
     def image_index(self) -> int:
         """The positive generator of the subgroup of Z the weights generate."""

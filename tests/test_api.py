@@ -253,3 +253,31 @@ def test_group_equality_decides_isomorphism():
     assert FGAbelianGroup(1, [2, 4]) == FGAbelianGroup.quotient(4, (1, 2, 4))
     assert hash(FGAbelianGroup(1, [2, 4])) == hash(FGAbelianGroup(1, (2, 4)))
     assert FGAbelianGroup(0, (2,)) != FGAbelianGroup(0, (4,))
+
+
+def test_fixture_path_resolves_every_bundled_name_with_or_without_suffix():
+    from chowfiber.fixtures import fixture_names, fixture_path
+
+    for name in fixture_names():
+        path = fixture_path(name)
+        assert path.is_file() and path.name == f"{name}.json"
+        assert fixture_path(f"{name}.json") == path
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param("absolute", id="absolute-path"),
+        pytest.param("../fixtures/trivial", id="relative-path"),
+        pytest.param("missing", id="unknown-name"),
+    ],
+)
+def test_fixture_path_refuses_names_outside_the_bundle(tmp_path, name):
+    from chowfiber.fixtures import fixture_path
+
+    if name == "absolute":
+        outside = tmp_path / "model.json"
+        outside.write_text("{}")
+        name = str(outside)
+    with pytest.raises(FileNotFoundError, match="no bundled fixture"):
+        fixture_path(name)

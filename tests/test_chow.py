@@ -407,6 +407,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("internal check failed: ") and message in err
 
+    def test_a_degree_column_off_the_kernel_exits_3(self, monkeypatch, capsys, tmp_path):
+        # With validation bypassed, a column that pairs to 1 against the
+        # weights reaches the quotient route, whose solve refuses it.
+        from chowfiber import chow, cli
+
+        doc = json.loads(fixture_path("synthetic-z2").read_text())
+        doc["generators"][0]["degrees"]["A"] += 1
+        path = tmp_path / "off-kernel.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(chow, "validate", lambda m: [])
+        with pytest.raises(SelfCheckError, match="leaves ker"):
+            report(_model(doc))
+        assert cli.main(["compute", str(path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal check failed: ")
+
     @pytest.mark.parametrize(
         "wrong",
         [

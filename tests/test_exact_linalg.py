@@ -81,6 +81,49 @@ class TestIntMatrix:
         assert a.column(1) == (3, 4)
         assert a.transpose().rows[1] == (3, 4)
 
+    @pytest.mark.parametrize(
+        "columns, row_count",
+        [
+            pytest.param([], 0, id="0x0"),
+            pytest.param([], 3, id="3x0"),
+            pytest.param([(), (), ()], None, id="0x3"),
+            pytest.param([(), ()], 0, id="0x2-given"),
+            pytest.param([(1, 2), (3, 4), (5, 6)], None, id="2x3"),
+            pytest.param([(1, -2, 0), (7, 0, 9)], 3, id="3x2-given"),
+        ],
+    )
+    def test_from_columns_is_from_rows_transposed(self, columns, row_count):
+        expected = IntMatrix.from_rows(columns, row_count).transpose()
+        a = IntMatrix.from_columns(columns, row_count)
+        assert a == expected
+        assert a.shape == (expected.row_count, len(columns))
+        assert all(a.column(j) == tuple(c) for j, c in enumerate(columns))
+
+    @pytest.mark.parametrize(
+        "columns, row_count",
+        [
+            pytest.param([(1, 2), (3,)], None, id="ragged"),
+            pytest.param([(1, 2), (3, 4)], 3, id="row-count-disagrees"),
+            pytest.param([], None, id="no-columns-no-row-count"),
+        ],
+    )
+    def test_from_columns_refuses(self, columns, row_count):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns(columns, row_count)
+
+    @pytest.mark.parametrize(
+        "row_count, col_count, rows",
+        [
+            pytest.param(-1, 0, (), id="negative-rows"),
+            pytest.param(0, -1, (), id="negative-columns"),
+            pytest.param(2, 1, ((1,),), id="too-few-rows"),
+            pytest.param(0, 1, ((1,),), id="too-many-rows"),
+        ],
+    )
+    def test_trusted_keeps_the_shape_checks(self, row_count, col_count, rows):
+        with pytest.raises(ValueError):
+            IntMatrix._trusted(row_count, col_count, rows)
+
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             identity(2) @ identity(3)
