@@ -9,14 +9,15 @@ induced degree character, its kernel B(X)_0, and the index.
 Layers, bottom up:
 
 * :mod:`chowfiber.exact_linalg` — exact integer matrices, the Smith
-  normal form with its transforms, invariant factors from local Smith
-  forms, kernels, cokernels, and the minor-enumeration oracle;
+  normal form as a checked log of operations, invariant factors from
+  local Smith forms, kernels, cokernels, and the minor-enumeration oracle;
 * :mod:`chowfiber.galois` — Frobenius orbits of fiber components and
   the weight vector of the fiber-class pairing;
 * :mod:`chowfiber.fiber_model` — the JSON input schema, normalization,
   and validation diagnostics;
 * :mod:`chowfiber.chow` — the pipeline assembling the report, with the
-  degree-zero part computed by two independent routes;
+  degree-zero part read off the Smith diagonal and checked against a
+  transform-free quotient route;
 * :mod:`chowfiber.cli` — the ``chowfiber`` command.
 """
 

@@ -9,37 +9,27 @@ group, the induced degree character on it, its kernel B(X)_0, and the
 index (the positive generator of the image of the degree).
 
 :func:`report` holds the degree matrix and its one verified Smith
-decomposition, and every derived object reads them: B(X) is read off
-the diagonal, the induced character off ``u_inv``, and B(X)_0 is
-computed twice, by genuinely different routes:
-
-* the *quotient route* rewrites every degree column in a saturated
-  basis of the characters annihilating the fiber class and takes the
-  quotient of that sublattice;
-* the *kernel route* expresses the induced degree character in the
-  canonical coordinates of B(X), where the relations are the columns of
-  ``s``, and takes the kernel.
-
-The quotient route writes the degree matrix in coordinates of the
-kernel of the weight row with
-:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd chain
-of the row, and takes its invariant factors from
-:func:`~chowfiber.exact_linalg.local_invariant_factors`, which works one
-prime of a gcd of minors at a time and keeps no transforms.  The kernel
-route makes no elimination: the relations are diagonal, so once the
-character is checked to vanish on them, its kernel modulo them is read
-off the Smith diagonal.  A strict report thus makes one Smith
-decomposition (the degree matrix) and one call of the local route.  The
-decomposition feeds B(X), the induced character and the kernel route;
-the quotient route never reads it.
-
+decomposition.  B(X) is read off the diagonal, and the induced
+character ξ̄ off the log's row operations, mirrored on the weight row.
 Whenever the input satisfies the validation laws, the degree character
 maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith
 diagonal already fixes B(X)_0: one free generator fewer, the same
-torsion.  :func:`report` checks this law once, by asserting that both
-routes give that group, which is the strongest cheap self-check
-available, and refuses to hand out a report that fails it.  A wrong
-answer of either route therefore never leaves :func:`report`.
+torsion.  :func:`report` checks that group against two routes:
+
+* the *quotient route* writes every degree column in a saturated basis
+  of the kernel of the weight row
+  (:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd
+  chain of the row) and takes the invariant factors of that sublattice
+  with :func:`~chowfiber.exact_linalg.local_invariant_factors`, one
+  prime of a gcd of minors at a time.  It never reads the Smith
+  decomposition, so it is the independent computation;
+* the *kernel route* reads the same Smith diagonal: the relations are
+  its columns, so once ξ̄ is checked to vanish on them, the kernel
+  modulo them is read off the diagonal.  Its agreement checks ξ̄.
+
+A strict report thus makes one Smith decomposition and one call of the
+local route, and refuses to hand out a report whose routes disagree
+with B(X)_0.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -149,10 +139,10 @@ def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int,
     :func:`~chowfiber.fiber_model.validate` checks; then it vanishes on
     the ``rank`` relation coordinates and the gcd of the rest is the
     index.  The row depends on the elimination order; :func:`report`
-    publishes a canonical form.
+    publishes a canonical form.  The log's row operations are mirrored
+    on ``w`` alone; no transform is built.
     """
-    row = IntMatrix.from_rows([weights.weights])
-    return (row @ dec.u_inv).rows[0]
+    return dec.times_u_inv(weights.weights)
 
 
 def compute_b0(

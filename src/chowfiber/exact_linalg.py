@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers.
 
 This module is the arithmetic engine of the package: the Smith normal
-form with its unimodular transformation matrices, integer kernels,
-lattice membership tests, and cokernels as finitely generated abelian
-groups.
+form as a log of elementary operations, integer kernels, lattice
+membership tests, and cokernels as finitely generated abelian groups.
 
 ``kernel_coordinates(row, targets)`` writes targets in a saturated basis
 of the kernel of one integer row.  It builds the basis from the gcd
@@ -19,15 +18,15 @@ small inputs, so fixed-width arithmetic is never used here.
 
 Three deliberately different routes to the invariant factors coexist:
 
-* ``snf`` diagonalizes by unimodular row and column operations and
-  returns the transforms with the diagonal.  It is the only route for
-  anything that reads a transform, and its output is proved (below);
+* ``snf`` diagonalizes by unimodular row and column operations and logs
+  them.  It is the only route for anything that reads a transform, which
+  is rebuilt from the log on demand, and its output is proved (below);
 * ``local_invariant_factors`` builds the Smith form one prime at a
   time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
   two nonzero maximal minors, and keeps no transforms.  When that gcd
   is 1 it eliminates nothing.  It is trusted for the factors alone,
   where a verified ``snf`` also derives them: the quotient route of
-  B(X)_0 against the kernel route, and ``chowfiber snf --check`` past
+  B(X)_0 against the Smith diagonal, and ``chowfiber snf --check`` past
   the oracle's size limit;
 * ``determinantal_divisors`` enumerates all k-by-k minors and takes
   gcds.  It is exponential and size-capped, but it shares no code with
@@ -35,19 +34,19 @@ Three deliberately different routes to the invariant factors coexist:
   invariant factor k equals ``d_k / d_{k-1}``.
 
 One fraction-free (Bareiss) elimination, ``_rank_and_minor``, serves
-``determinant``, the ``det v = ±1`` law below, the oracle's minors and
-the local route's two minors.  It is part of no reduction, and a test
-against cofactor expansion is its reference.
+``determinant``, the oracle's minors and the local route's two minors.
+It is part of no reduction, and a test against cofactor expansion is
+its reference.
 
 ``snf`` always re-verifies its own output and raises
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
-proof is ``u @ u_inv == I``, ``a @ v == u_inv @ s`` and ``det v = ±1``,
-with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
-It is complete: ``u @ u_inv == I`` makes ``u`` unimodular with inverse
-``u_inv``, so ``a @ v == u_inv @ s`` holds exactly when ``u @ a @ v ==
-s``.  Products skip the zero entries of their left operand, so checking
-transforms near the identity costs what they hold.
+proof replays the log on the input with whole-line operations and
+requires ``s`` exactly, with ``s`` diagonal, nonnegative, zeros last and
+a divisibility chain.  Every logged operation must be elementary over
+the integers, so the transforms are unimodular and ``u @ a @ v == s``
+holds with no product, inverse or determinant to check (a certifying
+algorithm: McConnell, Mehlhorn, Näher & Schweitzer 2011).
 """
 
 from __future__ import annotations
@@ -83,10 +82,8 @@ class MatrixFormatError(ValueError):
 ORACLE_SIZE_LIMIT = 8
 
 #: Largest row or column count :func:`parse_matrix_text` accepts.  The
-#: Smith transforms are square in each dimension and the elimination and
-#: its check are cubic on dense input (on sparse transforms the check
-#: costs what they hold), so a short header must not be able to declare
-#: a huge matrix.
+#: Smith elimination and the replay of its log are cubic on dense input,
+#: so a short header must not be able to declare a huge matrix.
 MAX_MATRIX_DIM = 256
 
 
@@ -145,9 +142,10 @@ class IntMatrix(Value):
         """The constructor without its entry coercion and per-row length check.
 
         Only for rows of ``col_count`` ints that the caller built itself
-        (``snf``, products, transposes, ``integer_kernel`` from the rows
-        of ``v``, ``kernel_coordinates`` from the entries of an
-        ``IntMatrix`` and a row it coerced, and ``local_invariant_factors``);
+        (``snf``, replays of its log, products, transposes,
+        ``integer_kernel`` from the rows of ``v``, ``kernel_coordinates``
+        from the entries of an ``IntMatrix`` and a row it coerced, and
+        ``local_invariant_factors``);
         input from anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
@@ -231,21 +229,54 @@ class SmithDecomposition(Value):
     """A Smith normal form ``s = u @ a @ v`` with unimodular ``u`` and ``v``.
 
     ``s`` is diagonal with nonnegative entries, each nonzero diagonal
-    entry divides the next, and zero entries come last.  ``u_inv`` is
-    the inverse of ``u``, accumulated alongside it.
+    entry divides the next, and zero entries come last.  ``log`` holds
+    the elementary operations that took ``a`` to ``s``, in order:
+    ``("swap rows", i, j)``, ``("swap columns", i, j)``, ``("add row",
+    src, dst, f)`` and ``("add column", src, dst, f)`` for "line dst +=
+    f·line src", and ``("negate row", i)``.  ``u``, ``u_inv`` and ``v``
+    are rebuilt from the log on each read.
     """
 
-    __slots__ = ("s", "u", "v", "u_inv")
+    __slots__ = ("s", "log")
     s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
+    log: tuple[tuple, ...]
 
     def rank(self) -> int:
         return sum(1 for d in self.s.diagonal_entries() if d != 0)
 
     def nonzero_diagonal(self) -> tuple[int, ...]:
         return tuple(d for d in self.s.diagonal_entries() if d != 0)
+
+    @property
+    def u(self) -> IntMatrix:
+        return _on_identity(self.log, self.s.row_count, rows=True)
+
+    @property
+    def v(self) -> IntMatrix:
+        return _on_identity(self.log, self.s.col_count, rows=False)
+
+    @property
+    def u_inv(self) -> IntMatrix:
+        m = self.s.row_count
+        return IntMatrix._trusted(m, m, tuple(map(self.times_u_inv, _on_identity((), m, True).rows)))
+
+    def times_u_inv(self, row: Sequence[int]) -> tuple[int, ...]:
+        """``row @ u_inv``, in O(1) work per logged operation.
+
+        For ``u = E_k @ … @ E_1`` it is ``row @ E_1⁻¹ @ … @ E_k⁻¹``, and the
+        inverse of "row dst += f·row src" does ``x[src] -= f·x[dst]``.
+        """
+        x = list(row)
+        for op in self.log:
+            kind = op[0]
+            if kind == "add row":
+                x[op[1]] -= op[3] * x[op[2]]
+            elif kind == "swap rows":
+                i, j = op[1], op[2]
+                x[i], x[j] = x[j], x[i]
+            elif kind == "negate row":
+                x[op[1]] = -x[op[1]]
+        return tuple(x)
 
 
 class FGAbelianGroup(Value):
@@ -339,7 +370,7 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, self-verified before returning.
+    """Smith normal form with its log of operations, self-verified before returning.
 
     Every round moves a nonzero entry of minimal absolute value in the
     remaining submatrix to ``(t, t)`` and reduces column ``t``, then row
@@ -349,50 +380,28 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     leaves a remainder in the next round.  The pivot magnitude therefore
     shrinks to termination.  Re-picking the smallest entry every round,
     rather than promoting whichever remainder turns up first, is also
-    what keeps the transform entries polynomially sized.
+    what keeps the factors of the log polynomially sized.
 
-    One list ``w`` holds ``[s | u]`` in rows ``0..m-1`` and ``v`` below.
-    A row operation is one list operation on ``[s | u]``, mirrored by
-    its inverse column operation on ``u_inv`` so that ``u_inv`` stays
-    the inverse of ``u``.  A column operation (index below ``n``) runs
-    once over rows ``t..``: the unfinished rows of ``s`` (rows and
-    columns before ``t`` are finished, zero off the diagonal) and every
-    row of ``v``.  The updates skip swaps of a line with itself and rows
-    of ``v`` and ``u_inv`` whose source entry is 0.  A ±1 pivot ends its
-    round at once: it leaves no remainder and divides everything.
-
-    Before returning, :func:`_verify_snf` proves ``u @ u_inv == I``,
-    ``a @ v == u_inv @ s`` and ``det v = ±1`` together with the laws of
-    the diagonal; as ``u`` is then unimodular with inverse ``u_inv``,
-    this is the same as ``u @ a @ v == s``.
+    The operations run on a copy ``w`` of ``a`` alone and go into the
+    log; no transform is built.  A column operation runs over rows
+    ``t..`` only: rows and columns before ``t`` are finished, zero off
+    the diagonal.  A ±1 pivot ends its round at once: it leaves no
+    remainder and divides everything.  Before returning,
+    :func:`_verify_snf` replays the log on ``a`` and proves the result.
     """
     m, n = a.shape
-    w = [list(row) + [0] * m for row in a.rows] + [[0] * n for _ in range(n)]
-    u_inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        w[i][n + i] = u_inv[i][i] = 1
-    for j in range(n):
-        w[m + j][j] = 1
-
-    def swap_rows(i: int, j: int) -> None:
-        w[i], w[j] = w[j], w[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(t: int, j: int) -> None:
-        for row in itertools.islice(w, t, None):
-            row[t], row[j] = row[j], row[t]
+    w = [list(row) for row in a.rows]
+    log: list[tuple] = []
 
     def add_row(src: int, dst: int, factor: int) -> None:
         w[dst] = [p + factor * q for p, q in zip(w[dst], w[src])]
-        for row in u_inv:
-            if row[dst]:
-                row[src] -= factor * row[dst]
+        log.append(("add row", src, dst, factor))
 
     def add_col(t: int, dst: int, factor: int) -> None:
         for row in itertools.islice(w, t, None):
             if row[t]:
                 row[dst] += factor * row[t]
+        log.append(("add column", t, dst, factor))
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int] | None = None
@@ -408,10 +417,14 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
     for t in range(min(m, n)):
         while (pos := find_pivot(t)) is not None:
-            if pos[0] != t:
-                swap_rows(t, pos[0])
-            if pos[1] != t:
-                swap_cols(t, pos[1])
+            i, j = pos
+            if i != t:
+                w[t], w[i] = w[i], w[t]
+                log.append(("swap rows", t, i))
+            if j != t:
+                for row in itertools.islice(w, t, None):
+                    row[t], row[j] = row[j], row[t]
+                log.append(("swap columns", t, j))
             p = w[t][t]
             for i in range(t + 1, m):
                 if w[i][t]:
@@ -438,48 +451,81 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
         if w[t][t] < 0:
             w[t] = [-e for e in w[t]]
-            for row in u_inv:
-                row[t] = -row[t]
+            log.append(("negate row", t))
 
-    # s, u, v, u_inv: every row is a full-length tuple of ints, so skip the checks.
-    result = SmithDecomposition(
-        IntMatrix._trusted(m, n, tuple(tuple(row[:n]) for row in w[:m])),
-        IntMatrix._trusted(m, m, tuple(tuple(row[n:]) for row in w[:m])),
-        IntMatrix._trusted(n, n, tuple(map(tuple, w[m:]))),
-        IntMatrix._trusted(m, m, tuple(map(tuple, u_inv))),
-    )
+    # Every row of w is a full-length list of ints, so skip the checks.
+    result = SmithDecomposition(IntMatrix._trusted(m, n, tuple(map(tuple, w))), tuple(log))
     _verify_snf(a, result)
     return result
+
+
+#: The kinds of logged operation, each with its tuple length and whether it acts on rows.
+_LOG_KINDS = {"add column": (4, False), "add row": (4, True), "swap columns": (3, False),
+              "swap rows": (3, True), "negate row": (2, True)}
+
+
+def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[int]]:
+    """Apply each logged operation to whole rows or columns of ``w``, in place; return ``w``.
+
+    ``w`` is a list of row lists of ``width`` entries.  Raises
+    :class:`SelfCheckError` on an operation that is not elementary over
+    the integers: an unknown kind or length, a factor that is not an
+    ``int``, an index outside ``w``, or an add of a line to itself.
+    """
+    spans = (range(width), range(len(w)))
+    for op in log:
+        length, on_rows = _LOG_KINDS.get(op[0] if op else None, (-1, False))
+        if len(op) != length or length == 4 and type(op[3]) is not int:
+            raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
+        i = op[1]
+        j = op[2] if length > 2 else i
+        if i not in spans[on_rows] or j not in spans[on_rows]:
+            raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
+        if length == 4:
+            if i == j:
+                raise SelfCheckError(f"Smith log operation {op!r} adds a line to itself")
+            f = op[3]
+            if on_rows:
+                w[j] = [p + f * q for p, q in zip(w[j], w[i])]
+            else:
+                for row in w:
+                    if row[i]:
+                        row[j] += f * row[i]
+        elif length == 2:
+            w[i] = [-e for e in w[i]]
+        elif on_rows:
+            w[i], w[j] = w[j], w[i]
+        else:
+            for row in w:
+                row[i], row[j] = row[j], row[i]
+    return w
+
+
+def _on_identity(log: Iterable[tuple], size: int, rows: bool) -> IntMatrix:
+    """The product of the logged row (``rows``) or column operations, replayed on the identity."""
+    ops = [op for op in log if _LOG_KINDS.get(op[0], (0, rows))[1] is rows]
+    w = _replay(ops, [[int(i == j) for j in range(size)] for i in range(size)], size)
+    return IntMatrix._trusted(size, size, tuple(map(tuple, w)))
 
 
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     """Prove ``dec`` a Smith decomposition of ``a``, or raise :class:`SelfCheckError`.
 
-    The checks are ``s`` diagonal, ``u @ u_inv == I``, ``a @ v ==
-    u_inv @ s`` and ``det v = ±1``, then the sign, order and divisibility
-    laws of the diagonal.  They are complete: an integer matrix with an
-    integer inverse has determinant ±1, so ``u @ u_inv == I`` makes
-    ``u`` unimodular with inverse ``u_inv``, and multiplying ``a @ v ==
-    u_inv @ s`` on the left by ``u`` gives ``u @ a @ v == s``.  As ``s``
-    is diagonal, ``u_inv @ s`` only scales the columns of ``u_inv``.
+    ``s`` must be diagonal of the shape of ``a``, equal entry by entry
+    to the log replayed on ``a`` (:func:`_replay`), and keep the sign,
+    order and divisibility laws of the diagonal.  That is complete: every
+    logged operation is elementary, so ``u`` and ``v`` are unimodular with
+    no determinant or inverse to check, and the replay is ``u @ a @ v``.
     """
     m, n = a.shape
-    shapes = (dec.s.shape, dec.u.shape, dec.u_inv.shape, dec.v.shape)
-    if shapes != ((m, n), (m, m), (m, m), (n, n)):
+    if dec.s.shape != (m, n):
         raise SelfCheckError("Smith decomposition has the wrong shape")
     diag = dec.s.diagonal_entries()
     for i, row in enumerate(dec.s.rows):
         if any(row[:i]) or any(row[i + 1 :]):
             raise SelfCheckError("Smith form is not diagonal")
-    for i, row in enumerate((dec.u @ dec.u_inv).rows):
-        if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
-            raise SelfCheckError("Smith row transform does not match its inverse")
-    padding = (0,) * (n - len(diag))
-    for row, av_row in zip(dec.u_inv.rows, (a @ dec.v).rows):
-        if av_row != tuple(map(mul, row, diag)) + padding:
-            raise SelfCheckError("Smith decomposition does not reproduce the input")
-    if determinant(dec.v) not in (1, -1):
-        raise SelfCheckError("Smith column transform is not unimodular")
+    if tuple(map(tuple, _replay(dec.log, [list(row) for row in a.rows], n))) != dec.s.rows:
+        raise SelfCheckError("Smith decomposition does not reproduce the input")
     if any(d < 0 for d in diag):
         raise SelfCheckError("Smith diagonal has a negative entry")
     for p, q in zip(diag, diag[1:]):
@@ -685,8 +731,8 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     """A saturated basis of ``{x : a @ x == 0}``, as matrix columns.
 
     The basis consists of the kernel-aligned columns of the Smith column
-    transform, so it is automatically a direct summand of the ambient
-    lattice.
+    transform ``v``, rebuilt from the log, so it is automatically a
+    direct summand of the ambient lattice.
     """
     dec = snf(a)
     r = dec.rank()

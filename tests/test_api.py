@@ -63,8 +63,7 @@ ORBIT = ComponentOrbit("A", 1, 1)
 VALUE_CASES = [
     (IntMatrix, (1, 2, ((1, 2),)), [(1, 2, ((1, 3),))]),
     (IntMatrix, (0, 2, ()), [(0, 3, ())]),
-    (SmithDecomposition, (ONE, ONE, ONE, ONE),
-     [(ZERO, ONE, ONE, ONE), (ONE, ZERO, ONE, ONE), (ONE, ONE, ZERO, ONE), (ONE, ONE, ONE, ZERO)]),
+    (SmithDecomposition, (ONE, ()), [(ZERO, ()), (ONE, (("negate row", 0),))]),
     (FGAbelianGroup, (1, (2,)), [(2, (2,)), (1, (3,))]),
     (FGAbelianGroup, (0, ()), [(1, ()), (0, (2,))]),
     (ComponentOrbit, ("A", 2, 3), [("B", 2, 3), ("A", 1, 3), ("A", 2, 1)]),

@@ -51,3 +51,26 @@ def test_workload_generators_run_and_their_checks_pass(monkeypatch, tmp_path):
     for command in commands:
         outcome = workloads.run_command_in_process(command)
         assert workloads.check_command(command, outcome) is None, command.key
+
+
+def test_tracer_records_the_proof_and_the_transform_sizes(monkeypatch, tmp_path):
+    # bench/run.py --trace 1 wraps exact_linalg._verify_snf by name and,
+    # after each op, reads dec.u and dec.v of every Smith decomposition
+    # for their entry bits.
+    tracing = _load(monkeypatch, "tracing")
+    workloads = _load(monkeypatch, "workloads")
+    cases = workloads.make_cases("report-scale", 7, tmp_path)[:3]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op, case in enumerate(cases):
+            tracer.begin_op(op)
+            assert workloads.check_case(case, workloads.run_case(case)) is None, case.key
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"exact_linalg.snf", "exact_linalg._verify_snf"} <= names
+    assert tracer.ops == 3
+    assert tracer.max_u_bits > 0
+    assert tracer.max_v_bits > 0

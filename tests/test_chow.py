@@ -467,11 +467,14 @@ class TestReport:
         assert rep.b == FGAbelianGroup(298)
         assert rep.b0 == FGAbelianGroup(297)
 
-    @pytest.mark.parametrize("orbit_count", [12, 24])
+    @pytest.mark.parametrize("orbit_count", [12, 24, 48, 64])
     def test_smith_transforms_stay_small(self, monkeypatch, orbit_count):
-        # A gate on growth, not on wall time: no entry of u, u_inv or v in
-        # any Smith decomposition of a report exceeds orbit_count**2 bits.
-        # The degree entries of these models have at most 7 bits.
+        # A gate on growth, not on wall time: no factor in the log of any
+        # Smith decomposition of a report exceeds orbit_count**2 bits, and
+        # at 12 and 24 orbits neither does any entry of the rebuilt u,
+        # u_inv or v.  (The transforms are not bounded past 24: u reaches
+        # about 8,800 bits at 64 orbits, more than 64**2.)  The degree
+        # entries of these models have at most 7 bits.
         for k in range(5):
             rng = random.Random(4000 + 100 * orbit_count + k)
             m = _model(
@@ -482,14 +485,56 @@ class TestReport:
             with monkeypatch.context() as patch:
                 calls = _record_calls(patch, exact_linalg.snf)
                 report(m)
-            largest = max(
-                abs(e).bit_length()
-                for dec in calls["snf"]
-                for transform in (dec.u, dec.u_inv, dec.v)
-                for row in transform.rows
-                for e in row
-            )
-            assert largest <= orbit_count**2
+            for dec in calls["snf"]:
+                factors = [op[3] for op in dec.log if op[0].startswith("add")]
+                assert max((abs(f).bit_length() for f in factors), default=0) <= orbit_count**2
+                if orbit_count <= 24:
+                    largest = max(
+                        abs(e).bit_length()
+                        for transform in (dec.u, dec.u_inv, dec.v)
+                        for row in transform.rows
+                        for e in row
+                    )
+                    assert largest <= orbit_count**2
+
+    def test_wide_trivial_model_logs_a_handful_of_operations(self, monkeypatch):
+        # 2,000 single-component orbits and one generator of degrees 1 and
+        # -1: the 2,000x1 degree matrix needs one row add, so its log must
+        # not grow with the orbit count.  Work is counted, not timed.
+        orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(2000)]
+        generator = {"name": "g", "host": "O0", "degrees": {"O0": 1, "O1": -1}}
+        m = _model({"name": "wide", "orbits": orbits, "generators": [generator]})
+        calls = _record_calls(monkeypatch, exact_linalg.snf)
+        rep = report(m)
+        assert rep.b == FGAbelianGroup(1999)
+        [dec] = calls["snf"]
+        assert len(dec.log) <= 3
+
+    def test_report_reads_no_dense_transform(self, monkeypatch):
+        # report() reads the Smith diagonal and the log, never u, u_inv
+        # or v: with those patched to raise it still succeeds.  The seeded
+        # models are built first, since their generator reads v.
+        fixtures = [
+            parse_model(path.read_text())
+            for path in sorted(fixture_path("trivial").parent.glob("*.json"))
+        ]
+        models = []
+        for k in range(20):
+            rng = random.Random(7000 + k)
+            count = rng.randint(1, 12)
+            document = random_valid_model_document(rng, orbit_count=count, generator_count=count + 2)
+            models.append(_model(document))
+
+        def refuse(dec):
+            raise AssertionError("report() read a dense Smith transform")
+
+        for name in ("u", "u_inv", "v"):
+            monkeypatch.setattr(exact_linalg.SmithDecomposition, name, property(refuse))
+        assert len(fixtures) == 5
+        for m in fixtures:
+            report(m, PERMISSIVE)
+        for m in models:
+            assert report(m).b0 is not None
 
     @pytest.mark.parametrize("orbit_count", [10, 11, 16, 24])
     def test_routes_match_the_lattice_solve_past_the_oracle_limit(self, orbit_count):

@@ -196,14 +196,13 @@ class TestSnf:
         dec = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert dec.nonzero_diagonal() == (1, 6)
 
-    def test_corrupted_inverse_is_caught(self):
+    def test_rebuilt_inverse_is_the_inverse_of_u(self):
+        # u, u_inv and v are rebuilt from the log, so u_inv cannot drift
+        # from u; what the proof checks is the log (TestVerifySnf).
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        rows = [list(row) for row in dec.u_inv.rows]
-        rows[0][0] += 1
-        corrupted = _replaced(dec, u_inv=IntMatrix.from_rows(rows))
-        with pytest.raises(SelfCheckError, match="inverse"):
-            _verify_snf(a, corrupted)
+        assert dec.u @ dec.u_inv == identity(a.row_count)
+        assert dec.u_inv @ dec.u == identity(a.row_count)
 
     def test_tall_column_costs_what_its_transforms_hold(self):
         # A 256x1 column has 256x256 transforms that are nearly the
@@ -212,6 +211,14 @@ class TestSnf:
         started = time.perf_counter()
         assert snf(column).nonzero_diagonal() == (1,)
         assert time.perf_counter() - started < 1.0
+
+    def test_dense_48_by_48_reconstructs_from_its_log(self):
+        # A seeded dense matrix with entries in -3..3: snf returns, and
+        # the transforms rebuilt from its log reproduce s.
+        rng = random.Random(4848)
+        a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(48)] for _ in range(48)])
+        dec = snf(a)
+        assert dec.u @ a @ dec.v == dec.s
 
     def test_arbitrary_precision(self):
         big = 10**18
@@ -225,7 +232,7 @@ class TestSnf:
 
 def _replaced(dec, **changes):
     # A copy of dec with the named fields changed.
-    return SmithDecomposition(**{"s": dec.s, "u": dec.u, "v": dec.v, "u_inv": dec.u_inv, **changes})
+    return SmithDecomposition(**{"s": dec.s, "log": dec.log, **changes})
 
 
 def _changed(matrix, i, j, delta=1):
@@ -234,29 +241,59 @@ def _changed(matrix, i, j, delta=1):
     return IntMatrix.from_rows(rows, col_count=matrix.col_count)
 
 
+def _with_op(dec, position, op):
+    # A copy of dec whose log has op in place of the operation at position.
+    log = list(dec.log)
+    log[position] = op
+    return _replaced(dec, log=tuple(log))
+
+
+def _first(dec, kind):
+    return next(k for k, op in enumerate(dec.log) if op[0] == kind)
+
+
 def _diagonal_decomposition(*diagonal):
-    # a = s = diag(...) with identity transforms: every law but the
-    # ones on the diagonal itself holds.
+    # a = s = diag(...) with an empty log: every law but the ones on the
+    # diagonal itself holds.
     n = len(diagonal)
     s = diagonal_matrix(n, n, diagonal)
-    unit = identity(n)
-    return s, SmithDecomposition(s=s, u=unit, v=unit, u_inv=unit)
+    return s, SmithDecomposition(s=s, log=())
 
 
 class TestVerifySnf:
-    # Each law of the proof, broken on its own, is reported by its own
+    # Each way the proof can fail, on its own, is reported by its own
     # message.
     def test_changed_entry_in_u(self):
+        # A changed factor of a row add changes u; the replay then no
+        # longer gives s.
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
-            _verify_snf(a, _replaced(dec, u=_changed(dec.u, 3, 5)))
+        k = _first(dec, "add row")
+        kind, src, dst, f = dec.log[k]
+        changed = _with_op(dec, k, (kind, src, dst, f + 1))
+        assert changed.u != dec.u
+        with pytest.raises(SelfCheckError, match="does not reproduce the input"):
+            _verify_snf(a, changed)
 
-    def test_changed_entry_in_u_inv(self):
+    def test_changed_factor_of_a_column_add(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        with pytest.raises(SelfCheckError, match="row transform does not match its inverse"):
-            _verify_snf(a, _replaced(dec, u_inv=_changed(dec.u_inv, 6, 2, -4)))
+        k = _first(dec, "add column")
+        kind, src, dst, f = dec.log[k]
+        with pytest.raises(SelfCheckError, match="does not reproduce the input"):
+            _verify_snf(a, _with_op(dec, k, (kind, src, dst, f - 3)))
+
+    @pytest.mark.parametrize(
+        "kind", ["add row", "add column", "swap columns", "negate row"],
+        ids=lambda kind: kind.replace(" ", "_"),
+    )
+    def test_dropped_operation(self, kind):
+        a = SEVEN_COMPONENT_MATRIX
+        dec = snf(a)
+        k = _first(dec, kind)
+        dropped = _replaced(dec, log=dec.log[:k] + dec.log[k + 1 :])
+        with pytest.raises(SelfCheckError, match="does not reproduce the input"):
+            _verify_snf(a, dropped)
 
     def test_changed_diagonal_entry_breaks_the_reconstruction(self):
         a = SEVEN_COMPONENT_MATRIX
@@ -265,18 +302,44 @@ class TestVerifySnf:
             _verify_snf(a, _replaced(dec, s=_changed(dec.s, 6, 6, 2)))
 
     def test_non_unimodular_v(self):
-        # Doubling a kernel column of v keeps a @ v, so only the
-        # determinant law can catch it.
+        # Doubling a kernel column of v, as "column += column", keeps the
+        # replay equal to s (the column is zero there), so only the refusal
+        # of an add of a line to itself can catch it.
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        assert dec.rank() < a.col_count
         last = a.col_count - 1
-        v = IntMatrix.from_rows(
-            [[2 * e if j == last else e for j, e in enumerate(row)] for row in dec.v.rows]
-        )
-        assert a @ v == a @ dec.v
-        with pytest.raises(SelfCheckError, match="column transform is not unimodular"):
-            _verify_snf(a, _replaced(dec, v=v))
+        assert dec.rank() < a.col_count
+        doubled = _replaced(dec, log=dec.log + (("add column", last, last, 1),))
+        with pytest.raises(SelfCheckError, match="adds a line to itself"):
+            _verify_snf(a, doubled)
+
+    def test_row_added_to_itself(self):
+        a, dec = _diagonal_decomposition(1, 0)
+        # "row 1 += -1·row 1" zeroes a zero row: the replay still gives s.
+        with pytest.raises(SelfCheckError, match="adds a line to itself"):
+            _verify_snf(a, _replaced(dec, log=(("add row", 1, 1, -1),)))
+
+    @pytest.mark.parametrize(
+        "op",
+        [(), ("scale row", 0, 2), ("add row", 0, 1), ("swap rows", 0), ("negate column", 0),
+         ("add row", 0, 1, 1.0), ("add column", 0, 1, True), ("negate row", 0, 1)],
+    )
+    def test_unknown_operation(self, op):
+        a, dec = _diagonal_decomposition(1, 2)
+        with pytest.raises(SelfCheckError, match="unknown operation"):
+            _verify_snf(a, _replaced(dec, log=(op,)))
+
+    @pytest.mark.parametrize(
+        "op",
+        [("swap rows", 0, 2), ("swap columns", 3, 0), ("add row", -1, 0, 1),
+         ("add column", 0, 3, 1), ("negate row", 2), ("swap rows", 0, "1")],
+    )
+    def test_index_out_of_range(self, op):
+        # s is 2x3: a row index must be 0 or 1, a column index 0 to 2.
+        a = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
+        dec = SmithDecomposition(s=a, log=(op,))
+        with pytest.raises(SelfCheckError, match="indexes past the matrix"):
+            _verify_snf(a, dec)
 
     def test_off_diagonal_entry_in_s(self):
         a = SEVEN_COMPONENT_MATRIX
@@ -302,26 +365,32 @@ class TestVerifySnf:
     def test_wrong_shape(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
+        wider = IntMatrix.from_rows([row + (0,) for row in dec.s.rows])
         with pytest.raises(SelfCheckError, match="wrong shape"):
-            _verify_snf(a, _replaced(dec, v=identity(a.col_count + 1)))
+            _verify_snf(a, _replaced(dec, s=wider))
 
     @given(
         st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=5),
-        st.sampled_from(["u", "u_inv", "s"]),
+        st.sampled_from(["factor", "s"]),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
         st.integers(-5, 5).filter(bool),
     )
     def test_any_single_changed_entry_is_caught(self, rows, field, i, j, delta):
-        # u and u_inv are invertible, so a change of one entry moves
-        # u @ u_inv off I; a change of s either leaves the diagonal or
-        # moves a @ v off u_inv @ s by a nonzero column of u_inv.
+        # The source line of every add snf makes is nonzero when the add
+        # runs, and the later operations are invertible, so a changed
+        # factor moves the replay off s.  A change of s either leaves the
+        # diagonal or moves s off the replay.
         a = IntMatrix.from_rows(rows)
         dec = snf(a)
-        target = getattr(dec, field)
-        changed = _changed(target, i % target.row_count, j % target.col_count, delta)
+        adds = [k for k, op in enumerate(dec.log) if len(op) == 4]
+        if field == "factor" and adds:
+            kind, src, dst, f = dec.log[adds[i % len(adds)]]
+            changed = _with_op(dec, adds[i % len(adds)], (kind, src, dst, f + delta))
+        else:
+            changed = _replaced(dec, s=_changed(dec.s, i % a.row_count, j % a.col_count, delta))
         with pytest.raises(SelfCheckError):
-            _verify_snf(a, _replaced(dec, **{field: changed}))
+            _verify_snf(a, changed)
 
 
 class TestDeterminantalDivisors:
