@@ -24,7 +24,7 @@ print(dec.s)
 print("nonzero diagonal =", dec.nonzero_diagonal())
 print("row transform u =")
 print(dec.u)
-print("and its inverse, accumulated alongside it:")
+print("and its inverse, rebuilt from the same log of operations:")
 print(dec.u_inv)
 
 print("\nThe independent oracle enumerates minors instead of reducing:")

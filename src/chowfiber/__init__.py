@@ -17,7 +17,7 @@ Layers, bottom up:
   and validation diagnostics;
 * :mod:`chowfiber.chow` — the pipeline assembling the report, with the
   degree-zero part read off the Smith diagonal and checked against a
-  transform-free quotient route;
+  transform-free quotient route (``chowfiber`` exits 3 if they disagree);
 * :mod:`chowfiber.cli` — the ``chowfiber`` command.
 """
 

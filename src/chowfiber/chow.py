@@ -9,27 +9,23 @@ group, the induced degree character on it, its kernel B(X)_0, and the
 index (the positive generator of the image of the degree).
 
 :func:`report` holds the degree matrix and its one verified Smith
-decomposition.  B(X) is read off the diagonal, and the induced
-character ξ̄ off the log's row operations, mirrored on the weight row.
-Whenever the input satisfies the validation laws, the degree character
-maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0 and the verified Smith
-diagonal already fixes B(X)_0: one free generator fewer, the same
-torsion.  :func:`report` checks that group against two routes:
-
-* the *quotient route* writes every degree column in a saturated basis
-  of the kernel of the weight row
-  (:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd
-  chain of the row) and takes the invariant factors of that sublattice
-  with :func:`~chowfiber.exact_linalg.local_invariant_factors`, one
-  prime of a gcd of minors at a time.  It never reads the Smith
-  decomposition, so it is the independent computation;
-* the *kernel route* reads the same Smith diagonal: the relations are
-  its columns, so once ξ̄ is checked to vanish on them, the kernel
-  modulo them is read off the diagonal.  Its agreement checks ξ̄.
+decomposition, and reads B(X) off the diagonal.  Whenever the input
+satisfies the validation laws, the degree character maps B(X) onto
+index·Z, so B(X) ≅ Z ⊕ B(X)_0: the diagonal already fixes B(X)_0, one
+free generator fewer, the same torsion.  :func:`report` checks that
+against the *quotient route* of :func:`compute_b0`, which writes every
+degree column in a saturated basis of the kernel of the weight row
+(:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd chain
+of the row) and takes the invariant factors of that sublattice with
+:func:`~chowfiber.exact_linalg.local_invariant_factors`, one prime of a
+gcd of minors at a time.  The two routes to B(X)_0, the Smith diagonal
+and the quotient route, share no code.
 
 A strict report thus makes one Smith decomposition and one call of the
-local route, and refuses to hand out a report whose routes disagree
-with B(X)_0.
+local route, and refuses to hand out a report whose routes disagree.
+The induced character ξ̄ that :func:`compute_xi_bar` reads off the log
+is not needed for any field: :func:`report` publishes its canonical
+form, which the rank and the index fix.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -131,58 +127,35 @@ class ChowReport(Value):
 def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int, ...]:
     """The induced degree character on the generators of B(X) that ``snf`` picked.
 
-    ``dec`` is the Smith decomposition of the degree matrix that
-    :func:`report` holds.  In the canonical coordinates ``y = u @ x``
-    the character ``x -> w . x`` becomes ``y -> (w @ u^{-1}) . y``.  It
-    is well defined on the quotient only when every degree column pairs
-    to zero against the weights, which
-    :func:`~chowfiber.fiber_model.validate` checks; then it vanishes on
-    the ``rank`` relation coordinates and the gcd of the rest is the
-    index.  The row depends on the elimination order; :func:`report`
-    publishes a canonical form.  The log's row operations are mirrored
-    on ``w`` alone; no transform is built.
+    ``dec`` is the Smith decomposition of the degree matrix.  In the
+    canonical coordinates ``y = u @ x`` the character ``x -> w . x``
+    becomes ``y -> (w @ u^{-1}) . y``.  It is well defined on the
+    quotient only when every degree column pairs to zero against the
+    weights, which :func:`~chowfiber.fiber_model.validate` checks; then
+    it vanishes on the ``rank`` relation coordinates and the gcd of the
+    rest is the index.  The row depends on the elimination order;
+    :func:`report` publishes its canonical form, which the rank and the
+    index fix, and does not call this.  The log's row operations are
+    mirrored on ``w`` alone; no transform is built.
     """
     return dec.times_u_inv(weights.weights)
 
 
-def compute_b0(
-    weights: WeightVector, degrees: IntMatrix, dec: SmithDecomposition
-) -> tuple[FGAbelianGroup, FGAbelianGroup]:
-    """The degree-zero part of B(X) as ``(quotient route, kernel route)``.
+def compute_b0(weights: WeightVector, degrees: IntMatrix) -> FGAbelianGroup:
+    """The degree-zero part of B(X) by the quotient route.
 
-    ``degrees`` is the degree matrix of a validated model and ``dec``
-    its Smith decomposition; the kernel route computes the induced
-    character from it with :func:`compute_xi_bar`.  Neither route makes
-    a Smith decomposition of its own, so ``dec`` is the only one a
-    strict report makes.  Both groups must be the degree-zero part that
-    B(X) fixes; :func:`report` checks that they are.  Raises
-    :class:`SelfCheckError` if the induced character breaks a relation,
-    and :class:`NotInLattice` if a degree column leaves ker(w), which
-    :func:`report` turns into :class:`SelfCheckError`.
+    ``degrees`` is the degree matrix of a validated model.  Every valid
+    degree column annihilates the fiber class, so it has integer
+    coordinates in a saturated basis of ker(w); B(X)_0 is the quotient
+    of that corank-one lattice by them.  Only the group is read, so no
+    Smith decomposition and no transform is made.  On a column that
+    leaves ker(w), which :func:`~chowfiber.fiber_model.validate`
+    refuses, a direct call raises :class:`NotInLattice` on purpose: the
+    input is at fault.  Past validation it is a fault of the package,
+    and :func:`report` turns it into :class:`SelfCheckError`.
     """
-    # Quotient route: every valid degree column annihilates the fiber
-    # class, so it has integer coordinates in a saturated annihilator
-    # basis; B(X)_0 is the quotient of that corank-one sublattice.  Only
-    # its group is read, so no transforms are built for it.
     coords = kernel_coordinates(weights.weights, degrees)
-    route_quotient = FGAbelianGroup.quotient(
-        coords.row_count, local_invariant_factors(coords)
-    )
-
-    # Kernel route: in the canonical coordinates the relations are the
-    # columns s_i·e_i of s, so the character row ξ̄ descends to B(X) only
-    # if it vanishes on the first r coordinates.  Its kernel is then Z^r
-    # plus the kernel on the rest, one rank short when ξ̄ is nonzero, and
-    # the relations span s_i·Z in the Z^r: the nonzero Smith diagonal.
-    xi_bar = compute_xi_bar(weights, dec)
-    r = dec.rank()
-    if any(xi_bar[:r]):
-        raise SelfCheckError("the induced degree character does not vanish on the relations")
-    route_kernel = FGAbelianGroup.quotient(
-        len(xi_bar) - any(xi_bar[r:]), dec.nonzero_diagonal()
-    )
-
-    return route_quotient, route_kernel
+    return FGAbelianGroup.quotient(coords.row_count, local_invariant_factors(coords))
 
 
 def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
@@ -213,20 +186,16 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
     else:
         weights = xi_weights(m.orbits)
         index = weights.image_index()
-        # The degree character maps B(X) onto index·Z, so on valid input
-        # B(X) ≅ Z ⊕ B(X)_0: the free rank drops by one, the torsion stays.
-        if b.rank < 1:
-            raise SelfCheckError("validated model produced a torsion-only quotient")
-        b0 = FGAbelianGroup(b.rank - 1, b.invariant_factors)
         try:
-            route_quotient, route_kernel = compute_b0(weights, degrees, dec)
+            b0 = compute_b0(weights, degrees)
         except NotInLattice as e:
             raise SelfCheckError(f"a validated degree column leaves ker(w): {e}") from None
-        if not route_quotient == route_kernel == b0:
+        # The degree character maps B(X) onto index·Z, so on valid input
+        # B(X) ≅ Z ⊕ B(X)_0: the free rank drops by one, the torsion stays.
+        if FGAbelianGroup(b0.rank + 1, b0.invariant_factors) != b:
             raise SelfCheckError(
-                f"the two degree-zero routes disagree with B(X) = {b}, whose "
-                f"degree-zero part is {b0}: quotient route {route_quotient}, "
-                f"kernel route {route_kernel}"
+                f"the two degree-zero routes disagree: B(X) = {b} from the Smith "
+                f"diagonal, but the quotient route gives B(X)_0 = {b0}"
             )
         formal_only = False
         # The canonical form of the row compute_xi_bar gives.

@@ -6,9 +6,9 @@ in full; ``--`` ends the flags.  ``-h`` or ``--help`` prints :data:`USAGE`.
 Exit codes: 0 success; 1 validation errors (strict mode); 2 unreadable
 input, malformed document, schema violation, or malformed command line;
 3 internal invariant violation (a self-check failed, such as the check
-that both degree-zero routes give the group B(X) fixes); 141 the reader
-of standard output went away (128 + SIGPIPE, as a Unix filter reports
-it).  The environment variable ``CHOWFIBER_COLOR`` (auto, never,
+that the quotient route gives the B(X)_0 that the Smith diagonal of B(X)
+fixes); 141 the reader of standard output went away (128 + SIGPIPE, as a
+Unix filter reports it).  The environment variable ``CHOWFIBER_COLOR`` (auto, never,
 always) controls styling only; output bytes are otherwise deterministic.
 
 :func:`main` is the one failure boundary: it loads the input, runs the

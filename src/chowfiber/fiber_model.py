@@ -188,6 +188,9 @@ def _expect(value, kind: type, where: str):
 def _check_keys(
     obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
 ) -> None:
+    for key in obj:
+        if not isinstance(key, str):
+            raise SchemaError(f"{where}: key {key!r} is not a string")
     unknown = sorted(set(obj).difference(required, optional))
     if unknown:
         raise SchemaError(f"{where}: unknown keys {', '.join(unknown)}")

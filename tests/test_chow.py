@@ -69,9 +69,7 @@ def _present(m):
 
 
 def _b0(m):
-    weights = xi_weights(m.orbits)
-    a = build_specialization_matrix(m)
-    return compute_b0(weights, a, snf(a))
+    return compute_b0(xi_weights(m.orbits), build_specialization_matrix(m))
 
 
 def _record_calls(monkeypatch, *functions):
@@ -188,37 +186,40 @@ class TestComputeXiBar:
         assert gcd(*values[r:]) == w.image_index()
 
 
+def _one_free_generator_more(group):
+    return FGAbelianGroup(group.rank + 1, group.invariant_factors)
+
+
 class TestComputeB0:
     def test_irreducible_fiber_is_trivial(self):
-        route_quotient, route_kernel = _b0(_single_orbit())
-        assert route_quotient == TRIVIAL
-        assert route_kernel == TRIVIAL
+        m = _single_orbit()
+        assert _b0(m) == TRIVIAL
+        assert _one_free_generator_more(_b0(m)) == report(m).b
 
     def test_doubled_column_gives_two_torsion(self):
-        route_quotient, route_kernel = _b0(_two_orbits((2, -2)))
-        assert route_quotient == FGAbelianGroup(0, (2,))
-        assert route_kernel == FGAbelianGroup(0, (2,))
+        m = _two_orbits((2, -2))
+        assert _b0(m) == FGAbelianGroup(0, (2,))
+        assert _one_free_generator_more(_b0(m)) == report(m).b
 
     def test_no_generators_leaves_free_rank(self):
-        route_quotient, route_kernel = _b0(_two_orbits())
-        assert route_quotient == Z
-        assert route_kernel == Z
+        m = _two_orbits()
+        assert _b0(m) == Z
+        assert _one_free_generator_more(_b0(m)) == report(m).b
 
     def test_invalid_model_rejected(self):
         # Law-breaking columns have no coordinates in the annihilator
-        # lattice, so the quotient route refuses them.
+        # lattice, so a direct call refuses them as input at fault.
         with pytest.raises(NotInLattice):
             _b0(_fixture_model("example31"))
 
     def test_routes_agree_on_random_valid_models(self):
+        # The quotient route against B(X) from a Smith decomposition of
+        # its own: one free generator fewer, the same torsion.
         rng = random.Random(1729)
         for _ in range(25):
             m = _model(random_valid_model_document(rng))
-            route_quotient, route_kernel = _b0(m)
-            assert route_quotient == route_kernel
             b = cokernel(build_specialization_matrix(m))
-            assert b.rank == route_quotient.rank + 1
-            assert b.invariant_factors == route_quotient.invariant_factors
+            assert _one_free_generator_more(_b0(m)) == b
 
 
 class TestReport:
@@ -319,8 +320,7 @@ class TestReport:
         # One validation, one degree matrix, one Smith decomposition and
         # one local route, however many orbits the model has: only the
         # degree matrix is decomposed; the quotient route's kernel row is
-        # read off its gcd chain and its quotient off local Smith forms,
-        # and the kernel route reads the Smith diagonal.
+        # read off its gcd chain and its quotient off local Smith forms.
         snf_calls = []
         local_calls = []
         for orbit_count in (3, 9):
@@ -350,8 +350,7 @@ class TestReport:
     def test_wide_model_makes_one_smith_decomposition(self, monkeypatch, orbit_count):
         # A gate on work, not on wall time: one generator on many
         # single-component orbits.  The quotient route's kernel row is
-        # not decomposed, however long it is, and the kernel route makes
-        # no elimination at all.
+        # not decomposed, however long it is.
         orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(orbit_count)]
         generator = {"name": "g", "host": "O0", "degrees": {"O0": 1, "O1": -1}}
         m = _model({"name": "wide", "orbits": orbits, "generators": [generator]})
@@ -370,7 +369,7 @@ class TestReport:
     )
     def test_wrong_local_factors_never_leave_report(self, monkeypatch, fault):
         # The quotient route takes its factors from the local route alone;
-        # the verified kernel route must catch a wrong answer.
+        # B(X) from the verified Smith diagonal must catch a wrong answer.
         from chowfiber import chow
 
         honest = chow.local_invariant_factors
@@ -381,31 +380,40 @@ class TestReport:
             report(m)
 
     @pytest.mark.parametrize(
-        "fault, message",
+        "fault",
         [
-            pytest.param(
-                lambda xi: (xi[0] + 1, *xi[1:]), "does not vanish", id="nonzero-on-a-relation"
-            ),
-            pytest.param(
-                lambda xi: (0,) * len(xi), "the two degree-zero routes disagree", id="zero"
-            ),
+            pytest.param(lambda d: 2 * d, id="last-entry-doubled"),
+            pytest.param(lambda d: 0, id="last-entry-zeroed"),
         ],
     )
-    def test_a_wrong_induced_character_exits_3(self, monkeypatch, capsys, fault, message):
-        # synthetic-z2 has a degree matrix of rank 1, so entry 0 of ξ̄ is
-        # a relation coordinate.  The quotient route has proved w·a = 0,
-        # so ξ̄·s = w·a·v = 0 and a wrong ξ̄ can only be a fault.
+    def test_a_wrong_smith_diagonal_past_the_proof_exits_3(self, monkeypatch, capsys, fault):
+        # A fault the proof of snf cannot see: the honest log with a wrong
+        # last nonzero diagonal entry.  The quotient route shares no code
+        # with snf, so B(X)_0 from the diagonal disagrees with it.
         from chowfiber import chow, cli
 
-        m = _fixture_model("synthetic-z2")
-        assert snf(build_specialization_matrix(m)).rank() == 1
-        honest = chow.compute_xi_bar
-        monkeypatch.setattr(chow, "compute_xi_bar", lambda w, dec: fault(honest(w, dec)))
-        with pytest.raises(SelfCheckError, match=message):
-            report(m)
+        honest = chow.snf
+
+        def planted(a):
+            dec = honest(a)
+            rows = [list(row) for row in dec.s.rows]
+            last = dec.rank() - 1
+            if last >= 0:
+                rows[last][last] = fault(rows[last][last])
+            s = exact_linalg.IntMatrix.from_rows(rows, dec.s.col_count)
+            return exact_linalg.SmithDecomposition(s, dec.log)
+
+        models = [_model(random_valid_model_document(random.Random(k))) for k in range(49)]
+        # A zero degree matrix has no nonzero diagonal entry to break.
+        faulty = [m for m in models if snf(build_specialization_matrix(m)).rank()]
+        assert len(faulty) > len(models) // 2
+        monkeypatch.setattr(chow, "snf", planted)
+        for m in faulty:
+            with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):
+                report(m)
         assert cli.main(["compute", str(fixture_path("synthetic-z2"))]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("internal check failed: ") and message in err
+        assert err.startswith("internal check failed: the two degree-zero routes disagree")
 
     def test_a_degree_column_off_the_kernel_exits_3(self, monkeypatch, capsys, tmp_path):
         # With validation bypassed, a column that pairs to 1 against the
@@ -431,14 +439,13 @@ class TestReport:
         ],
     )
     def test_routes_that_agree_but_miss_b_never_leave_report(self, monkeypatch, wrong):
-        # synthetic-z2 has B(X) = Z + Z/2, so B(X)_0 must be Z/2; both
-        # routes return the same wrong group, so only the law that B(X)
-        # fixes B(X)_0 can catch it.
+        # synthetic-z2 has B(X) = Z + Z/2, so B(X)_0 must be Z/2; only
+        # the law that B(X) fixes B(X)_0 can catch a wrong group.
         from chowfiber import chow
 
         m = _fixture_model("synthetic-z2")
         assert report(m).b == FGAbelianGroup(1, (2,))
-        monkeypatch.setattr(chow, "compute_b0", lambda weights, degrees, dec: (wrong, wrong))
+        monkeypatch.setattr(chow, "compute_b0", lambda weights, degrees: wrong)
         with pytest.raises(SelfCheckError):
             report(m)
 
@@ -512,8 +519,9 @@ class TestReport:
 
     def test_report_reads_no_dense_transform(self, monkeypatch):
         # report() reads the Smith diagonal and the log, never u, u_inv
-        # or v: with those patched to raise it still succeeds.  The seeded
-        # models are built first, since their generator reads v.
+        # or v, and never mirrors the log on a row with times_u_inv: with
+        # those patched to raise it still succeeds.  The seeded models are
+        # built first, since their generator reads v.
         fixtures = [
             parse_model(path.read_text())
             for path in sorted(fixture_path("trivial").parent.glob("*.json"))
@@ -525,11 +533,12 @@ class TestReport:
             document = random_valid_model_document(rng, orbit_count=count, generator_count=count + 2)
             models.append(_model(document))
 
-        def refuse(dec):
+        def refuse(dec, *row):
             raise AssertionError("report() read a dense Smith transform")
 
         for name in ("u", "u_inv", "v"):
             monkeypatch.setattr(exact_linalg.SmithDecomposition, name, property(refuse))
+        monkeypatch.setattr(exact_linalg.SmithDecomposition, "times_u_inv", refuse)
         assert len(fixtures) == 5
         for m in fixtures:
             report(m, PERMISSIVE)
@@ -539,7 +548,7 @@ class TestReport:
     @pytest.mark.parametrize("orbit_count", [10, 11, 16, 24])
     def test_routes_match_the_lattice_solve_past_the_oracle_limit(self, orbit_count):
         # Past ORACLE_SIZE_LIMIT the minor oracle cannot check B(X)_0, so
-        # both routes are recomputed through an explicit kernel basis and
+        # it is recomputed through explicit kernel bases of w and of ξ̄ and
         # a separate lattice solve, sharing no decomposition with report().
         groups = set()
         for generator_count in sorted({9, orbit_count - 1, orbit_count + 2}):
@@ -625,19 +634,18 @@ def test_known_answer_models_agree_with_the_minor_oracle(orbit_count):
     assert xi_weights(model.orbits).image_index() == 3
 
 
-def _kernel_route_matches_its_reference(m):
-    # The kernel route reads B(X)_0 off the Smith diagonal; the reference
-    # writes s in a kernel basis of ξ̄ and takes the quotient by snf.
-    weights = xi_weights(m.orbits)
-    degrees = build_specialization_matrix(m)
-    dec = snf(degrees)
-    _, route_kernel = compute_b0(weights, degrees, dec)
-    assert route_kernel == cokernel(kernel_coordinates(compute_xi_bar(weights, dec), dec.s))
+def _xi_bar_kernel_is_b0(m):
+    # In the canonical coordinates the relations are the columns of s, so
+    # writing s in a kernel basis of ξ̄ and taking the quotient by snf
+    # gives B(X)_0, as report() publishes it.
+    dec = snf(build_specialization_matrix(m))
+    xi_bar = compute_xi_bar(xi_weights(m.orbits), dec)
+    assert cokernel(kernel_coordinates(xi_bar, dec.s)) == report(m).b0
 
 
-def test_kernel_route_matches_its_reference_on_seeded_models():
+def test_xi_bar_kernel_is_b0_on_seeded_models():
     for m in _seeded_models():
-        _kernel_route_matches_its_reference(m)
+        _xi_bar_kernel_is_b0(m)
 
 
 @pytest.mark.parametrize(
@@ -654,4 +662,4 @@ def test_report_on_known_answer_models_past_the_oracle(orbit_count, index, diago
     m = _model(doc)
     rep = report(m)
     assert (rep.b, rep.b0, rep.xi_on_generators, rep.index) == (b, b0, xi, index)
-    _kernel_route_matches_its_reference(m)
+    _xi_bar_kernel_is_b0(m)

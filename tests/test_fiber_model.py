@@ -90,6 +90,18 @@ class TestSchemaErrors:
     def test_unknown_top_level_key(self):
         with pytest.raises(SchemaError, match="unknown keys"):
             parse_model({**MINIMAL, "color": "blue"})
+        # A mapping built in Python can hold keys no JSON text can; each
+        # is a schema error that names the key, not a TypeError.
+        orbit = {"name": "A", "multiplicity": 1, "size": 1, 2: 3}
+        for document, message in [
+            ({1: 2, "name": "x", "orbits": []}, "document: key 1 is not a string"),
+            ({"name": "x", "orbits": [orbit]}, "orbits[0]: key 2 is not a string"),
+            ({1: 2, "b": 3, **MINIMAL}, "document: key 1 is not a string"),
+            ({**MINIMAL, "hypotheses": {None: True}}, "hypotheses: key None is not a string"),
+        ]:
+            with pytest.raises(SchemaError) as caught:
+                parse_model(document)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "text, key",
