@@ -23,18 +23,18 @@ Three deliberately different routes to the invariant factors coexist:
   is rebuilt from the log on demand, and its output is proved (below);
 * ``local_invariant_factors`` builds the Smith form one prime at a
   time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
-  two nonzero maximal minors, and keeps no transforms.  When that gcd
-  is 1 it eliminates nothing.  It is trusted for the factors alone,
-  where a verified ``snf`` also derives them: the quotient route of
-  B(X)_0 against the Smith diagonal, and ``chowfiber snf --check`` past
-  the oracle's size limit;
+  nonzero maximal minors that one Bareiss pass exposes, and keeps no
+  transforms.  When that gcd is 1 it eliminates nothing.  It is trusted
+  for the factors alone, where a verified ``snf`` also derives them: the
+  quotient route of B(X)_0 against the Smith diagonal, and ``chowfiber
+  snf --check`` past the oracle's size limit;
 * ``determinantal_divisors`` enumerates all k-by-k minors and takes
   gcds.  It is exponential and size-capped, but it shares no code with
   the reduction, which makes it a trustworthy independent oracle:
   invariant factor k equals ``d_k / d_{k-1}``.
 
 One fraction-free (Bareiss) elimination, ``_rank_and_minor``, serves
-``determinant``, the oracle's minors and the local route's two minors.
+``determinant``, the oracle's minors and the local route's minor gcd.
 It is part of no reduction, and a test against cofactor expansion is
 its reference.
 
@@ -144,8 +144,7 @@ class IntMatrix(Value):
         Only for rows of ``col_count`` ints that the caller built itself
         (``snf``, replays of its log, products, transposes,
         ``integer_kernel`` from the rows of ``v``, ``kernel_coordinates``
-        from the entries of an ``IntMatrix`` and a row it coerced, and
-        ``local_invariant_factors``);
+        from the entries of an ``IntMatrix`` and a row it coerced);
         input from anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
@@ -326,12 +325,12 @@ def determinant(a: IntMatrix) -> int:
     """Exact determinant of a square matrix (fraction-free elimination)."""
     if a.row_count != a.col_count:
         raise ValueError("determinant requires a square matrix")
-    rank, minor = _rank_and_minor(a)
+    rank, minor, _ = _rank_and_minor(a)
     return minor if rank == a.row_count else 0
 
 
-def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
-    """The rank ``r`` of ``a`` and a nonzero r-by-r minor, signed by the row swaps.
+def _rank_and_minor(a: IntMatrix) -> tuple[int, int, int]:
+    """The rank ``r`` of ``a``, a nonzero r-by-r minor signed by the row swaps, and ``g``.
 
     Bareiss elimination, column by column: the first nonzero row at or
     below the current rank is the pivot row, and a column without one is
@@ -340,10 +339,15 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
     division is exact.  The last pivot (1 at rank 0) times the sign of
     the row swaps is returned; on a square matrix of full rank it is the
     determinant.
+
+    No later step reads a pivot column below its pivot, so none is
+    cleared: the last pivot row from the last pivot column on and that
+    column below the pivot hold r-by-r minors.  ``g`` is their gcd (1 at
+    rank 0), a nonzero multiple of ``d_r(a)`` (Bareiss 1968).
     """
     m, n = a.shape
     w = [list(row) for row in a.rows]
-    rank, sign, prev = 0, 1, 1
+    rank, sign, prev, last = 0, 1, 1, 0
     for k in range(n):
         for i in range(rank, m):
             if w[i][k]:
@@ -359,9 +363,9 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int]:
                 continue  # the update would give the row back unchanged
             for j in range(k + 1, n):
                 row[j] = (row[j] * p - f * pivot_row[j]) // prev
-            row[k] = 0
-        rank, prev = rank + 1, p
-    return rank, sign * prev
+        rank, prev, last = rank + 1, p, k
+    g = gcd(*w[rank - 1][last:], *(row[last] for row in w[rank:])) if rank else 1
+    return rank, sign * prev, g
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +463,9 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     return result
 
 
-#: The kinds of logged operation, each with its tuple length and whether it acts on rows.
-_LOG_KINDS = {"add column": (4, False), "add row": (4, True), "swap columns": (3, False),
-              "swap rows": (3, True), "negate row": (2, True)}
+#: The kinds of logged operation, each with whether it acts on rows.
+_ON_ROWS = {"add column": False, "add row": True, "swap columns": False, "swap rows": True,
+            "negate row": True}
 
 
 def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[int]]:
@@ -470,40 +474,51 @@ def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[i
     ``w`` is a list of row lists of ``width`` entries.  Raises
     :class:`SelfCheckError` on an operation that is not elementary over
     the integers: an unknown kind or length, a factor that is not an
-    ``int``, an index outside ``w``, or an add of a line to itself.
+    ``int``, an index that is not an ``int`` inside ``w``, or an add of a
+    line to itself.
     """
-    spans = (range(width), range(len(w)))
+    height = len(w)
     for op in log:
-        length, on_rows = _LOG_KINDS.get(op[0] if op else None, (-1, False))
-        if len(op) != length or length == 4 and type(op[3]) is not int:
-            raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
-        i = op[1]
-        j = op[2] if length > 2 else i
-        if i not in spans[on_rows] or j not in spans[on_rows]:
-            raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
-        if length == 4:
+        kind = op[0] if op else None
+        if kind == "add row" or kind == "add column":
+            if len(op) != 4 or type(op[3]) is not int:
+                raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
+            _, i, j, f = op
+            span = height if kind == "add row" else width
+            if not (type(i) is type(j) is int and 0 <= i < span and 0 <= j < span):
+                raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
             if i == j:
                 raise SelfCheckError(f"Smith log operation {op!r} adds a line to itself")
-            f = op[3]
-            if on_rows:
+            if kind == "add row":
                 w[j] = [p + f * q for p, q in zip(w[j], w[i])]
             else:
                 for row in w:
                     if row[i]:
                         row[j] += f * row[i]
-        elif length == 2:
+        elif kind == "swap rows" or kind == "swap columns":
+            if len(op) != 3:
+                raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
+            _, i, j = op
+            span = height if kind == "swap rows" else width
+            if not (type(i) is type(j) is int and 0 <= i < span and 0 <= j < span):
+                raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
+            if kind == "swap rows":
+                w[i], w[j] = w[j], w[i]
+            else:
+                for row in w:
+                    row[i], row[j] = row[j], row[i]
+        elif kind == "negate row" and len(op) == 2:
+            if not (type(i := op[1]) is int and 0 <= i < height):
+                raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
             w[i] = [-e for e in w[i]]
-        elif on_rows:
-            w[i], w[j] = w[j], w[i]
         else:
-            for row in w:
-                row[i], row[j] = row[j], row[i]
+            raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
     return w
 
 
 def _on_identity(log: Iterable[tuple], size: int, rows: bool) -> IntMatrix:
     """The product of the logged row (``rows``) or column operations, replayed on the identity."""
-    ops = [op for op in log if _LOG_KINDS.get(op[0], (0, rows))[1] is rows]
+    ops = [op for op in log if _ON_ROWS.get(op[0], rows) is rows]
     w = _replay(ops, [[int(i == j) for j in range(size)] for i in range(size)], size)
     return IntMatrix._trusted(size, size, tuple(map(tuple, w)))
 
@@ -554,9 +569,9 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     Returns what ``snf(a).nonzero_diagonal()`` returns, one prime at a
     time (local Smith forms, Saunders & Wan, ISSAC 2004).  With ``r``
     the rank, the factors ``s_1 | … | s_r`` multiply to ``d_r(a)``, the
-    gcd of all r-by-r minors, so they divide the gcd ``g`` of the two
-    nonzero minors :func:`_rank_and_minor` finds on ``a`` and on ``a``
-    with its columns reversed.  When ``g`` is 1 every factor is 1.
+    gcd of all r-by-r minors, so they divide the gcd ``g`` of the
+    r-by-r minors that the one Bareiss pass of :func:`_rank_and_minor`
+    exposes.  When ``g`` is 1 every factor is 1.
     Otherwise, for each ``p^e ∥ g``, no factor holds ``p`` more than
     ``e`` times, so the Smith form of ``a`` over ``Z/p^(e+1)`` has
     ``r`` nonzero pivots whose valuations are those of the factors at
@@ -571,13 +586,9 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     divisibility chain whose product divides ``g``, or
     :class:`SelfCheckError` is raised.
     """
-    r, minor = _rank_and_minor(a)
+    r, _, g = _rank_and_minor(a)
     if r == 0:
         return ()
-    g = abs(minor)
-    if g != 1:
-        mirrored = IntMatrix._trusted(a.row_count, a.col_count, tuple(row[::-1] for row in a.rows))
-        g = gcd(g, _rank_and_minor(mirrored)[1])
     primes, rest = [], g
     for p in range(2, _TRIAL_DIVISION_BOUND + 1):
         if p * p > rest:

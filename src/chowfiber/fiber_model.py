@@ -171,6 +171,8 @@ _LABELS = {
 
 def _expect(value, kind: type, where: str):
     """``value`` when it is a JSON value of type ``kind``, else :class:`SchemaError`."""
+    if type(value) is kind and (kind is not str or value.isascii()):
+        return value  # an ASCII string cannot hold a surrogate
     # bool is a subclass of int; keep the two apart.
     if isinstance(value, bool) and kind is not bool:
         raise SchemaError(f"{where}: expected {_LABELS[kind]}, got a boolean")
@@ -188,6 +190,13 @@ def _expect(value, kind: type, where: str):
 def _check_keys(
     obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
 ) -> None:
+    # The common case, every key a known string and none missing, passes at once.
+    for key in obj:
+        if type(key) is not str or key not in required and key not in optional:
+            break
+    else:
+        if all(map(obj.__contains__, required)):
+            return
     for key in obj:
         if not isinstance(key, str):
             raise SchemaError(f"{where}: key {key!r} is not a string")

@@ -150,11 +150,18 @@ class TestDeterminant:
 
 class TestRankAndMinor:
     def test_a_column_without_a_pivot_is_skipped(self):
-        assert exact_linalg._rank_and_minor(IntMatrix.from_rows([[0, 1], [0, 2]])) == (1, 1)
+        assert exact_linalg._rank_and_minor(IntMatrix.from_rows([[0, 1], [0, 2]])) == (1, 1, 1)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
     def test_empty_shapes_have_rank_0_and_the_empty_minor(self, shape):
-        assert exact_linalg._rank_and_minor(zeros(*shape)) == (0, 1)
+        assert exact_linalg._rank_and_minor(zeros(*shape)) == (0, 1, 1)
+
+    def test_the_minor_gcd_reads_the_last_pivot_row_and_column(self):
+        # The last pivot row holds the 2-by-2 minors 4 and 6 from the last
+        # pivot column on, and that column holds 8 below the pivot: their
+        # gcd is d_2 = 2, where the pivot and the column alone give 4.
+        a = IntMatrix.from_rows([[1, 0, 0], [0, 4, 6], [0, 8, 12]])
+        assert exact_linalg._rank_and_minor(a) == (2, 4, 2)
 
 
 class TestSnf:
@@ -341,6 +348,19 @@ class TestVerifySnf:
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
             _verify_snf(a, dec)
 
+    @pytest.mark.parametrize(
+        "op",
+        [("add row", 0, 1.0, 2), ("add column", 1.0, 0, 1), ("swap rows", 1.0, 0),
+         ("swap columns", 0, 1.0), ("negate row", 1.0), ("negate row", True)],
+    )
+    def test_an_index_that_is_not_an_int(self, op):
+        # 1.0 and True lie in range(2) and would index a list as 1.
+        with pytest.raises(SelfCheckError, match="indexes past the matrix"):
+            exact_linalg._replay([op], [[1, 2], [3, 4]], 2)
+        a, dec = _diagonal_decomposition(1, 2)
+        with pytest.raises(SelfCheckError, match="indexes past the matrix"):
+            _verify_snf(a, _replaced(dec, log=(op,)))
+
     def test_off_diagonal_entry_in_s(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
@@ -423,21 +443,32 @@ class TestInvariantFactorsModMinor:
     def test_unimodular_matrix_has_minor_one(self):
         a = IntMatrix.from_rows([[2, 3, 5], [1, 2, 4], [3, 5, 10]])
         assert determinant(a) == 1
-        assert exact_linalg._rank_and_minor(a) == (3, 1)
+        assert exact_linalg._rank_and_minor(a) == (3, 1, 1)
         assert local_invariant_factors(a) == (1, 1, 1)
 
     def test_tall_column(self):
+        # The pivot 4 is one 1-by-1 minor; the column below it gives the
+        # gcd d_1 = 2 exactly.
         a = IntMatrix.from_columns([(4, 6, 10, 0, 14)])
+        assert exact_linalg._rank_and_minor(a) == (1, 4, 2)
         assert local_invariant_factors(a) == (2,)
+
+    def test_one_bareiss_pass(self, monkeypatch):
+        calls = []
+        honest = exact_linalg._rank_and_minor
+        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: calls.append(a) or honest(a))
+        a = IntMatrix.from_rows([[2, 4, 6], [4, 2, 8], [6, 6, 2]])
+        assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
+        assert calls == [a]
 
     def test_wide_row(self):
         assert local_invariant_factors(IntMatrix.from_rows([[6, 10, 15, 0, 0]])) == (1,)
         assert local_invariant_factors(IntMatrix.from_rows([[0, 12, -18]])) == (6,)
 
     def test_a_modulus_that_is_not_a_minor_is_caught(self, monkeypatch):
-        # diag(2, 2) has d_2 = 4; with 2 passed off as both minors the
-        # factors (2, 2) read modulo 2**2 do not divide the minor gcd 2.
-        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: (2, 2))
+        # diag(2, 2) has d_2 = 4; with 2 passed off as the minor gcd the
+        # factors (2, 2) read modulo 2**2 do not divide it.
+        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: (2, 2, 2))
         with pytest.raises(SelfCheckError, match="do not divide"):
             local_invariant_factors(IntMatrix.from_rows([[2, 0], [0, 2]]))
 

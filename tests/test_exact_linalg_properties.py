@@ -117,14 +117,15 @@ def with_zero_lines(a):
     )
 )
 def test_rank_and_minor_match_the_oracle(a):
-    # The minor is some nonzero r-by-r minor, so the gcd of all of them,
-    # d_r, divides it.
-    rank, minor = _rank_and_minor(a)
+    # The minor is some nonzero r-by-r minor, and g a gcd of such minors,
+    # so the gcd of all of them, d_r, divides both.
+    rank, minor, g = _rank_and_minor(a)
     assert rank == snf(a).rank()
     divisors = determinantal_divisors(a)
     assert rank == sum(1 for d in divisors if d)
-    assert minor != 0
-    assert minor % (divisors[rank - 1] if rank else 1) == 0
+    d_r = divisors[rank - 1] if rank else 1
+    assert minor != 0 and g != 0
+    assert minor % d_r == 0 and g % d_r == 0
 
 
 @given(matrices())

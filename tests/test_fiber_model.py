@@ -16,7 +16,24 @@ from chowfiber.fiber_model import (
 from chowfiber.fixtures import fixture_path
 from chowfiber.galois import hom_T_basis, xi_weights
 
-MINIMAL = {"name": "minimal", "orbits": [{"name": "Y", "multiplicity": 1, "size": 1}]}
+ORBIT = {"name": "Y", "multiplicity": 1, "size": 1}
+MINIMAL = {"name": "minimal", "orbits": [ORBIT]}
+
+
+class _Str(str):
+    pass
+
+
+class _EqualToAll:
+    """A key that compares equal to every value, known key names included."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return True
+
+    def __repr__(self):
+        return "<equal to all>"
 
 
 def _fixture_model(name):
@@ -30,6 +47,13 @@ class TestParse:
         assert m.generators == ()
         assert m.hypotheses.reduced_components_smooth is False
         assert m.hypotheses.pic_unramified_descent is False
+
+    def test_non_ascii_names_parse(self):
+        generator = {"name": "é", "host": "Ö"}
+        m = parse_model({"name": "Ö", "orbits": [{**ORBIT, "name": "Ö"}], "generators": [generator]})
+        assert (m.name, m.orbits[0].name, m.generators[0].name) == ("Ö", "Ö", "é")
+        assert m.generators[0].degrees == {"Ö": 0}
+        assert parse_model({**MINIMAL, "name": _Str("Ö")}).name == "Ö"
 
     def test_accepts_json_text(self):
         m = parse_model(json.dumps(MINIMAL))
@@ -222,11 +246,51 @@ class TestSchemaErrors:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            pytest.param(
+                {"name": _Str("a\ud800"), "orbits": [ORBIT]},
+                "name: string holds a lone surrogate",
+                id="str-subclass-value",
+            ),
+            pytest.param(
+                {**MINIMAL, _Str("color"): 1},
+                "document: unknown keys color",
+                id="str-subclass-key",
+            ),
+            pytest.param(
+                {**MINIMAL, _EqualToAll(): 1},
+                "document: key <equal to all> is not a string",
+                id="non-string-key",
+            ),
+            pytest.param(
+                {"name": "x", "orbits": [{**ORBIT, "name": "Y\ud83d"}]},
+                "orbits[0].name: string holds a lone surrogate",
+                id="lone-surrogate",
+            ),
+            pytest.param(
+                {"name": "x", "color": 1, "shape": 2},
+                "document: unknown keys color, shape",
+                id="unknown-and-missing-keys",
+            ),
+            pytest.param(
+                {"name": "x", "orbits": [{"name": "Y"}]},
+                "orbits[0]: missing required keys multiplicity, size",
+                id="missing-keys",
+            ),
+        ],
+    )
+    def test_values_that_are_not_plain_keep_their_messages(self, document, message):
+        # A plain value passes the schema checks at once; these do not.
+        with pytest.raises(SchemaError) as caught:
+            parse_model(document)
+        assert str(caught.value) == message
+
     def test_boolean_is_not_an_integer(self):
-        with pytest.raises(SchemaError, match="boolean"):
-            parse_model(
-                {"name": "x", "orbits": [{"name": "Y", "multiplicity": True, "size": 1}]}
-            )
+        with pytest.raises(SchemaError) as caught:
+            parse_model({"name": "x", "orbits": [{**ORBIT, "multiplicity": True}]})
+        assert str(caught.value) == "orbits[0].multiplicity: expected an integer, got a boolean"
 
     def test_geometric_must_match_declared_orbits(self):
         bad = {
