@@ -19,8 +19,10 @@ small inputs, so fixed-width arithmetic is never used here.
 Three deliberately different routes to the invariant factors coexist:
 
 * ``snf`` diagonalizes by unimodular row and column operations and logs
-  them.  It is the only route for anything that reads a transform, which
-  is rebuilt from the log on demand, and its output is proved (below);
+  them; a column operation updates only the rows that hold the pivot
+  column.  It is the only route for anything that reads a transform,
+  which is rebuilt from the log on demand, and its output is proved
+  (below);
 * ``local_invariant_factors`` builds the Smith form one prime at a
   time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
   nonzero maximal minors that one Bareiss pass exposes, and keeps no
@@ -233,7 +235,7 @@ class SmithDecomposition(Value):
     ``("swap rows", i, j)``, ``("swap columns", i, j)``, ``("add row",
     src, dst, f)`` and ``("add column", src, dst, f)`` for "line dst +=
     f·line src", and ``("negate row", i)``.  ``u``, ``u_inv`` and ``v``
-    are rebuilt from the log on each read.
+    are rebuilt from the log on each read, once :func:`_replay` accepts it.
     """
 
     __slots__ = ("s", "log")
@@ -246,27 +248,34 @@ class SmithDecomposition(Value):
     def nonzero_diagonal(self) -> tuple[int, ...]:
         return tuple(d for d in self.s.diagonal_entries() if d != 0)
 
+    def _checked_log(self) -> tuple[tuple, ...]:
+        """The log, once :func:`_replay` accepts it on zeros shaped like ``s``; else SelfCheckError."""
+        m, n = self.s.shape
+        _replay(self.log, [[0] * n for _ in range(m)], n)
+        return self.log
+
     @property
     def u(self) -> IntMatrix:
-        return _on_identity(self.log, self.s.row_count, rows=True)
+        return _on_identity(self._checked_log(), self.s.row_count, rows=True)
 
     @property
     def v(self) -> IntMatrix:
-        return _on_identity(self.log, self.s.col_count, rows=False)
+        return _on_identity(self._checked_log(), self.s.col_count, rows=False)
 
     @property
     def u_inv(self) -> IntMatrix:
-        m = self.s.row_count
-        return IntMatrix._trusted(m, m, tuple(map(self.times_u_inv, _on_identity((), m, True).rows)))
+        # The inverse of "row dst += f·row src" subtracts; swaps and negations undo themselves.
+        inverse = [op[:3] + (-op[3],) if op[0] == "add row" else op for op in self._checked_log()]
+        return _on_identity(inverse[::-1], self.s.row_count, rows=True)
 
     def times_u_inv(self, row: Sequence[int]) -> tuple[int, ...]:
-        """``row @ u_inv``, in O(1) work per logged operation.
+        """``row @ u_inv``, in O(1) work per logged operation once the log is checked.
 
         For ``u = E_k @ … @ E_1`` it is ``row @ E_1⁻¹ @ … @ E_k⁻¹``, and the
         inverse of "row dst += f·row src" does ``x[src] -= f·x[dst]``.
         """
         x = list(row)
-        for op in self.log:
+        for op in self._checked_log():
             kind = op[0]
             if kind == "add row":
                 x[op[1]] -= op[3] * x[op[2]]
@@ -376,51 +385,41 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int, int]:
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with its log of operations, self-verified before returning.
 
-    Every round moves a nonzero entry of minimal absolute value in the
-    remaining submatrix to ``(t, t)`` and reduces column ``t``, then row
-    ``t``, by floor quotients.  A remainder left behind is smaller than
-    the pivot, so the next round's pivot is strictly smaller; once the
-    row and column are clear, adding a row the pivot does not divide
-    leaves a remainder in the next round.  The pivot magnitude therefore
-    shrinks to termination.  Re-picking the smallest entry every round,
-    rather than promoting whichever remainder turns up first, is also
-    what keeps the factors of the log polynomially sized.
+    Every round moves the first nonzero entry, in row order, of minimal
+    absolute value in the remaining submatrix to ``(t, t)`` and reduces
+    column ``t``, then row ``t``, by floor quotients.  A remainder left
+    behind is smaller than the pivot, so the next round's pivot is
+    strictly smaller; once the row and column are clear, adding a row
+    the pivot does not divide leaves a remainder in the next round.  The
+    pivot magnitude therefore shrinks to termination.  Re-picking the
+    smallest entry every round, rather than promoting whichever
+    remainder turns up first, is also what keeps the factors of the log
+    polynomially sized.
 
     The operations run on a copy ``w`` of ``a`` alone and go into the
-    log; no transform is built.  A column operation runs over rows
-    ``t..`` only: rows and columns before ``t`` are finished, zero off
-    the diagonal.  A ±1 pivot ends its round at once: it leaves no
-    remainder and divides everything.  Before returning,
-    :func:`_verify_snf` replays the log on ``a`` and proves the result.
+    log; no transform is built.  A column operation updates only the
+    rows that hold the pivot column, collected once per round: rows
+    before ``t`` are finished, zero off the diagonal, and column ``t``
+    does not change while row ``t`` is cleared.  A ±1 pivot ends its
+    round at once: it leaves no remainder and divides everything.
+    Before returning, :func:`_verify_snf` replays the log on ``a`` and
+    proves the result.
     """
     m, n = a.shape
     w = [list(row) for row in a.rows]
     log: list[tuple] = []
-
-    def add_row(src: int, dst: int, factor: int) -> None:
-        w[dst] = [p + factor * q for p, q in zip(w[dst], w[src])]
-        log.append(("add row", src, dst, factor))
-
-    def add_col(t: int, dst: int, factor: int) -> None:
-        for row in itertools.islice(w, t, None):
-            if row[t]:
-                row[dst] += factor * row[t]
-        log.append(("add column", t, dst, factor))
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        best_abs = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                e = w[i][j]
-                if e != 0 and (best is None or abs(e) < best_abs):
-                    best, best_abs = (i, j), abs(e)
-                    if best_abs == 1:
-                        return best
-        return best
-
     for t in range(min(m, n)):
-        while (pos := find_pivot(t)) is not None:
+        while True:
+            pos, best = None, 0
+            for i in range(t, m):
+                row = w[i]
+                for j in range(t, n):
+                    if (e := row[j]) and (not best or abs(e) < best):
+                        pos, best = (i, j), abs(e)
+                if best == 1:
+                    break
+            if pos is None:
+                break  # the remaining submatrix is zero
             i, j = pos
             if i != t:
                 w[t], w[i] = w[i], w[t]
@@ -429,16 +428,23 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 for row in itertools.islice(w, t, None):
                     row[t], row[j] = row[j], row[t]
                 log.append(("swap columns", t, j))
-            p = w[t][t]
+            pivot_row = w[t]
+            p = pivot_row[t]
             for i in range(t + 1, m):
-                if w[i][t]:
-                    add_row(t, i, -(w[i][t] // p))
+                if e := w[i][t]:
+                    f = -(e // p)
+                    w[i] = [x + f * y for x, y in zip(w[i], pivot_row)]
+                    log.append(("add row", t, i, f))
+            holders = [row for row in itertools.islice(w, t, None) if row[t]]
             for j in range(t + 1, n):
-                if w[t][j]:
-                    add_col(t, j, -(w[t][j] // p))
+                if e := pivot_row[j]:
+                    f = -(e // p)
+                    for row in holders:
+                        row[j] += f * row[t]
+                    log.append(("add column", t, j, f))
             if p in (1, -1):
                 break  # a unit leaves no remainder and divides everything
-            if any(w[i][t] for i in range(t + 1, m)) or any(w[t][t + 1 : n]):
+            if len(holders) > 1 or any(pivot_row[t + 1 :]):
                 continue
             # Row and column are clear; force the pivot to divide the
             # whole remaining submatrix, so the diagonal comes out as a
@@ -449,9 +455,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             )
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        else:
-            break  # the remaining submatrix is zero
+            w[t] = [x + y for x, y in zip(pivot_row, w[offender])]
+            log.append(("add row", offender, t, 1))
+        if pos is None:
+            break
 
         if w[t][t] < 0:
             w[t] = [-e for e in w[t]]
@@ -517,8 +524,8 @@ def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[i
 
 
 def _on_identity(log: Iterable[tuple], size: int, rows: bool) -> IntMatrix:
-    """The product of the logged row (``rows``) or column operations, replayed on the identity."""
-    ops = [op for op in log if _ON_ROWS.get(op[0], rows) is rows]
+    """The product of the row (``rows``) or column operations of a checked log, on the identity."""
+    ops = [op for op in log if _ON_ROWS[op[0]] is rows]
     w = _replay(ops, [[int(i == j) for j in range(size)] for i in range(size)], size)
     return IntMatrix._trusted(size, size, tuple(map(tuple, w)))
 
@@ -835,7 +842,8 @@ def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
         del c[first : first + 1]
         columns.append(tuple(c))
     rank = n - (first < n)  # of ker(row)
-    return IntMatrix._trusted(targets.col_count, rank, tuple(columns)).transpose()
+    rows = tuple(zip(*columns)) if columns else ((),) * rank
+    return IntMatrix._trusted(rank, targets.col_count, rows)
 
 
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:

@@ -57,6 +57,7 @@ value (``orbit-constancy``).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from operator import mul
 
 from ._value import Value
 from .exact_linalg import IntMatrix, int_text, too_many_digits
@@ -190,13 +191,6 @@ def _expect(value, kind: type, where: str):
 def _check_keys(
     obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
 ) -> None:
-    # The common case, every key a known string and none missing, passes at once.
-    for key in obj:
-        if type(key) is not str or key not in required and key not in optional:
-            break
-    else:
-        if all(map(obj.__contains__, required)):
-            return
     for key in obj:
         if not isinstance(key, str):
             raise SchemaError(f"{where}: key {key!r} is not a string")
@@ -232,7 +226,9 @@ def parse_model(document: str | Mapping) -> FiberModel:
     for structural problems (unknown or repeated keys, unknown orbit
     references, duplicate names, multiplicity below 1, an empty orbit
     list, or a geometric section whose Frobenius cycles do not match the
-    declared orbits).
+    declared orbits).  Each orbit and generator entry is first tested
+    whole; only one that fails that test is checked field by field, which
+    builds the message naming its fault.
     """
     if isinstance(document, str):
         import json  # here, so processes that read only matrices never load it
@@ -258,7 +254,7 @@ def parse_model(document: str | Mapping) -> FiberModel:
     )
 
     name = _expect(top["name"], str, "name")
-    hypotheses = Hypotheses()
+    hypotheses = FiberModel._defaults["hypotheses"]
     if "hypotheses" in top:
         hypotheses = _parse_hypotheses(top["hypotheses"])
     orbit_tuple = _parse_orbits(top["orbits"])
@@ -289,6 +285,12 @@ def _parse_hypotheses(raw: object) -> Hypotheses:
     return Hypotheses(*(_expect(obj.get(k, False), bool, f"hypotheses.{k}") for k in keys))
 
 
+_ORBIT_KEYS = frozenset(("name", "multiplicity", "size"))
+_GENERATOR_KEYS = frozenset(("name", "host", "degrees"))
+# Exact types: a bool is an int, and a key can equal a str without being one.
+_STR, _INT = frozenset((str,)), frozenset((int,))
+
+
 def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
     arr = _expect(raw, list, "orbits")
     if not arr:
@@ -296,48 +298,63 @@ def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
     specs: list[ComponentOrbit] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
-        where = f"orbits[{idx}]"
-        obj = _expect(item, dict, where)
-        _check_keys(obj, where, ("name", "multiplicity", "size"))
-        oname = _expect(obj["name"], str, f"{where}.name")
-        mult = _expect(obj["multiplicity"], int, f"{where}.multiplicity")
-        size = _expect(obj["size"], int, f"{where}.size")
-        if oname in seen:
-            raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
+        # A plain entry passes whole; the per-field checks name a fault.
+        if not (
+            type(item) is dict and item.keys() == _ORBIT_KEYS and _STR.issuperset(map(type, item))
+            and type(oname := item["name"]) is str and oname.isascii() and oname not in seen
+            and type(mult := item["multiplicity"]) is int and type(size := item["size"]) is int
+        ):
+            where = f"orbits[{idx}]"
+            obj = _expect(item, dict, where)
+            _check_keys(obj, where, ("name", "multiplicity", "size"))
+            oname = _expect(obj["name"], str, f"{where}.name")
+            mult = _expect(obj["multiplicity"], int, f"{where}.multiplicity")
+            size = _expect(obj["size"], int, f"{where}.size")
+            if oname in seen:
+                raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
         seen.add(oname)
         try:
-            specs.append(ComponentOrbit(name=oname, size=size, multiplicity=mult))
+            specs.append(ComponentOrbit(oname, size, mult))
         except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from None
+            raise SchemaError(f"orbits[{idx}]: {e}") from None
     return tuple(specs)
 
 
 def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGenerator, ...]:
     arr = _expect(raw, list, "generators")
-    known = set(orbit_names)
+    known = frozenset(orbit_names)
+    zeros = dict.fromkeys(orbit_names, 0)
     generators: list[PicGenerator] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
-        where = f"generators[{idx}]"
-        obj = _expect(item, dict, where)
-        _check_keys(obj, where, ("name", "host"), ("degrees",))
-        gname = _expect(obj["name"], str, f"{where}.name")
-        host = _expect(obj["host"], str, f"{where}.host")
-        if gname in seen:
-            raise SchemaError(f"{where}: duplicate generator name {gname!r}")
+        # A plain entry passes whole; the per-field checks name a fault.
+        if not (
+            type(item) is dict and _GENERATOR_KEYS.issuperset(item)
+            and _STR.issuperset(map(type, item))
+            and type(gname := item.get("name")) is str and gname.isascii() and gname not in seen
+            and type(host := item.get("host")) is str and host in known
+            and type(degrees := item.get("degrees", zeros)) is dict
+            and known.issuperset(degrees) and _INT.issuperset(map(type, degrees.values()))
+        ):
+            where = f"generators[{idx}]"
+            obj = _expect(item, dict, where)
+            _check_keys(obj, where, ("name", "host"), ("degrees",))
+            gname = _expect(obj["name"], str, f"{where}.name")
+            host = _expect(obj["host"], str, f"{where}.host")
+            if gname in seen:
+                raise SchemaError(f"{where}: duplicate generator name {gname!r}")
+            if host not in known:
+                raise SchemaError(f"{where}: host references unknown orbit {host!r}")
+            degrees = _expect(obj.get("degrees", {}), dict, f"{where}.degrees")
+            for key in degrees:
+                if key not in known:
+                    raise SchemaError(f"{where}.degrees: unknown orbit {key!r}")
+            for oname, value in {**zeros, **degrees}.items():
+                # Spell the label only for a value that is not a plain int.
+                if type(value) is not int:
+                    _expect(value, int, f"{where}.degrees.{oname}")
         seen.add(gname)
-        if host not in known:
-            raise SchemaError(f"{where}: host references unknown orbit {host!r}")
-        degrees_raw = _expect(obj.get("degrees", {}), dict, f"{where}.degrees")
-        for key in degrees_raw:
-            if key not in known:
-                raise SchemaError(f"{where}.degrees: unknown orbit {key!r}")
-        degrees = {oname: degrees_raw.get(oname, 0) for oname in orbit_names}
-        for oname, value in degrees.items():
-            # Spell the label only for a value that is not a plain int.
-            if type(value) is not int:
-                _expect(value, int, f"{where}.degrees.{oname}")
-        generators.append(PicGenerator(gname, host, degrees))
+        generators.append(PicGenerator(gname, host, {**zeros, **degrees}))
     return tuple(generators)
 
 
@@ -437,10 +454,9 @@ def _parse_expected(raw: object) -> ExpectedResult:
 
 def build_specialization_matrix(m: FiberModel) -> IntMatrix:
     """Degrees as a matrix: rows are orbits, columns are generators, model order."""
-    return IntMatrix.from_rows(
-        [[g.degrees[o.name] for g in m.generators] for o in m.orbits],
-        col_count=len(m.generators),
-    )
+    names = [o.name for o in m.orbits]
+    columns = [map(g.degrees.__getitem__, names) for g in m.generators]
+    return IntMatrix.from_rows(zip(*columns) if columns else [()] * len(names), len(columns))
 
 
 def validate(m: FiberModel) -> list[Diagnostic]:
@@ -475,8 +491,9 @@ def validate(m: FiberModel) -> list[Diagnostic]:
             )
         )
 
+    names = [o.name for o in m.orbits]
     for g in m.generators:
-        pairing = sum(w * g.degrees[o.name] for w, o in zip(weights.weights, m.orbits))
+        pairing = sum(map(mul, weights.weights, map(g.degrees.__getitem__, names)))
         if pairing != 0:
             diagnostics.append(
                 Diagnostic(

@@ -27,6 +27,7 @@ from chowfiber.chow import (
 )
 from chowfiber.exact_linalg import (
     FGAbelianGroup,
+    IntMatrix,
     NotInLattice,
     SelfCheckError,
     cokernel,
@@ -619,6 +620,22 @@ def test_seeded_reports_are_pinned():
     for m in _seeded_models():
         digest.update(json.dumps(report_as_json(report(m)), sort_keys=True).encode())
     assert digest.hexdigest() == SEEDED_REPORTS_SHA256
+
+
+#: SHA-256 over ``repr(snf(degrees).log)`` and then ``repr(snf(weight
+#: row).log)`` of each of the 240 seeded models, in order.  ``hom_T_basis``,
+#: the benchmark's seeded documents and demo 01 read these logs, so a
+#: faster elimination must log the same operations.
+SEEDED_SMITH_LOGS_SHA256 = "890e6570f85c15d2c392d4ca278fbff73231306fa4414b3f7453971694695112"
+
+
+def test_seeded_smith_logs_are_pinned():
+    digest = hashlib.sha256()
+    for m in _seeded_models():
+        digest.update(repr(snf(build_specialization_matrix(m)).log).encode())
+        weight_row = IntMatrix.from_rows([xi_weights(m.orbits).weights])
+        digest.update(repr(snf(weight_row).log).encode())
+    assert digest.hexdigest() == SEEDED_SMITH_LOGS_SHA256
 
 
 @pytest.mark.parametrize("orbit_count", range(3, 9))

@@ -361,6 +361,27 @@ class TestVerifySnf:
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
             _verify_snf(a, _replaced(dec, log=(op,)))
 
+    @pytest.mark.parametrize(
+        "op, message",
+        [((), "Smith log holds an unknown operation ()"),
+         ((["add row"], 0, 1, 1), "Smith log holds an unknown operation (['add row'], 0, 1, 1)"),
+         (("bogus", 0, 1), "Smith log holds an unknown operation ('bogus', 0, 1)"),
+         (("add column", 0, 2, 1), "Smith log operation ('add column', 0, 2, 1) indexes past "
+          "the matrix")],
+    )
+    @pytest.mark.parametrize("read", ["u", "v", "u_inv", "times_u_inv"])
+    def test_transform_readers_refuse_what_the_replay_refuses(self, op, message, read):
+        # A log that did not come from snf: every reader of a transform
+        # refuses it as the proof does, and none returns a wrong matrix.
+        a, dec = _diagonal_decomposition(1, 2)
+        dec = _replaced(dec, log=(("swap rows", 0, 1), op))
+        with pytest.raises(SelfCheckError) as caught:
+            _verify_snf(a, dec)
+        assert str(caught.value) == message
+        with pytest.raises(SelfCheckError) as caught:
+            dec.times_u_inv((1, 2)) if read == "times_u_inv" else getattr(dec, read)
+        assert str(caught.value) == message
+
     def test_off_diagonal_entry_in_s(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)

@@ -6,7 +6,9 @@ import pytest
 from chowfiber.chow import InvalidModel
 from chowfiber.exact_linalg import IntMatrix, solve_in_lattice
 from chowfiber.fiber_model import (
+    FiberModel,
     ParseError,
+    PicGenerator,
     SchemaError,
     build_specialization_matrix,
     has_errors,
@@ -36,8 +38,36 @@ class _EqualToAll:
         return "<equal to all>"
 
 
+class _PosingAs:
+    """A key that hashes like a given string and compares equal to it."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+    def __repr__(self):
+        return f"<posing as {self.text}>"
+
+
 def _fixture_model(name):
     return parse_model(fixture_path(name).read_text())
+
+
+def _four_orbits():
+    """A valid document with four orbits A..D and five generators g0..g4."""
+    return {
+        "name": "later",
+        "orbits": [{"name": n, "multiplicity": 1, "size": 1} for n in "ABCD"],
+        "generators": [
+            {"name": f"g{i}", "host": "ABCD"[i % 4], "degrees": {"A": 1, "B": -1}}
+            for i in range(5)
+        ],
+    }
 
 
 class TestParse:
@@ -292,6 +322,87 @@ class TestSchemaErrors:
             parse_model({"name": "x", "orbits": [{**ORBIT, "multiplicity": True}]})
         assert str(caught.value) == "orbits[0].multiplicity: expected an integer, got a boolean"
 
+    @pytest.mark.parametrize(
+        "part, index, change, message",
+        [
+            ("orbits", 2, {"multiplicity": True},
+             "orbits[2].multiplicity: expected an integer, got a boolean"),
+            ("orbits", 2, {"size": False}, "orbits[2].size: expected an integer, got a boolean"),
+            ("orbits", 2, {"multiplicity": "1"},
+             "orbits[2].multiplicity: expected an integer, got str"),
+            ("orbits", 2, {"multiplicity": 0}, "orbits[2]: multiplicity must be >= 1, got 0"),
+            ("orbits", 2, {"name": "C\udc80"}, "orbits[2].name: string holds a lone surrogate"),
+            ("orbits", 2, {"size": None}, "orbits[2]: missing required keys size"),
+            ("orbits", 2, {"color": "red"}, "orbits[2]: unknown keys color"),
+            ("orbits", 2, {"name": "A"}, "orbits[2]: duplicate orbit name 'A'"),
+            ("generators", 3, {"degrees": {"A": 1, "B": True}},
+             "generators[3].degrees.B: expected an integer, got a boolean"),
+            ("generators", 3, {"degrees": {"A": 1.0}},
+             "generators[3].degrees.A: expected an integer, got float"),
+            ("generators", 3, {"name": "g\ud800"},
+             "generators[3].name: string holds a lone surrogate"),
+            ("generators", 3, {"host": "A\ud800"},
+             "generators[3].host: string holds a lone surrogate"),
+            ("generators", 3, {"degrees": {"A": 1, "E": 2}},
+             "generators[3].degrees: unknown orbit 'E'"),
+            ("generators", 3, {"degrees": {1: 2}}, "generators[3].degrees: unknown orbit 1"),
+            ("generators", 3, {"host": None}, "generators[3]: missing required keys host"),
+            ("generators", 3, {"host": "E"}, "generators[3]: host references unknown orbit 'E'"),
+            ("generators", 3, {"color": "red"}, "generators[3]: unknown keys color"),
+            ("generators", 3, {1: 2}, "generators[3]: key 1 is not a string"),
+            ("generators", 3, {"name": "g0"}, "generators[3]: duplicate generator name 'g0'"),
+            ("generators", 3, {"degrees": None},
+             "generators[3].degrees: expected an object, got NoneType"),
+            ("generators", 3, {"degrees": [1, 2]},
+             "generators[3].degrees: expected an object, got list"),
+        ],
+    )
+    def test_a_fault_after_valid_entries_keeps_its_message(self, part, index, change, message):
+        # Valid entries pass as a whole; the first faulty one is named field by field.
+        doc = _four_orbits()
+        entry = doc[part][index]
+        for key, value in change.items():
+            if value is None and key != "degrees":
+                del entry[key]
+            else:
+                entry[key] = value
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("part, index", [("orbits", 2), ("generators", 3)])
+    def test_a_key_that_only_poses_as_a_string_is_refused(self, part, index):
+        doc = _four_orbits()
+        entry = doc[part][index]
+        entry[_PosingAs("name")] = entry.pop("name")
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == f"{part}[{index}]: key <posing as name> is not a string"
+
+    @pytest.mark.parametrize("part, index", [("orbits", 2), ("generators", 3)])
+    def test_an_entry_that_is_not_an_object_keeps_its_message(self, part, index):
+        doc = _four_orbits()
+        doc[part][index] = ["C", 1, 1]
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == f"{part}[{index}]: expected an object, got list"
+
+    def test_entries_that_are_not_plain_still_parse(self):
+        # Non-ASCII names and str subclasses fail the whole-entry test but
+        # are valid; the per-field checks accept them as before.
+        doc = _four_orbits()
+        doc["orbits"][2]["name"] = "Ç"
+        doc["generators"][2]["host"] = "Ç"
+        doc["generators"][3] = {"name": "γ3", "host": "Ç", "degrees": {"Ç": 2, "A": -2}}
+        doc["generators"][4] = {"name": _Str("g4"), "host": "D", "degrees": {_Str("A"): 1}}
+        m = parse_model(doc)
+        assert m.orbits[2].name == "Ç"
+        assert m.generators[3].degrees == {"A": -2, "B": 0, "Ç": 2, "D": 0}
+        assert list(m.generators[3].degrees) == ["A", "B", "Ç", "D"]
+        assert type(m.generators[4].name) is _Str
+        assert m.generators[4].degrees == {"A": 1, "B": 0, "Ç": 0, "D": 0}
+        assert [type(k) for k in m.generators[4].degrees] == [str] * 4
+
     def test_geometric_must_match_declared_orbits(self):
         bad = {
             "name": "x",
@@ -503,6 +614,33 @@ class TestValidate:
         (error,) = validate(bad)
         assert error.message.endswith(f"is 1{'0' * 4000}, expected 0")
         assert f"1{'0' * 4000}" in str(InvalidModel([error]))
+
+    def test_degree_maps_built_by_hand_are_read_by_orbit_name(self):
+        # A model built without parse_model may list its degrees in any
+        # order; one whose map lacks an orbit is refused with KeyError.
+        m = _fixture_model("example31")
+        reordered = FiberModel(
+            m.name,
+            m.orbits,
+            tuple(
+                PicGenerator(g.name, g.host, dict(reversed(list(g.degrees.items()))))
+                for g in m.generators
+            ),
+            m.hypotheses,
+            m.geometric,
+        )
+        assert list(reordered.generators[0].degrees) != list(m.generators[0].degrees)
+        assert validate(reordered) == validate(m)
+        assert build_specialization_matrix(reordered) == build_specialization_matrix(m)
+        first = m.generators[0]
+        short = {k: v for k, v in first.degrees.items() if k != m.orbits[-1].name}
+        lacking = FiberModel(
+            m.name, m.orbits, (PicGenerator(first.name, first.host, short), *m.generators[1:])
+        )
+        with pytest.raises(KeyError):
+            validate(lacking)
+        with pytest.raises(KeyError):
+            build_specialization_matrix(lacking)
 
     def test_validate_is_deterministic(self):
         m = _fixture_model("example31")
