@@ -23,9 +23,9 @@ and the quotient route, share no code.
 
 A strict report thus makes one Smith decomposition and one call of the
 local route, and refuses to hand out a report whose routes disagree.
-The induced character ξ̄ that :func:`compute_xi_bar` reads off the log
-is not needed for any field: :func:`report` publishes its canonical
-form, which the rank and the index fix.
+The induced character ξ̄ = w @ u^{-1} of :func:`compute_xi_bar` is not
+needed for any field: :func:`report` publishes its canonical form, which
+the rank and the index fix.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -135,10 +135,10 @@ def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int,
     it vanishes on the ``rank`` relation coordinates and the gcd of the
     rest is the index.  The row depends on the elimination order;
     :func:`report` publishes its canonical form, which the rank and the
-    index fix, and does not call this.  The log's row operations are
-    mirrored on ``w`` alone; no transform is built.
+    index fix, and does not call this.  It is a product with ``u_inv``,
+    and a ``w`` of the wrong length raises :class:`ValueError`.
     """
-    return dec.times_u_inv(weights.weights)
+    return (IntMatrix.from_rows([weights.weights]) @ dec.u_inv).rows[0]
 
 
 def compute_b0(weights: WeightVector, degrees: IntMatrix) -> FGAbelianGroup:

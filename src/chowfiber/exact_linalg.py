@@ -21,7 +21,7 @@ Three deliberately different routes to the invariant factors coexist:
 * ``snf`` diagonalizes by unimodular row and column operations and logs
   them; a column operation updates only the rows that hold the pivot
   column.  It is the only route for anything that reads a transform,
-  which is rebuilt from the log on demand, and its output is proved
+  which is rebuilt from the log on demand by the replay that proves it
   (below);
 * ``local_invariant_factors`` builds the Smith form one prime at a
   time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
@@ -235,7 +235,8 @@ class SmithDecomposition(Value):
     ``("swap rows", i, j)``, ``("swap columns", i, j)``, ``("add row",
     src, dst, f)`` and ``("add column", src, dst, f)`` for "line dst +=
     f·line src", and ``("negate row", i)``.  ``u``, ``u_inv`` and ``v``
-    are rebuilt from the log on each read, once :func:`_replay` accepts it.
+    are rebuilt on each read by :func:`_replay`, which refuses the log as
+    the proof does: on ``[0 | I_m]`` for ``u``, ``[0 ; I_n]`` for ``v``.
     """
 
     __slots__ = ("s", "log")
@@ -248,43 +249,30 @@ class SmithDecomposition(Value):
     def nonzero_diagonal(self) -> tuple[int, ...]:
         return tuple(d for d in self.s.diagonal_entries() if d != 0)
 
-    def _checked_log(self) -> tuple[tuple, ...]:
-        """The log, once :func:`_replay` accepts it on zeros shaped like ``s``; else SelfCheckError."""
-        m, n = self.s.shape
-        _replay(self.log, [[0] * n for _ in range(m)], n)
-        return self.log
-
     @property
     def u(self) -> IntMatrix:
-        return _on_identity(self._checked_log(), self.s.row_count, rows=True)
+        return self._row_transform(self.log)
 
     @property
     def v(self) -> IntMatrix:
-        return _on_identity(self._checked_log(), self.s.col_count, rows=False)
+        m, n = self.s.shape  # only column operations reach the bottom block
+        w = [[0] * n for _ in range(m)] + [[int(i == j) for j in range(n)] for i in range(n)]
+        return IntMatrix._trusted(n, n, tuple(map(tuple, _replay(self.log, w, m, n)[m:])))
 
     @property
     def u_inv(self) -> IntMatrix:
-        # The inverse of "row dst += f·row src" subtracts; swaps and negations undo themselves.
-        inverse = [op[:3] + (-op[3],) if op[0] == "add row" else op for op in self._checked_log()]
-        return _on_identity(inverse[::-1], self.s.row_count, rows=True)
+        # Once the log passes, its inverse: the order reversed and row adds negated; swaps and
+        # negations undo themselves, and column operations reach only the zero block.
+        m, n = self.s.shape
+        _replay(self.log, [[0] * n for _ in range(m)], m, n)
+        inverse = [(*op[:3], -op[3]) if op[0] == "add row" else op for op in reversed(self.log)]
+        return self._row_transform(inverse)
 
-    def times_u_inv(self, row: Sequence[int]) -> tuple[int, ...]:
-        """``row @ u_inv``, in O(1) work per logged operation once the log is checked.
-
-        For ``u = E_k @ … @ E_1`` it is ``row @ E_1⁻¹ @ … @ E_k⁻¹``, and the
-        inverse of "row dst += f·row src" does ``x[src] -= f·x[dst]``.
-        """
-        x = list(row)
-        for op in self._checked_log():
-            kind = op[0]
-            if kind == "add row":
-                x[op[1]] -= op[3] * x[op[2]]
-            elif kind == "swap rows":
-                i, j = op[1], op[2]
-                x[i], x[j] = x[j], x[i]
-            elif kind == "negate row":
-                x[op[1]] = -x[op[1]]
-        return tuple(x)
+    def _row_transform(self, log: Iterable[tuple]) -> IntMatrix:
+        """``log`` replayed on ``[0 | I_m]``: only row operations reach the right block."""
+        m, n = self.s.shape
+        w = [[0] * n + [int(i == j) for j in range(m)] for i in range(m)]
+        return IntMatrix._trusted(m, m, tuple(tuple(row[n:]) for row in _replay(log, w, m, n)))
 
 
 class FGAbelianGroup(Value):
@@ -470,23 +458,22 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     return result
 
 
-#: The kinds of logged operation, each with whether it acts on rows.
-_ON_ROWS = {"add column": False, "add row": True, "swap columns": False, "swap rows": True,
-            "negate row": True}
-
-
-def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[int]]:
+def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -> list[list[int]]:
     """Apply each logged operation to whole rows or columns of ``w``, in place; return ``w``.
 
-    ``w`` is a list of row lists of ``width`` entries.  Raises
+    Row indices must lie below ``height`` and column indices below
+    ``width``; extra rows of ``w`` move only under column operations and
+    extra columns only under row operations.  Raises
     :class:`SelfCheckError` on an operation that is not elementary over
-    the integers: an unknown kind or length, a factor that is not an
-    ``int``, an index that is not an ``int`` inside ``w``, or an add of a
-    line to itself.
+    the integers: an entry of unknown kind or length, a factor that is
+    not an ``int``, an index that is not an ``int`` in bounds, or an add
+    of a line to itself.
     """
-    height = len(w)
     for op in log:
-        kind = op[0] if op else None
+        try:
+            kind = op[0] if op else None
+        except (TypeError, LookupError):  # not a tuple: an unknown operation
+            kind = None
         if kind == "add row" or kind == "add column":
             if len(op) != 4 or type(op[3]) is not int:
                 raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
@@ -523,13 +510,6 @@ def _replay(log: Iterable[tuple], w: list[list[int]], width: int) -> list[list[i
     return w
 
 
-def _on_identity(log: Iterable[tuple], size: int, rows: bool) -> IntMatrix:
-    """The product of the row (``rows``) or column operations of a checked log, on the identity."""
-    ops = [op for op in log if _ON_ROWS[op[0]] is rows]
-    w = _replay(ops, [[int(i == j) for j in range(size)] for i in range(size)], size)
-    return IntMatrix._trusted(size, size, tuple(map(tuple, w)))
-
-
 def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     """Prove ``dec`` a Smith decomposition of ``a``, or raise :class:`SelfCheckError`.
 
@@ -546,7 +526,7 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
     for i, row in enumerate(dec.s.rows):
         if any(row[:i]) or any(row[i + 1 :]):
             raise SelfCheckError("Smith form is not diagonal")
-    if tuple(map(tuple, _replay(dec.log, [list(row) for row in a.rows], n))) != dec.s.rows:
+    if tuple(map(tuple, _replay(dec.log, [list(row) for row in a.rows], m, n))) != dec.s.rows:
         raise SelfCheckError("Smith decomposition does not reproduce the input")
     if any(d < 0 for d in diag):
         raise SelfCheckError("Smith diagonal has a negative entry")

@@ -41,7 +41,7 @@ from chowfiber.exact_linalg import (
 from chowfiber.cli import report_as_json
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
 from chowfiber.fixtures import fixture_path
-from chowfiber.galois import hom_T_basis, xi_weights
+from chowfiber.galois import WeightVector, hom_T_basis, xi_weights
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -185,6 +185,15 @@ class TestComputeXiBar:
         r = pres.rank()
         assert values[:r] == (0,) * r
         assert gcd(*values[r:]) == w.image_index()
+
+    @pytest.mark.parametrize("weights", [(1, 2, 99), (1,)])
+    def test_a_weight_row_of_the_wrong_length_is_refused(self, weights):
+        # One weight per row of the degree matrix: an extra entry must not
+        # be carried through, nor a missing one read past the end.
+        dec = snf(IntMatrix.from_rows([[0, 2], [3, 0]]))
+        assert compute_xi_bar(WeightVector((1, 2)), dec) == (4, -1)
+        with pytest.raises(ValueError):
+            compute_xi_bar(WeightVector(weights), dec)
 
 
 def _one_free_generator_more(group):
@@ -520,9 +529,9 @@ class TestReport:
 
     def test_report_reads_no_dense_transform(self, monkeypatch):
         # report() reads the Smith diagonal and the log, never u, u_inv
-        # or v, and never mirrors the log on a row with times_u_inv: with
-        # those patched to raise it still succeeds.  The seeded models are
-        # built first, since their generator reads v.
+        # or v, so it calls no compute_xi_bar either, which reads u_inv:
+        # with the three patched to raise it still succeeds.  The seeded
+        # models are built first, since their generator reads v.
         fixtures = [
             parse_model(path.read_text())
             for path in sorted(fixture_path("trivial").parent.glob("*.json"))
@@ -534,12 +543,11 @@ class TestReport:
             document = random_valid_model_document(rng, orbit_count=count, generator_count=count + 2)
             models.append(_model(document))
 
-        def refuse(dec, *row):
+        def refuse(dec):
             raise AssertionError("report() read a dense Smith transform")
 
         for name in ("u", "u_inv", "v"):
             monkeypatch.setattr(exact_linalg.SmithDecomposition, name, property(refuse))
-        monkeypatch.setattr(exact_linalg.SmithDecomposition, "times_u_inv", refuse)
         assert len(fixtures) == 5
         for m in fixtures:
             report(m, PERMISSIVE)
@@ -636,6 +644,24 @@ def test_seeded_smith_logs_are_pinned():
         weight_row = IntMatrix.from_rows([xi_weights(m.orbits).weights])
         digest.update(repr(snf(weight_row).log).encode())
     assert digest.hexdigest() == SEEDED_SMITH_LOGS_SHA256
+
+
+#: SHA-256 over ``repr((dec.u.rows, dec.v.rows, dec.u_inv.rows,
+#: compute_xi_bar(w, dec)))`` with ``dec = snf(degrees)`` of each of the
+#: 240 seeded models, in order, and then ``repr(snf(weight row).v.rows)``.
+#: The transforms are read off the log; a new reader must give the same.
+SEEDED_TRANSFORMS_SHA256 = "8b06c53def21bb6ae0cbfff68a2507969b6524980dbfd3c714b0d54de406d408"
+
+
+def test_seeded_transforms_are_pinned():
+    digest = hashlib.sha256()
+    for m in _seeded_models():
+        dec = snf(build_specialization_matrix(m))
+        w = xi_weights(m.orbits)
+        transforms = (dec.u.rows, dec.v.rows, dec.u_inv.rows, compute_xi_bar(w, dec))
+        digest.update(repr(transforms).encode())
+        digest.update(repr(snf(IntMatrix.from_rows([w.weights])).v.rows).encode())
+    assert digest.hexdigest() == SEEDED_TRANSFORMS_SHA256
 
 
 @pytest.mark.parametrize("orbit_count", range(3, 9))

@@ -15,6 +15,7 @@ from conftest import (
 from hypothesis import given
 
 from chowfiber import exact_linalg
+from chowfiber.chow import compute_xi_bar
 from chowfiber.exact_linalg import (
     MAX_MATRIX_DIM,
     FGAbelianGroup,
@@ -40,7 +41,7 @@ from chowfiber.exact_linalg import (
     solve_in_lattice,
 )
 from chowfiber.fiber_model import build_specialization_matrix, parse_model
-from chowfiber.galois import xi_weights
+from chowfiber.galois import WeightVector, xi_weights
 
 # The seven-component degeneration's degree table; the frozen expected
 # values below were computed with the minor-enumeration oracle before
@@ -259,6 +260,14 @@ def _first(dec, kind):
     return next(k for k, op in enumerate(dec.log) if op[0] == kind)
 
 
+def _read(dec, reader):
+    # A transform reader by name: a property of dec, or compute_xi_bar
+    # on a weight row with one entry per row of s.
+    if reader == "compute_xi_bar":
+        return compute_xi_bar(WeightVector(range(1, dec.s.row_count + 1)), dec)
+    return getattr(dec, reader)
+
+
 def _diagonal_decomposition(*diagonal):
     # a = s = diag(...) with an empty log: every law but the ones on the
     # diagonal itself holds.
@@ -329,7 +338,8 @@ class TestVerifySnf:
     @pytest.mark.parametrize(
         "op",
         [(), ("scale row", 0, 2), ("add row", 0, 1), ("swap rows", 0), ("negate column", 0),
-         ("add row", 0, 1, 1.0), ("add column", 0, 1, True), ("negate row", 0, 1)],
+         ("add row", 0, 1, 1.0), ("add column", 0, 1, True), ("negate row", 0, 1),
+         5, 1.5, object()],
     )
     def test_unknown_operation(self, op):
         a, dec = _diagonal_decomposition(1, 2)
@@ -341,12 +351,17 @@ class TestVerifySnf:
         [("swap rows", 0, 2), ("swap columns", 3, 0), ("add row", -1, 0, 1),
          ("add column", 0, 3, 1), ("negate row", 2), ("swap rows", 0, "1")],
     )
-    def test_index_out_of_range(self, op):
-        # s is 2x3: a row index must be 0 or 1, a column index 0 to 2.
+    @pytest.mark.parametrize("read", ["u", "v", "u_inv", "compute_xi_bar"])
+    def test_index_out_of_range(self, op, read):
+        # s is 2x3: a row index must be 0 or 1, a column index 0 to 2.  The
+        # readers replay the log on blocks of 2x5 (u) and 5x3 (v), inside
+        # which ("swap rows", 0, 2) and ("add column", 0, 3, 1) would fit.
         a = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
         dec = SmithDecomposition(s=a, log=(op,))
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
             _verify_snf(a, dec)
+        with pytest.raises(SelfCheckError, match="indexes past the matrix"):
+            _read(dec, read)
 
     @pytest.mark.parametrize(
         "op",
@@ -356,7 +371,7 @@ class TestVerifySnf:
     def test_an_index_that_is_not_an_int(self, op):
         # 1.0 and True lie in range(2) and would index a list as 1.
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
-            exact_linalg._replay([op], [[1, 2], [3, 4]], 2)
+            exact_linalg._replay([op], [[1, 2], [3, 4]], 2, 2)
         a, dec = _diagonal_decomposition(1, 2)
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
             _verify_snf(a, _replaced(dec, log=(op,)))
@@ -367,9 +382,10 @@ class TestVerifySnf:
          ((["add row"], 0, 1, 1), "Smith log holds an unknown operation (['add row'], 0, 1, 1)"),
          (("bogus", 0, 1), "Smith log holds an unknown operation ('bogus', 0, 1)"),
          (("add column", 0, 2, 1), "Smith log operation ('add column', 0, 2, 1) indexes past "
-          "the matrix")],
+          "the matrix"),
+         (5, "Smith log holds an unknown operation 5")],
     )
-    @pytest.mark.parametrize("read", ["u", "v", "u_inv", "times_u_inv"])
+    @pytest.mark.parametrize("read", ["u", "v", "u_inv", "compute_xi_bar"])
     def test_transform_readers_refuse_what_the_replay_refuses(self, op, message, read):
         # A log that did not come from snf: every reader of a transform
         # refuses it as the proof does, and none returns a wrong matrix.
@@ -379,7 +395,7 @@ class TestVerifySnf:
             _verify_snf(a, dec)
         assert str(caught.value) == message
         with pytest.raises(SelfCheckError) as caught:
-            dec.times_u_inv((1, 2)) if read == "times_u_inv" else getattr(dec, read)
+            _read(dec, read)
         assert str(caught.value) == message
 
     def test_off_diagonal_entry_in_s(self):
