@@ -9,8 +9,7 @@ component to each curve.  Those degrees form the specialization matrix
 whose cokernel the ``chow`` module turns into the zero-cycle class
 group.
 
-Document format (JSON object, strict: unknown top-level keys, and in
-JSON text a key repeated within one object, are rejected)::
+Document format (a JSON object; every string in it must be printable)::
 
     {
       "name": "...",                       required
@@ -31,10 +30,19 @@ JSON text a key repeated within one object, are rejected)::
         "degrees":    {"c01": {"A1": -2, "A2": -2, ...}, ...}
       },
       "notes": "...",                      optional free text
-      "expected": {                        optional regression record
+      "expected": {                        optional regression record, a group
         "b0_rank": 0, "b0_torsion": [2], "source": "..."
       }
     }
+
+The schema is strict, and one table per kind of entry states its keys
+and exact JSON types: an unknown or missing required key, a key given
+twice in one object of JSON text, a boolean for an integer and a null
+for an absent key are refused.  So is any string that fails
+``str.isprintable`` (a control character, an escape, a line separator),
+which could forge or restyle a line of output, and an ``expected`` record
+that is no group (a negative rank, or torsion factors that are not each
+at least 2 and a divisor of the next).
 
 An orbit's ``size`` is a count, held as a plain integer.  Components
 have names only in the optional ``geometric`` section, whose Frobenius
@@ -60,7 +68,7 @@ from collections.abc import Mapping, Sequence
 from operator import mul
 
 from ._value import Value
-from .exact_linalg import IntMatrix, int_text, too_many_digits
+from .exact_linalg import FGAbelianGroup, IntMatrix, int_text, too_many_digits
 from .galois import ComponentOrbit, orbits, xi_weights
 
 
@@ -161,19 +169,77 @@ class FiberModel(Value):
 
 
 # ----------------------------------------------------------------------
-# schema helpers
+# schema tables
 # ----------------------------------------------------------------------
 
+
+class _Table:
+    """One kind of entry: each field with its exact JSON type in check order,
+    the fields an entry must hold, and ``where``, naming the entry at an index."""
+
+    __slots__ = ("where", "required", "kinds")
+
+    def __init__(self, where: str, required: str, **kinds: type) -> None:
+        self.where, self.required, self.kinds = where, frozenset(required.split()), kinds
+
+
+_DOCUMENT = _Table(
+    "document", "name orbits", name=str, hypotheses=dict, orbits=list, generators=list,
+    geometric=dict, notes=str, expected=dict,
+)
+_HYPOTHESES = _Table("hypotheses", "", reduced_components_smooth=bool, pic_unramified_descent=bool)
+_ORBIT = _Table("orbits[{}]", "name multiplicity size", name=str, multiplicity=int, size=int)
+_GENERATOR = _Table("generators[{}]", "name host", name=str, host=str, degrees=dict)
+_GEOMETRIC = _Table(
+    "geometric", "components frobenius orbit_of",
+    components=list, frobenius=list, orbit_of=dict, degrees=dict,
+)
+_EXPECTED = _Table(
+    "expected", "b0_rank b0_torsion source", b0_rank=int, b0_torsion=list, source=str
+)
 
 _LABELS = {
     str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "an array"
 }
 
 
+def _check(entries: list, table: _Table) -> None:
+    """Refuse the first of ``entries`` that breaks ``table``.
+
+    Plain entries pass one test, entry by entry: an exact dict holding the
+    required fields, each key an exact string naming a field, each value
+    of its field's exact type (so none is null) and each string printable.
+    Only if one fails is the list walked through :func:`_check_keys` and
+    :func:`_expect`, which name the first fault; only they build ``where``.
+    """
+    kinds = table.kinds
+    for entry in entries:
+        if type(entry) is not dict or not entry.keys() >= table.required:
+            break
+        for key, value in entry.items():
+            kind = kinds.get(key)
+            if type(key) is not str or type(value) is not kind:
+                break
+            if kind is str and not value.isprintable():
+                break
+        else:
+            continue
+        break
+    else:
+        return
+    for idx, entry in enumerate(entries):
+        where = table.where.format(idx)
+        _check_keys(_expect(entry, dict, where), where, table)
+        prefix = "" if table is _DOCUMENT else f"{where}."  # the document's fields are bare
+        for key, kind in kinds.items():
+            if key in entry:
+                _expect(entry[key], kind, prefix + key)
+
+
 def _expect(value, kind: type, where: str):
     """``value`` when it is a JSON value of type ``kind``, else :class:`SchemaError`."""
-    if type(value) is kind and (kind is not str or value.isascii()):
-        return value  # an ASCII string cannot hold a surrogate
+    if type(value) is kind and (kind is not str or value.isprintable()):
+        return value
     # bool is a subclass of int; keep the two apart.
     if isinstance(value, bool) and kind is not bool:
         raise SchemaError(f"{where}: expected {_LABELS[kind]}, got a boolean")
@@ -185,21 +251,38 @@ def _expect(value, kind: type, where: str):
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise SchemaError(f"{where}: string holds a lone surrogate") from None
+        # Every string may be echoed; none may move the cursor or forge a line.
+        if not value.isprintable():
+            char = next(c for c in value if not c.isprintable())
+            raise SchemaError(f"{where}: string holds the non-printable character {char!r}")
     return value
 
 
-def _check_keys(
-    obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
-) -> None:
+def _check_keys(obj: dict, where: str, table: _Table) -> None:
     for key in obj:
         if not isinstance(key, str):
             raise SchemaError(f"{where}: key {key!r} is not a string")
-    unknown = sorted(set(obj).difference(required, optional))
+    unknown = sorted(set(obj).difference(table.kinds))
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {', '.join(unknown)}")
-    missing = [k for k in required if k not in obj]
+        names = ", ".join(key if key.isprintable() else repr(key) for key in unknown)
+        raise SchemaError(f"{where}: unknown keys {names}")
+    missing = [k for k in table.kinds if k in table.required and k not in obj]
     if missing:
         raise SchemaError(f"{where}: missing required keys {', '.join(missing)}")
+
+
+def _completed(maps: list[dict], zeros: dict, noun: str, where: str, labels: Sequence) -> list:
+    """Each map of integers, with a 0 for each key of ``zeros``, which holds all its keys."""
+    for label, raw in zip(labels, maps):
+        for key, value in raw.items():
+            if key not in zeros or type(value) is not int:
+                for key in raw:
+                    if key not in zeros:
+                        raise SchemaError(f"{where.format(label)}: unknown {noun} {key!r}")
+                for key, value in {**zeros, **raw}.items():
+                    _expect(value, int, f"{where.format(label)}.{key}")
+                break
+    return [{**zeros, **raw} for raw in maps]
 
 
 # ----------------------------------------------------------------------
@@ -223,12 +306,9 @@ def parse_model(document: str | Mapping) -> FiberModel:
     """Parse and normalize a model document (JSON text or a parsed object).
 
     Raises :class:`ParseError` for malformed JSON and :class:`SchemaError`
-    for structural problems (unknown or repeated keys, unknown orbit
-    references, duplicate names, multiplicity below 1, an empty orbit
-    list, or a geometric section whose Frobenius cycles do not match the
-    declared orbits).  Each orbit and generator entry is first tested
-    whole; only one that fails that test is checked field by field, which
-    builds the message naming its fault.
+    for a document that breaks a law of the schema (see the module
+    docstring): each entry is checked against its table by :func:`_check`,
+    then the laws that span fields are checked in document order.
     """
     if isinstance(document, str):
         import json  # here, so processes that read only matrices never load it
@@ -245,154 +325,81 @@ def parse_model(document: str | Mapping) -> FiberModel:
             raise ParseError(too_many_digits()) from None
     else:
         raw = dict(document)
-    top = _expect(raw, dict, "document")
-    _check_keys(
-        top,
-        "document",
-        ("name", "orbits"),
-        ("hypotheses", "generators", "geometric", "notes", "expected"),
+    _check([raw], _DOCUMENT)
+    hypotheses = FiberModel._defaults["hypotheses"]
+    if "hypotheses" in raw:
+        _check([raw["hypotheses"]], _HYPOTHESES)
+        hypotheses = Hypotheses(**raw["hypotheses"])  # an absent one is not asserted
+    orbit_tuple = _parse_orbits(raw["orbits"])
+    generators = _parse_generators(raw.get("generators", []), orbit_tuple)
+    geometric = expected = None
+    if "geometric" in raw:
+        geometric = _parse_geometric(raw["geometric"], orbit_tuple, generators)
+    if "expected" in raw:
+        expected = _parse_expected(raw["expected"])
+    return FiberModel(
+        raw["name"], orbit_tuple, generators, hypotheses, geometric, raw.get("notes"), expected
     )
 
-    name = _expect(top["name"], str, "name")
-    hypotheses = FiberModel._defaults["hypotheses"]
-    if "hypotheses" in top:
-        hypotheses = _parse_hypotheses(top["hypotheses"])
-    orbit_tuple = _parse_orbits(top["orbits"])
-    orbit_names = [o.name for o in orbit_tuple]
 
-    generators = _parse_generators(top.get("generators", []), orbit_names)
-
-    geometric = None
-    if "geometric" in top:
-        geometric = _parse_geometric(
-            top["geometric"], orbit_tuple, [g.name for g in generators]
-        )
-
-    notes = None
-    if "notes" in top:
-        notes = _expect(top["notes"], str, "notes")
-    expected = None
-    if "expected" in top:
-        expected = _parse_expected(top["expected"])
-
-    return FiberModel(name, orbit_tuple, generators, hypotheses, geometric, notes, expected)
-
-
-def _parse_hypotheses(raw: object) -> Hypotheses:
-    obj = _expect(raw, dict, "hypotheses")
-    keys = ("reduced_components_smooth", "pic_unramified_descent")
-    _check_keys(obj, "hypotheses", (), keys)
-    return Hypotheses(*(_expect(obj.get(k, False), bool, f"hypotheses.{k}") for k in keys))
-
-
-_ORBIT_KEYS = frozenset(("name", "multiplicity", "size"))
-_GENERATOR_KEYS = frozenset(("name", "host", "degrees"))
-# Exact types: a bool is an int, and a key can equal a str without being one.
-_STR, _INT = frozenset((str,)), frozenset((int,))
-
-
-def _parse_orbits(raw: object) -> tuple[ComponentOrbit, ...]:
-    arr = _expect(raw, list, "orbits")
+def _parse_orbits(arr: list) -> tuple[ComponentOrbit, ...]:
     if not arr:
         raise SchemaError("orbits: the orbit list must not be empty")
+    _check(arr, _ORBIT)
     specs: list[ComponentOrbit] = []
     seen: set[str] = set()
     for idx, item in enumerate(arr):
-        # A plain entry passes whole; the per-field checks name a fault.
-        if not (
-            type(item) is dict and item.keys() == _ORBIT_KEYS and _STR.issuperset(map(type, item))
-            and type(oname := item["name"]) is str and oname.isascii() and oname not in seen
-            and type(mult := item["multiplicity"]) is int and type(size := item["size"]) is int
-        ):
-            where = f"orbits[{idx}]"
-            obj = _expect(item, dict, where)
-            _check_keys(obj, where, ("name", "multiplicity", "size"))
-            oname = _expect(obj["name"], str, f"{where}.name")
-            mult = _expect(obj["multiplicity"], int, f"{where}.multiplicity")
-            size = _expect(obj["size"], int, f"{where}.size")
-            if oname in seen:
-                raise SchemaError(f"{where}: duplicate orbit name {oname!r}")
+        oname = item["name"]
+        if oname in seen:
+            raise SchemaError(f"orbits[{idx}]: duplicate orbit name {oname!r}")
         seen.add(oname)
         try:
-            specs.append(ComponentOrbit(oname, size, mult))
+            specs.append(ComponentOrbit(oname, item["size"], item["multiplicity"]))
         except ValueError as e:
             raise SchemaError(f"orbits[{idx}]: {e}") from None
     return tuple(specs)
 
 
-def _parse_generators(raw: object, orbit_names: Sequence[str]) -> tuple[PicGenerator, ...]:
-    arr = _expect(raw, list, "generators")
-    known = frozenset(orbit_names)
-    zeros = dict.fromkeys(orbit_names, 0)
-    generators: list[PicGenerator] = []
+def _parse_generators(arr: list, declared: Sequence[ComponentOrbit]) -> tuple[PicGenerator, ...]:
+    _check(arr, _GENERATOR)
+    zeros = dict.fromkeys([o.name for o in declared], 0)
     seen: set[str] = set()
     for idx, item in enumerate(arr):
-        # A plain entry passes whole; the per-field checks name a fault.
-        if not (
-            type(item) is dict and _GENERATOR_KEYS.issuperset(item)
-            and _STR.issuperset(map(type, item))
-            and type(gname := item.get("name")) is str and gname.isascii() and gname not in seen
-            and type(host := item.get("host")) is str and host in known
-            and type(degrees := item.get("degrees", zeros)) is dict
-            and known.issuperset(degrees) and _INT.issuperset(map(type, degrees.values()))
-        ):
-            where = f"generators[{idx}]"
-            obj = _expect(item, dict, where)
-            _check_keys(obj, where, ("name", "host"), ("degrees",))
-            gname = _expect(obj["name"], str, f"{where}.name")
-            host = _expect(obj["host"], str, f"{where}.host")
-            if gname in seen:
-                raise SchemaError(f"{where}: duplicate generator name {gname!r}")
-            if host not in known:
-                raise SchemaError(f"{where}: host references unknown orbit {host!r}")
-            degrees = _expect(obj.get("degrees", {}), dict, f"{where}.degrees")
-            for key in degrees:
-                if key not in known:
-                    raise SchemaError(f"{where}.degrees: unknown orbit {key!r}")
-            for oname, value in {**zeros, **degrees}.items():
-                # Spell the label only for a value that is not a plain int.
-                if type(value) is not int:
-                    _expect(value, int, f"{where}.degrees.{oname}")
+        gname, host = item["name"], item["host"]
+        if gname in seen:
+            raise SchemaError(f"generators[{idx}]: duplicate generator name {gname!r}")
+        if host not in zeros:
+            raise SchemaError(f"generators[{idx}]: host references unknown orbit {host!r}")
         seen.add(gname)
-        generators.append(PicGenerator(gname, host, {**zeros, **degrees}))
-    return tuple(generators)
+    degrees = [item.get("degrees", {}) for item in arr]
+    degrees = _completed(degrees, zeros, "orbit", "generators[{}].degrees", range(len(arr)))
+    return tuple(PicGenerator(g["name"], g["host"], d) for g, d in zip(arr, degrees))
 
 
 def _parse_geometric(
-    raw: object,
-    declared_orbits: Sequence[ComponentOrbit],
-    generator_names: Sequence[str],
+    raw: dict, declared_orbits: Sequence[ComponentOrbit], generators: Sequence[PicGenerator]
 ) -> GeometricSection:
-    obj = _expect(raw, dict, "geometric")
-    _check_keys(obj, "geometric", ("components", "frobenius", "orbit_of"), ("degrees",))
-
+    _check([raw], _GEOMETRIC)
     components = [
-        _expect(x, str, f"geometric.components[{i}]")
-        for i, x in enumerate(_expect(obj["components"], list, "geometric.components"))
+        _expect(x, str, f"geometric.components[{i}]") for i, x in enumerate(raw["components"])
     ]
-    images = [
-        _expect(x, str, f"geometric.frobenius[{i}]")
-        for i, x in enumerate(_expect(obj["frobenius"], list, "geometric.frobenius"))
-    ]
+    images = [_expect(x, str, f"geometric.frobenius[{i}]") for i, x in enumerate(raw["frobenius"])]
     try:
         cycles = orbits(components, images)
     except ValueError as e:
         raise SchemaError(f"geometric: {e}") from None
 
-    known = set(components)
-    orbit_of_raw = _expect(obj["orbit_of"], dict, "geometric.orbit_of")
+    zeros = dict.fromkeys(components, 0)
+    orbit_of = raw["orbit_of"]
     declared = {o.name: o.size for o in declared_orbits}
-    orbit_of: dict[str, str] = {}
     for comp in components:
-        if comp not in orbit_of_raw:
+        if comp not in orbit_of:
             raise SchemaError(f"geometric.orbit_of: missing component {comp!r}")
-    for comp, oname in orbit_of_raw.items():
-        if comp not in known:
+    for comp, oname in orbit_of.items():
+        if comp not in zeros:
             raise SchemaError(f"geometric.orbit_of: unknown component {comp!r}")
-        oname = _expect(oname, str, f"geometric.orbit_of.{comp}")
-        if oname not in declared:
+        if _expect(oname, str, f"geometric.orbit_of.{comp}") not in declared:
             raise SchemaError(f"geometric.orbit_of: unknown orbit {oname!r}")
-        orbit_of[comp] = oname
 
     # The cycle decomposition of Frobenius must reproduce the declared
     # orbit partition exactly (one cycle per orbit, of the declared size).
@@ -416,35 +423,27 @@ def _parse_geometric(
     if missing:
         raise SchemaError(f"geometric: no cycle realizes orbits {', '.join(missing)}")
 
-    degrees_raw = _expect(obj.get("degrees", {}), dict, "geometric.degrees")
-    degrees: dict[str, dict[str, int]] = {}
-    for gname, comp_map_raw in degrees_raw.items():
+    degrees_raw = raw.get("degrees", {})
+    generator_names = {g.name for g in generators}
+    for gname, comp_map in degrees_raw.items():
         if gname not in generator_names:
             raise SchemaError(f"geometric.degrees: unknown generator {gname!r}")
-        comp_map = _expect(comp_map_raw, dict, f"geometric.degrees.{gname}")
-        for comp in comp_map:
-            if comp not in known:
-                raise SchemaError(f"geometric.degrees.{gname}: unknown component {comp!r}")
-        degrees[gname] = {
-            comp: _expect(comp_map.get(comp, 0), int, f"geometric.degrees.{gname}.{comp}")
-            for comp in components
-        }
-
-    return GeometricSection(members=members, degrees=degrees)
+        _expect(comp_map, dict, f"geometric.degrees.{gname}")
+    maps = _completed(
+        list(degrees_raw.values()), zeros, "component", "geometric.degrees.{}", list(degrees_raw)
+    )
+    return GeometricSection(members=members, degrees=dict(zip(degrees_raw, maps)))
 
 
-def _parse_expected(raw: object) -> ExpectedResult:
-    obj = _expect(raw, dict, "expected")
-    _check_keys(obj, "expected", ("b0_rank", "b0_torsion", "source"))
-    torsion = tuple(
+def _parse_expected(raw: dict) -> ExpectedResult:
+    _check([raw], _EXPECTED)
+    for i, x in enumerate(raw["b0_torsion"]):
         _expect(x, int, f"expected.b0_torsion[{i}]")
-        for i, x in enumerate(_expect(obj["b0_torsion"], list, "expected.b0_torsion"))
-    )
-    return ExpectedResult(
-        b0_rank=_expect(obj["b0_rank"], int, "expected.b0_rank"),
-        b0_torsion=torsion,
-        source=_expect(obj["source"], str, "expected.source"),
-    )
+    try:
+        group = FGAbelianGroup(raw["b0_rank"], raw["b0_torsion"])  # it states what a group is
+    except ValueError as e:
+        raise SchemaError(f"expected: {e}") from None
+    return ExpectedResult(group.rank, group.invariant_factors, raw["source"])
 
 
 # ----------------------------------------------------------------------

@@ -382,6 +382,44 @@ class TestHostileInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "argv, change, error",
+        [
+            pytest.param(
+                ["compute", "--permissive"], {"name": "m\nB(X)   = Z/7"},
+                "name: string holds the non-printable character '\\n'", id="forged-line",
+            ),
+            pytest.param(
+                ["validate"], {"generators": [{"name": "g\x1b]0;pwned\x07", "host": "A"}]},
+                "generators[0].name: string holds the non-printable character '\\x1b'",
+                id="escape-validate",
+            ),
+            pytest.param(
+                ["compute"], {"generators": [{"name": "g\x1b]0;pwned\x07", "host": "A"}]},
+                "generators[0].name: string holds the non-printable character '\\x1b'",
+                id="escape-compute",
+            ),
+            pytest.param(
+                ["validate"], {"co\x1b[8mlor": 1},
+                "document: unknown keys 'co\\x1b[8mlor'", id="escape-in-a-key",
+            ),
+            pytest.param(
+                ["compute"], {"expected": {"b0_rank": -1, "b0_torsion": [0, -2], "source": "s"}},
+                "expected: rank must be nonnegative", id="expectation-no-group",
+            ),
+        ],
+    )
+    def test_document_strings_reach_no_output_raw(self, tmp_path, capsys, argv, change, error):
+        from chowfiber import cli
+
+        path = tmp_path / "model.json"
+        orbits = [{"name": "A", "multiplicity": 1, "size": 1}]
+        path.write_text(json.dumps({"name": "x", "orbits": orbits, **change}))
+        assert cli.main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
     def test_declared_dimension_is_refused_quickly(self, tmp_path, capsys):
         # An 8-byte header must not buy a cubic check of a huge transform.
         from chowfiber import cli

@@ -1,8 +1,8 @@
 """Byte-for-byte CLI output, pinned.
 
-``tests/golden/cli.json`` holds the exit code, stdout and stderr of 60
+``tests/golden/cli.json`` holds the exit code, stdout and stderr of 65
 commands: the nine commands of acceptance criterion 8 on every fixture,
-and fifteen error paths (unreadable, malformed, hostile and oversized
+and twenty error paths (unreadable, malformed, hostile and oversized
 input).  The test replays every command in process through
 :func:`chowfiber.cli.main`, with ``CHOWFIBER_COLOR=never`` and relative
 file names inside a scratch directory, and compares the three results
@@ -44,6 +44,26 @@ ERROR_INPUTS = {
     "multiplicity0.json": json.dumps(
         {"name": "x", "orbits": [{"name": "A", "multiplicity": 0, "size": 1}]}
     ).encode(),
+    "forged-line.json": json.dumps(
+        {"name": "m\nB(X)   = Z/7", "orbits": [{"name": "A", "multiplicity": 1, "size": 1}]}
+    ).encode(),
+    "escape.json": json.dumps(
+        {
+            "name": "x",
+            "orbits": [{"name": "A", "multiplicity": 1, "size": 1}],
+            "generators": [{"name": "g\x1b]0;pwned\x07", "host": "A"}],
+        }
+    ).encode(),
+    "escape-key.json": json.dumps(
+        {"name": "x", "orbits": [{"name": "A", "multiplicity": 1, "size": 1}], "co\x1blor": 1}
+    ).encode(),
+    "no-group.json": json.dumps(
+        {
+            "name": "x",
+            "orbits": [{"name": "A", "multiplicity": 1, "size": 1}],
+            "expected": {"b0_rank": -1, "b0_torsion": [0, -2], "source": "s"},
+        }
+    ).encode(),
 }
 
 ERROR_COMMANDS = [
@@ -62,6 +82,11 @@ ERROR_COMMANDS = [
     ["snf", "identity9.matrix", "--check"],
     ["snf", "ragged.matrix"],
     ["compute", "--json", "multiplicity0.json"],
+    ["compute", "--permissive", "forged-line.json"],
+    ["validate", "escape.json"],
+    ["compute", "escape.json"],
+    ["validate", "escape-key.json"],
+    ["compute", "no-group.json"],
 ]
 
 
@@ -120,7 +145,7 @@ def test_cli_output_matches_the_golden_file(tmp_path, monkeypatch):
     write_inputs(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [g["argv"] for g in golden] == commands()
-    assert len(golden) == 60
+    assert len(golden) == 65
     for expected in golden:
         assert replay(expected["argv"]) == expected
 

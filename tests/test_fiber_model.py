@@ -468,6 +468,192 @@ class TestSchemaErrors:
         assert str(info.value) == f"geometric: {message}"
 
 
+# A valid document that holds every kind of entry.
+FULL = {
+    "name": "full",
+    "hypotheses": {"reduced_components_smooth": True, "pic_unramified_descent": False},
+    "orbits": [
+        {"name": "A", "multiplicity": 1, "size": 2},
+        {"name": "B", "multiplicity": 2, "size": 1},
+    ],
+    "generators": [{"name": "g", "host": "A", "degrees": {"A": 1, "B": -1}}],
+    "geometric": {
+        "components": ["A1", "A2", "B1"],
+        "frobenius": ["A2", "A1", "B1"],
+        "orbit_of": {"A1": "A", "A2": "A", "B1": "B"},
+        "degrees": {"g": {"A1": 1, "A2": 1, "B1": -1}},
+    },
+    "notes": "free text",
+    "expected": {"b0_rank": 0, "b0_torsion": [2], "source": "a test"},
+}
+# Every kind of entry, as the module's schema tables state it: the path to
+# one such entry in FULL, the entry's name in messages (the top level's
+# fields are named bare), and each field with its exact type and whether
+# it is required, in check order.
+TABLES = [
+    ((), "document", [
+        ("name", str, True), ("hypotheses", dict, False), ("orbits", list, True),
+        ("generators", list, False), ("geometric", dict, False), ("notes", str, False),
+        ("expected", dict, False),
+    ]),
+    (("hypotheses",), "hypotheses", [
+        ("reduced_components_smooth", bool, False), ("pic_unramified_descent", bool, False),
+    ]),
+    (("orbits", 1), "orbits[1]", [
+        ("name", str, True), ("multiplicity", int, True), ("size", int, True),
+    ]),
+    (("generators", 0), "generators[0]", [
+        ("name", str, True), ("host", str, True), ("degrees", dict, False),
+    ]),
+    (("geometric",), "geometric", [
+        ("components", list, True), ("frobenius", list, True), ("orbit_of", dict, True),
+        ("degrees", dict, False),
+    ]),
+    (("expected",), "expected", [
+        ("b0_rank", int, True), ("b0_torsion", list, True), ("source", str, True),
+    ]),
+]
+LABELS = {
+    str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "an array"
+}
+
+
+def _row_faults():
+    """Each fault that applies to a row: the entry's path, the change to the
+    entry (None deletes a key) and the message that must name the fault."""
+    for path, where, rows in TABLES:
+        for key, kind, required in rows:
+            field = f"{where}.{key}" if path else key
+            expected = f"{field}: expected {LABELS[kind]}"
+            control_key = key + "\n"
+            faults = [
+                ("unknown", {key + "2": 1}, f"{where}: unknown keys {key}2"),
+                ("control-key", {control_key: 1}, f"{where}: unknown keys {control_key!r}"),
+            ]
+            if required:
+                faults.append(("missing", {key: None}, f"{where}: missing required keys {key}"))
+            if kind is bool:
+                faults.append(("int", {key: 1}, f"{expected}, got int"))
+            else:
+                faults.append(("bool", {key: True}, f"{expected}, got a boolean"))
+            if kind is str:
+                faults += [
+                    ("surrogate", {key: "a\ud800"}, f"{field}: string holds a lone surrogate"),
+                    ("control", {key: "a\x1b[2J"},
+                     f"{field}: string holds the non-printable character '\\x1b'"),
+                ]
+            else:
+                faults.append(("str-subclass", {key: _Str("1")}, f"{expected}, got _Str"))
+            for name, change, message in faults:
+                yield pytest.param(path, change, message, id=f"{where}-{key}-{name}")
+
+
+class TestSchemaTables:
+    @pytest.mark.parametrize("path, change, message", _row_faults())
+    def test_every_row_names_each_fault(self, path, change, message):
+        doc = json.loads(json.dumps(FULL))
+        entry = doc
+        for step in path:
+            entry = entry[step]
+        for key, value in change.items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == message
+
+    def test_the_walk_covers_every_table(self):
+        from chowfiber import fiber_model
+
+        tables = [
+            fiber_model._DOCUMENT, fiber_model._HYPOTHESES, fiber_model._ORBIT,
+            fiber_model._GENERATOR, fiber_model._GEOMETRIC, fiber_model._EXPECTED,
+        ]
+        for table, (path, where, rows) in zip(tables, TABLES, strict=True):
+            assert table.where.format(path[1] if len(path) == 2 else 0) == where
+            assert list(table.kinds.items()) == [(key, kind) for key, kind, _ in rows]
+            assert table.required == {key for key, _, required in rows if required}
+
+    def test_the_full_document_parses(self):
+        m = parse_model(FULL)
+        assert m.hypotheses.reduced_components_smooth is True
+        assert m.geometric.degrees == {"g": {"A1": 1, "A2": 1, "B1": -1}}
+        assert (m.notes, m.expected.b0_torsion) == ("free text", (2,))
+
+
+class TestPrintableStrings:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"name": "m\nB(X)   = Z/7"},
+                         "name: string holds the non-printable character '\\n'", id="newline"),
+            pytest.param({"notes": "a\u2028b"},
+                         "notes: string holds the non-printable character '\\u2028'",
+                         id="line-separator"),
+            pytest.param({"notes": "tab\there"},
+                         "notes: string holds the non-printable character '\\t'", id="tab"),
+            pytest.param({"name": "\u202egnp.exe"},
+                         "name: string holds the non-printable character '\\u202e'",
+                         id="bidi-override"),
+        ],
+    )
+    def test_a_string_that_is_not_printable_is_refused(self, change, message):
+        with pytest.raises(SchemaError) as caught:
+            parse_model({**MINIMAL, **change})
+        assert str(caught.value) == message
+
+    def test_a_generator_name_cannot_carry_an_escape_sequence(self):
+        doc = _four_orbits()
+        doc["generators"][2]["name"] = "g\x1b]0;pwned\x07"
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == (
+            "generators[2].name: string holds the non-printable character '\\x1b'"
+        )
+
+    def test_strings_deeper_in_the_document_are_checked(self):
+        doc = json.loads(json.dumps(FULL))
+        doc["geometric"]["components"][1] = "A\x7f"
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == (
+            "geometric.components[1]: string holds the non-printable character '\\x7f'"
+        )
+
+    def test_an_unknown_key_is_named_escaped_only_when_it_is_not_printable(self):
+        with pytest.raises(SchemaError) as caught:
+            parse_model({**MINIMAL, "colour": 1, "co\x1b[0mlor": 2, "b\ud800": 3})
+        assert str(caught.value) == "document: unknown keys 'b\\ud800', 'co\\x1b[0mlor', colour"
+
+    def test_printable_strings_beyond_ascii_still_parse(self):
+        m = parse_model({**MINIMAL, "name": "Ω → Z/2", "notes": "naïve, 中文"})
+        assert (m.name, m.notes) == ("Ω → Z/2", "naïve, 中文")
+
+
+class TestExpectedGroup:
+    @pytest.mark.parametrize(
+        "rank, torsion, message",
+        [
+            (-1, [0, -2], "expected: rank must be nonnegative"),
+            (0, [0, -2], "expected: invariant factors must be >= 2"),
+            (0, [1], "expected: invariant factors must be >= 2"),
+            (1, [2, 3], "expected: invariant factors must form a divisibility chain"),
+        ],
+    )
+    def test_an_expectation_that_is_no_group_is_refused(self, rank, torsion, message):
+        expected = {"b0_rank": rank, "b0_torsion": torsion, "source": "s"}
+        with pytest.raises(SchemaError) as caught:
+            parse_model({**MINIMAL, "expected": expected})
+        assert str(caught.value) == message
+
+    def test_a_group_is_kept_as_written(self):
+        expected = {"b0_rank": 2, "b0_torsion": [2, 6, 6], "source": "s"}
+        m = parse_model({**MINIMAL, "expected": expected})
+        assert (m.expected.b0_rank, m.expected.b0_torsion) == (2, (2, 6, 6))
+
+
 class TestSpecializationMatrix:
     def test_dimensions(self):
         m = _fixture_model("example31")
