@@ -293,7 +293,8 @@ def parse_argv(argv: Sequence[str]) -> tuple[str, str, set[str]] | None:
         elif arg in COMMANDS[name][2]:
             flags.add(arg)
         elif arg.startswith("-"):
-            raise UsageError(f"unknown option for {name}: {arg}")
+            shown = arg if arg.isprintable() else repr(arg)
+            raise UsageError(f"unknown option for {name}: {shown}")
         else:
             paths.append(arg)
     if {"--strict", "--permissive"} <= flags:

@@ -19,8 +19,8 @@ small inputs, so fixed-width arithmetic is never used here.
 Three deliberately different routes to the invariant factors coexist:
 
 * ``snf`` diagonalizes by unimodular row and column operations and logs
-  them; a column operation updates only the rows that hold the pivot
-  column.  It is the only route for anything that reads a transform,
+  them; a line addition touches only the nonzero entries of its source
+  line.  It is the only route for anything that reads a transform,
   which is rebuilt from the log on demand by the replay that proves it
   (below);
 * ``local_invariant_factors`` builds the Smith form one prime at a
@@ -43,12 +43,13 @@ its reference.
 ``snf`` always re-verifies its own output and raises
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
-proof replays the log on the input with whole-line operations and
-requires ``s`` exactly, with ``s`` diagonal, nonnegative, zeros last and
-a divisibility chain.  Every logged operation must be elementary over
-the integers, so the transforms are unimodular and ``u @ a @ v == s``
-holds with no product, inverse or determinant to check (a certifying
-algorithm: McConnell, Mehlhorn, Näher & Schweitzer 2011).
+proof replays the log on the input with its own code, which also adds
+only the nonzero entries of a source line, and requires ``s`` exactly,
+with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
+Every logged operation must be elementary over the integers, so the
+transforms are unimodular and ``u @ a @ v == s`` holds with no product,
+inverse or determinant to check (a certifying algorithm: McConnell,
+Mehlhorn, Näher & Schweitzer 2011).
 """
 
 from __future__ import annotations
@@ -385,11 +386,16 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     polynomially sized.
 
     The operations run on a copy ``w`` of ``a`` alone and go into the
-    log; no transform is built.  A column operation updates only the
-    rows that hold the pivot column, collected once per round: rows
-    before ``t`` are finished, zero off the diagonal, and column ``t``
-    does not change while row ``t`` is cleared.  A ±1 pivot ends its
-    round at once: it leaves no remainder and divides everything.
+    log; no transform is built.  Row ``t`` and column ``t`` fix every
+    quotient of a round and neither phase changes them, so the two
+    phases commute.  The column phase runs first, on the rows that hold
+    column ``t`` (rows before ``t`` are finished, zero off the
+    diagonal), and leaves the pivot row its remainders; each row
+    addition then touches only the nonzero entries of that sparse row.
+    The log still holds a round's row operations before its column
+    operations.  A new round starts while column ``t`` keeps a nonzero
+    entry below ``t`` or row ``t`` one right of ``t``.  A ±1 pivot ends
+    its round at once: it leaves no remainder and divides everything.
     Before returning, :func:`_verify_snf` replays the log on ``a`` and
     proves the result.
     """
@@ -418,21 +424,34 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 log.append(("swap columns", t, j))
             pivot_row = w[t]
             p = pivot_row[t]
-            for i in range(t + 1, m):
-                if e := w[i][t]:
-                    f = -(e // p)
-                    w[i] = [x + f * y for x, y in zip(w[i], pivot_row)]
-                    log.append(("add row", t, i, f))
-            holders = [row for row in itertools.islice(w, t, None) if row[t]]
+            # The column phase runs first.  On the pivot row it leaves the
+            # remainders, the support of every row addition of the round;
+            # each row below that holds column t takes it, then its row
+            # addition at that support alone.
+            column_adds: list[tuple] = []
+            support = [(t, p)]
             for j in range(t + 1, n):
                 if e := pivot_row[j]:
-                    f = -(e // p)
-                    for row in holders:
-                        row[j] += f * row[t]
-                    log.append(("add column", t, j, f))
+                    column_adds.append(("add column", t, j, -(e // p)))
+                    if r := e % p:
+                        support.append((j, r))
+                    pivot_row[j] = r
+            again = len(support) > 1
+            for i in range(t + 1, m):
+                row = w[i]
+                if c := row[t]:
+                    for _, _, j, f in column_adds:
+                        row[j] += f * c
+                    f = -(c // p)
+                    for j, e in support:
+                        row[j] += f * e
+                    log.append(("add row", t, i, f))
+                    if row[t]:
+                        again = True
+            log += column_adds
             if p in (1, -1):
                 break  # a unit leaves no remainder and divides everything
-            if len(holders) > 1 or any(pivot_row[t + 1 :]):
+            if again:
                 continue
             # Row and column are clear; force the pivot to divide the
             # whole remaining submatrix, so the diagonal comes out as a
@@ -459,7 +478,14 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
 
 def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -> list[list[int]]:
-    """Apply each logged operation to whole rows or columns of ``w``, in place; return ``w``.
+    """Apply each logged operation to ``w``, in place; return ``w``.
+
+    An addition touches only the nonzero entries of its source line: a
+    row addition the nonzero positions of the source row, a column
+    addition the rows that hold the source column.  Those are read once
+    per run of consecutive additions of one kind from one source line,
+    which no addition of the run changes; any other operation ends the
+    run.
 
     Row indices must lie below ``height`` and column indices below
     ``width``; extra rows of ``w`` move only under column operations and
@@ -469,6 +495,7 @@ def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -
     not an ``int``, an index that is not an ``int`` in bounds, or an add
     of a line to itself.
     """
+    run, source = None, -1  # the kind and source line of the additions `line` serves
     for op in log:
         try:
             kind = op[0] if op else None
@@ -483,13 +510,24 @@ def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -
                 raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
             if i == j:
                 raise SelfCheckError(f"Smith log operation {op!r} adds a line to itself")
+            # No addition of a run writes to its source line, so `line`
+            # stays true until an operation of another kind or source.
+            if i != source or kind != run:
+                run, source = kind, i
+                if kind == "add row":
+                    line = [(k, e) for k, e in enumerate(w[i]) if e]
+                else:
+                    line = [(row, e) for row in w if (e := row[i])]
             if kind == "add row":
-                w[j] = [p + f * q for p, q in zip(w[j], w[i])]
+                row = w[j]
+                for k, e in line:
+                    row[k] += f * e
             else:
-                for row in w:
-                    if row[i]:
-                        row[j] += f * row[i]
-        elif kind == "swap rows" or kind == "swap columns":
+                for row, e in line:
+                    row[j] += f * e
+            continue
+        run = None
+        if kind == "swap rows" or kind == "swap columns":
             if len(op) != 3:
                 raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
             _, i, j = op

@@ -215,6 +215,22 @@ class TestUsage:
             assert lines[-1].startswith("chowfiber: error:")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "option, shown",
+        [("-x\x1b[31mred", "'-x\\x1b[31mred'"), ("--bogus", "--bogus")],
+        ids=["escape-in-an-option", "printable-option"],
+    )
+    def test_unknown_option_reaches_no_output_raw(self, capsys, option, shown):
+        # As with document keys, an option that holds a non-printable
+        # character is named by its repr, so it cannot drive the terminal.
+        from chowfiber import cli
+
+        assert cli.main(["validate", option]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"chowfiber: error: unknown option for validate: {shown}\n")
+        assert "\x1b" not in err
+
     def test_readme_shows_the_help_text(self):
         from chowfiber import cli
 

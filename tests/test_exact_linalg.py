@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -57,6 +58,11 @@ SEVEN_COMPONENT_MATRIX = IntMatrix.from_rows(
         [0, 0, 0, 0, 1, 0, 0, 0, 1, 0],
     ]
 )
+
+
+#: SHA-256 over ``repr(snf(a).log)`` of each seeded random matrix of
+#: ``TestSnf.test_seeded_random_logs_are_pinned``, in order.
+SEEDED_RANDOM_LOGS_SHA256 = "962058e576f1ebc2f75f1404ee2702a48863e77bc1dd264240b17771c3e40ae3"
 
 
 class TestIntMatrix:
@@ -227,6 +233,33 @@ class TestSnf:
         a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(48)] for _ in range(48)])
         dec = snf(a)
         assert dec.u @ a @ dec.v == dec.s
+
+    def test_seeded_random_logs_are_pinned(self):
+        # Every shape from 0x0 to 8x8, zero-heavy and dense, with entries
+        # in -30..30, and one copy of each with a zero row and a zero
+        # column.  SEEDED_SMITH_LOGS_SHA256 pins degree matrices and
+        # weight rows only; this pins the elimination on general input,
+        # so a faster one must log the same operations.  The digest was
+        # taken from the elimination that added whole rows.
+        rng = random.Random(8989)
+        digest = hashlib.sha256()
+        logs = []
+        for m in range(9):
+            for n in range(9):
+                for density in (0.3, 1.0):
+                    rows = [[rng.randint(-30, 30) if rng.random() < density else 0
+                             for _ in range(n)] for _ in range(m)]
+                    i, j = rng.randrange(m or 1), rng.randrange(n or 1)
+                    cleared = [[0 if r == i or c == j else e for c, e in enumerate(row)]
+                               for r, row in enumerate(rows)]
+                    for matrix in (rows, cleared):
+                        log = snf(IntMatrix.from_rows(matrix, col_count=n)).log
+                        digest.update(repr(log).encode())
+                        logs.append(log)
+        # The pin reaches the pass that adds a row the pivot does not
+        # divide: the one add of a later row into an earlier one.
+        assert any(op[0] == "add row" and op[1] > op[2] for log in logs for op in log)
+        assert digest.hexdigest() == SEEDED_RANDOM_LOGS_SHA256
 
     def test_arbitrary_precision(self):
         big = 10**18

@@ -321,3 +321,86 @@ def test_rank_counts_match(a):
     assert dec.rank() == len(dec.nonzero_diagonal())
     nonzero_divisors = sum(1 for d in determinantal_divisors(a) if d)
     assert nonzero_divisors == dec.rank()
+
+
+def _whole_line_replay(log, w):
+    """``log`` applied to whole rows and columns of a copy of ``w``: the reference."""
+    w = [list(row) for row in w]
+    for kind, *args in log:
+        if kind == "add row":
+            i, j, f = args
+            w[j] = [x + f * y for x, y in zip(w[j], w[i])]
+        elif kind == "add column":
+            i, j, f = args
+            for row in w:
+                row[j] += f * row[i]
+        elif kind == "swap rows":
+            i, j = args
+            w[i], w[j] = w[j], w[i]
+        elif kind == "swap columns":
+            i, j = args
+            for row in w:
+                row[i], row[j] = row[j], row[i]
+        else:
+            (i,) = args
+            w[i] = [-e for e in w[i]]
+    return w
+
+
+@st.composite
+def replay_cases(draw):
+    """``w``, a valid log, and the row and column spans of the log.
+
+    ``w`` is m-by-n, or bordered as the transform readers border it:
+    m-by-(n+m) for ``u``, (m+n)-by-n for ``v``.  The log is runs of
+    additions from one source line, each followed by nothing or by an
+    operation that may change that source: an addition into it, an
+    addition of the other kind, a swap of it or a negation of a row.  The
+    next run takes the same source again half of the time.
+    """
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows, cols = draw(st.sampled_from([(m, n), (m, n + m), (m + n, n)]))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    w = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    factor = st.integers(-3, 3).filter(bool)
+
+    def other_than(i, span):
+        k = draw(st.integers(0, span - 2))
+        return k + (k >= i)
+
+    log, kind, src = [], "add row", 0
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(["add row", "add column"]))
+            src = draw(st.integers(0, (m if kind == "add row" else n) - 1))
+        span, other_span = (m, n) if kind == "add row" else (n, m)
+        for _ in range(draw(st.integers(1, 3))):
+            log.append((kind, src, other_than(src, span), draw(factor)))
+        change = draw(st.sampled_from(["none", "add into", "other kind", "swap", "negate"]))
+        if change == "add into":
+            log.append((kind, other_than(src, span), src, draw(factor)))
+        elif change == "other kind":
+            other_kind = "add column" if kind == "add row" else "add row"
+            i = draw(st.integers(0, other_span - 1))
+            log.append((other_kind, i, other_than(i, other_span), draw(factor)))
+        elif change == "swap":
+            log.append((kind.replace("add", "swap") + "s", src, other_than(src, span)))
+        elif change == "negate":
+            log.append(("negate row", src if kind == "add row" else draw(st.integers(0, m - 1))))
+    return w, tuple(log), m, n
+
+
+@settings(max_examples=300)
+@given(replay_cases())
+# A run of row additions from row 0, an addition into row 0, and the run
+# again: the second run must read row 0 anew.
+@example(([[1, 1], [1, 0]], (("add row", 0, 1, 1), ("add row", 1, 0, 1), ("add row", 0, 1, 1)), 2, 2))
+# A negation replaces a row that holds the source column of the run.
+@example(([[1, 0], [0, 1]], (("add column", 0, 1, 1), ("negate row", 0), ("add column", 0, 1, 1)), 2, 2))
+def test_replay_matches_a_whole_line_replay(case):
+    # The replay touches only the nonzero entries of a source line and
+    # reads them once per run of additions from it; the result is what
+    # whole-line operations give.
+    w, log, m, n = case
+    expected = _whole_line_replay(log, w)
+    assert exact_linalg._replay(log, [list(row) for row in w], m, n) == expected
