@@ -17,9 +17,9 @@ against the *quotient route* of :func:`compute_b0`, which writes every
 degree column in a saturated basis of the kernel of the weight row
 (:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd chain
 of the row) and takes the invariant factors of that sublattice with
-:func:`~chowfiber.exact_linalg.local_invariant_factors`, one prime of a
-gcd of minors at a time.  The two routes to B(X)_0, the Smith diagonal
-and the quotient route, share no code.
+:func:`~chowfiber.exact_linalg.local_invariant_factors`, one elimination
+modulo the square of a gcd of minors.  The two routes to B(X)_0, the
+Smith diagonal and the quotient route, share no code.
 
 A strict report thus makes one Smith decomposition and one call of the
 local route, and refuses to hand out a report whose routes disagree.

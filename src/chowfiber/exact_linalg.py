@@ -23,10 +23,10 @@ Three deliberately different routes to the invariant factors coexist:
   line.  It is the only route for anything that reads a transform,
   which is rebuilt from the log on demand by the replay that proves it
   (below);
-* ``local_invariant_factors`` builds the Smith form one prime at a
-  time, modulo ``p^(e+1)`` for each ``p^e`` exactly dividing a gcd of
-  nonzero maximal minors that one Bareiss pass exposes, and keeps no
-  transforms.  When that gcd is 1 it eliminates nothing.  It is trusted
+* ``local_invariant_factors`` builds the Smith form by one elimination
+  modulo ``g²``, where ``g`` is a gcd of nonzero maximal minors that one
+  Bareiss pass exposes, with 2-by-2 Bezout steps, no factoring and no
+  transforms.  When ``g`` is 1 it eliminates nothing.  It is trusted
   for the factors alone, where a verified ``snf`` also derives them: the
   quotient route of B(X)_0 against the Smith diagonal, and ``chowfiber
   snf --check`` past the oracle's size limit;
@@ -579,124 +579,84 @@ def _verify_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
 # local Smith forms
 # ----------------------------------------------------------------------
 
-#: Trial division of the minor gcd stops past this divisor; a cofactor
-#: left over is treated as a prime until a gcd shows it composite.
-_TRIAL_DIVISION_BOUND = 1000
-
-
-class _Composite(Exception):
-    """Carries a proper divisor of a modulus that was treated as a prime."""
-
 
 def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of ``a``, 1s included, built without transforms.
 
-    Returns what ``snf(a).nonzero_diagonal()`` returns, one prime at a
-    time (local Smith forms, Saunders & Wan, ISSAC 2004).  With ``r``
-    the rank, the factors ``s_1 | … | s_r`` multiply to ``d_r(a)``, the
-    gcd of all r-by-r minors, so they divide the gcd ``g`` of the
-    r-by-r minors that the one Bareiss pass of :func:`_rank_and_minor`
-    exposes.  When ``g`` is 1 every factor is 1.
-    Otherwise, for each ``p^e ∥ g``, no factor holds ``p`` more than
-    ``e`` times, so the Smith form of ``a`` over ``Z/p^(e+1)`` has
-    ``r`` nonzero pivots whose valuations are those of the factors at
-    ``p`` (:func:`_local_valuations`).
+    Returns what ``snf(a).nonzero_diagonal()`` returns, from one
+    elimination modulo ``q = g²`` and no factoring (modulo-determinant
+    arithmetic: Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987;
+    Hafner & McCurley, SIAM J. Comput. 20, 1991).  With ``r`` the rank,
+    the factors ``s_1 | … | s_r`` multiply to ``d_r(a)``, the gcd of all
+    r-by-r minors, so each divides the gcd ``g`` of the r-by-r minors
+    that the one Bareiss pass of :func:`_rank_and_minor` exposes, and the
+    Smith form of ``a`` over ``Z/qZ`` is ``(s_1, …, s_r, q, …, q)``.
+    When ``g`` is 1 (always at rank 0) every factor is 1.
 
-    ``g`` is factored by trial division up to a fixed bound, and a
-    cofactor left over is treated as a prime (the D5 principle of Della
-    Dora, Dicrescenzo & Duval, EUROCAL 1985): the elimination inverts
-    only entries it finds prime to the modulus, and one that shares a
-    proper factor with it splits the modulus, after which every prime
-    is worked again on the finer factors.  The factors must form a
-    divisibility chain whose product divides ``g``, or
-    :class:`SelfCheckError` is raised.
+    The pivot is a 1 where there is one, else the first nonzero entry.
+    Row steps modulo ``q`` clear its column: an entry ``b`` that the
+    pivot ``p`` divides loses ``b/p`` times the pivot row, at the pivot
+    row's nonzero entries alone; any other one is a Bezout step, which
+    takes the two rows to ``[[x, y], [-b/d, p/d]]`` times them, with
+    ``d = x·p + y·b = gcd(p, b)`` the new pivot.  A pivot that divides
+    its row is done, since the column steps that would clear the row
+    change no other.  Otherwise the row is cleared the same way on the
+    transpose, which lowers the pivot.  A diagonal entry ``e`` over
+    ``Z/qZ`` is a unit times ``gcd(e, q)``, a missing one is ``q``, and
+    one pairwise (gcd, lcm) pass makes them a divisibility chain.
+
+    The factors must multiply to a divisor of ``g``, or
+    :class:`SelfCheckError` is raised.  Working modulo ``g²`` rather than
+    ``g`` lets that check see a wrong ``g``: given 2 as the minor gcd of
+    ``diag(1, 4)``, the factors read modulo 2 are ``(1, 2)``, which pass,
+    and modulo 4 they are ``(1, 4)``, which do not.
     """
     r, _, g = _rank_and_minor(a)
-    if r == 0:
-        return ()
-    primes, rest = [], g
-    for p in range(2, _TRIAL_DIVISION_BOUND + 1):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        primes.append(rest)
-    while True:
-        factors = [1] * r
-        try:
-            for p in primes:
-                e, rest = 0, g
-                while rest % p == 0:
-                    e, rest = e + 1, rest // p
-                for i, v in enumerate(_local_valuations(a, p, e + 1, r)):
-                    factors[i] *= p**v
-            break
-        except _Composite as split:
-            primes = _coprime_base(primes + [split.args[0]])
+    if g == 1:
+        return (1,) * r
+    q = g * g
+    w = [[e % q for e in row] for row in a.rows]
+    factors: list[int] = []
+    while pivot := (
+        next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e == 1), None)
+        or next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e), None)
+    ):
+        i, j = pivot
+        while True:
+            pivot_row = w[i]
+            support = [(k, t) for k, t in enumerate(pivot_row) if t]
+            for row in w:
+                if not (b := row[j]) or row is pivot_row:
+                    continue
+                p = pivot_row[j]
+                if b % p:
+                    d, x, y = _xgcd(p, b)
+                    u, v = -b // d, p // d
+                    pivot_row[:], row[:] = (
+                        [(x * t + y * e) % q for t, e in zip(pivot_row, row)],
+                        [(u * t + v * e) % q for t, e in zip(pivot_row, row)],
+                    )
+                    support = [(k, t) for k, t in enumerate(pivot_row) if t]
+                else:
+                    f = b // p
+                    for k, t in support:
+                        row[k] = (row[k] - f * t) % q
+            p = pivot_row[j]
+            if not any(t % p for t in pivot_row):
+                break
+            w, i, j = [list(line) for line in zip(*w)], j, i
+        factors.append(gcd(p, q))
+        del w[i]  # its column is zero in every other row, and stays so
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            f = gcd(factors[i], factors[j])
+            factors[i], factors[j] = f, factors[i] // f * factors[j]
+    factors = (factors + [q] * r)[:r]  # every factor divides q
     if g % prod(factors):
         raise SelfCheckError(
             f"local invariant factors {factors} do not divide the minor gcd {int_text(g)}"
         )
-    if any(y % x for x, y in zip(factors, factors[1:])):
-        raise SelfCheckError(f"local invariant factors {factors} are not a divisibility chain")
     return tuple(factors)
-
-
-def _local_valuations(a: IntMatrix, p: int, k: int, r: int) -> list[int]:
-    """Valuations at ``p`` of the first ``r`` pivots of the Smith form of ``a`` modulo ``p**k``.
-
-    Entries are kept as residues modulo ``q = p**(k - shift)``, where
-    ``shift`` counts the times every remaining entry was divisible by
-    ``p`` and was divided by it.  The pivot is an entry prime to ``p``,
-    of valuation ``shift`` in ``a``'s terms, which no other remaining
-    entry undercuts.  Its row is dropped and its inverse modulo ``q``
-    clears its column, which stays zero from then on.  Pivots that
-    vanish modulo ``p**k`` read as valuation ``k``.  Raises
-    :class:`_Composite` when an entry not divisible by ``p`` still
-    shares a factor with it.
-    """
-    q = p**k
-    w = [[e % q for e in row] for row in a.rows]
-    valuations: list[int] = []
-    shift = 0
-    while len(valuations) < r:
-        pos = next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e % p), None)
-        if pos is None:
-            if not any(map(any, w)):
-                return valuations + [k] * (r - len(valuations))
-            w = [[e // p for e in row] for row in w]
-            q //= p
-            shift += 1
-            continue
-        i, j = pos
-        pivot_row = w.pop(i)
-        if (f := gcd(pivot_row[j], p)) != 1:
-            raise _Composite(f)
-        inverse = pow(pivot_row[j], -1, q)
-        for row in w:
-            if c := row[j] * inverse % q:
-                row[:] = [(e - c * t) % q for e, t in zip(row, pivot_row)]
-        valuations.append(shift)
-    return valuations
-
-
-def _coprime_base(numbers: list[int]) -> list[int]:
-    """Pairwise coprime numbers above 1 whose powers multiply to each of ``numbers``."""
-    base: list[int] = []
-    todo = [n for n in numbers if n > 1]
-    while todo:
-        x = todo.pop()
-        for i, y in enumerate(base):
-            if (f := gcd(x, y)) > 1:
-                del base[i]
-                todo += [n for n in (f, x // f, y // f) if n > 1]
-                break
-        else:
-            base.append(x)
-    return base
 
 
 # ----------------------------------------------------------------------

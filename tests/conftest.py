@@ -31,18 +31,19 @@ def diagonal_matrix(row_count, col_count, diagonal):
     return IntMatrix.from_rows(rows, col_count=col_count)
 
 
-def reverse_local_valuations_at_3(monkeypatch):
-    """Make the local route read its valuations at 3 in reverse order.
+def halve_the_minor_gcd(monkeypatch):
+    """Make the Bareiss pass report half the minor gcd it finds.
 
-    On :data:`ABC_DOCUMENT` its factors then break the divisibility chain.
+    On :data:`ABC_DOCUMENT` the quotient route's matrix has minor gcd 12,
+    so the local route then sees 6, which its factors (2, 6) do not divide.
     """
-    honest = exact_linalg._local_valuations
+    honest = exact_linalg._rank_and_minor
 
-    def reversed_at_3(a, p, k, r):
-        valuations = honest(a, p, k, r)
-        return valuations[::-1] if p == 3 else valuations
+    def halved(a):
+        rank, minor, g = honest(a)
+        return rank, minor, g // 2
 
-    monkeypatch.setattr(exact_linalg, "_local_valuations", reversed_at_3)
+    monkeypatch.setattr(exact_linalg, "_rank_and_minor", halved)
 
 
 def unimodular_product(rng, rows, cols, diagonal):

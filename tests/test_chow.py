@@ -10,9 +10,9 @@ import hypothesis.strategies as st
 import pytest
 from conftest import (
     ABC_DOCUMENT,
+    halve_the_minor_gcd,
     known_answer_model_document,
     random_valid_model_document,
-    reverse_local_valuations_at_3,
 )
 from hypothesis import given, settings
 
@@ -459,13 +459,13 @@ class TestReport:
         with pytest.raises(SelfCheckError):
             report(m)
 
-    def test_a_local_route_off_the_divisibility_chain_never_leaves_report(self, monkeypatch):
-        # A local route whose factors break the chain is a self-check
-        # failure, not the ValueError of FGAbelianGroup.
+    def test_a_local_route_given_a_wrong_minor_gcd_never_leaves_report(self, monkeypatch):
+        # A local route whose factors do not divide the minor gcd it was
+        # given is a self-check failure, not a wrong group.
         m = _model(ABC_DOCUMENT)
         assert report(m).b == FGAbelianGroup(1, (2, 6))
-        reverse_local_valuations_at_3(monkeypatch)
-        with pytest.raises(SelfCheckError, match="not a divisibility chain"):
+        halve_the_minor_gcd(monkeypatch)
+        with pytest.raises(SelfCheckError, match="do not divide the minor gcd 6"):
             report(m)
 
     def test_large_trivial_model_costs_what_its_transforms_hold(self):

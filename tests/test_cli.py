@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import ABC_DOCUMENT, identity, reverse_local_valuations_at_3, unimodular_product
+from conftest import ABC_DOCUMENT, halve_the_minor_gcd, identity, unimodular_product
 
 from chowfiber.exact_linalg import FGAbelianGroup, format_matrix_text
 from chowfiber.fixtures import fixture_names, fixture_path
@@ -308,8 +308,8 @@ class TestMatrixCommands:
 
     def test_snf_check_with_large_torsion_on_ten_by_ten(self, tmp_path):
         # diag(1, ..., 1, 4, 12, 12 * (2**61 - 1), 0) mixed by seeded
-        # unimodular operations: the local route factors 2, 3 and a
-        # prime above its trial division bound.
+        # unimodular operations: the local route works modulo the square
+        # of a minor gcd that holds 2, 3 and a large prime.
         q = 2**61 - 1
         a = unimodular_product(random.Random(10), 10, 10, (1,) * 6 + (4, 12, 12 * q, 0))
         path = tmp_path / "torsion10.txt"
@@ -572,19 +572,19 @@ class TestInternalFailureExitCode:
         monkeypatch.setattr(cli, "report", boom)
         assert cli.main(["compute", _fx("trivial")]) == 3
 
-    def test_compute_maps_a_broken_divisibility_chain_to_exit_3(
+    def test_compute_maps_a_wrong_minor_gcd_in_the_local_route_to_exit_3(
         self, monkeypatch, tmp_path, capsys
     ):
-        # A local route whose factors break the chain must exit 3, not
-        # escape as a ValueError.
+        # A local route whose factors do not divide the minor gcd it was
+        # given must exit 3.
         from chowfiber import cli
 
         path = tmp_path / "abc.json"
         path.write_text(json.dumps(ABC_DOCUMENT))
         assert cli.main(["compute", str(path)]) == 0
-        reverse_local_valuations_at_3(monkeypatch)
+        halve_the_minor_gcd(monkeypatch)
         assert cli.main(["compute", str(path)]) == 3
-        assert "not a divisibility chain" in capsys.readouterr().err
+        assert "do not divide the minor gcd 6" in capsys.readouterr().err
 
     def test_snf_check_disagreement_exits_3(self, monkeypatch, tmp_path, capsys):
         from chowfiber import cli

@@ -504,8 +504,8 @@ class TestDeterminantalDivisors:
 
 
 class TestInvariantFactorsModMinor:
-    # local_invariant_factors: invariant factors modulo the prime powers
-    # of a gcd of minors.
+    # local_invariant_factors: invariant factors modulo the square of a
+    # gcd of minors.
 
     def test_zero_matrix(self):
         assert local_invariant_factors(zeros(3, 4)) == ()
@@ -535,55 +535,44 @@ class TestInvariantFactorsModMinor:
         assert local_invariant_factors(IntMatrix.from_rows([[6, 10, 15, 0, 0]])) == (1,)
         assert local_invariant_factors(IntMatrix.from_rows([[0, 12, -18]])) == (6,)
 
-    def test_a_modulus_that_is_not_a_minor_is_caught(self, monkeypatch):
-        # diag(2, 2) has d_2 = 4; with 2 passed off as the minor gcd the
-        # factors (2, 2) read modulo 2**2 do not divide it.
-        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: (2, 2, 2))
+    @pytest.mark.parametrize(
+        "diagonal, reported",
+        [
+            # d_2 = 4; with 2 passed off as the minor gcd the factors
+            # (2, 2) read modulo 2**2 do not divide it.
+            pytest.param((2, 2), (2, 2, 2), id="diag-2-2"),
+            # d_2 = 4 again; modulo 2 the factors would read (1, 2) and
+            # divide it, modulo 2**2 they read (1, 4).
+            pytest.param((1, 4), (2, 4, 2), id="diag-1-4"),
+        ],
+    )
+    def test_a_modulus_that_is_not_a_minor_is_caught(self, monkeypatch, diagonal, reported):
+        monkeypatch.setattr(exact_linalg, "_rank_and_minor", lambda a: reported)
         with pytest.raises(SelfCheckError, match="do not divide"):
-            local_invariant_factors(IntMatrix.from_rows([[2, 0], [0, 2]]))
+            local_invariant_factors(diagonal_matrix(2, 2, diagonal))
 
-    # Mersenne primes above the trial division bound.
+    # Two large Mersenne primes.
     Q1, Q2 = 2**61 - 1, 2**89 - 1
 
     @pytest.mark.parametrize(
-        "diagonal, splits",
+        "diagonal, mixed",
         [
-            pytest.param((Q1, Q2), True, id="two-primes"),
-            pytest.param((Q1, Q1 * Q2), True, id="square-in-the-cofactor"),
-            pytest.param((Q1 * Q2,), False, id="composite-never-inverted"),
-            pytest.param((1, 1, Q1, Q2), None, id="two-primes-mixed"),
-            pytest.param((2, 6 * Q1, 6 * Q1 * Q2), None, id="small-and-large-mixed"),
+            pytest.param((Q1, Q2), False, id="two-primes"),
+            pytest.param((Q1, Q1 * Q2), False, id="a-large-prime-twice"),
+            pytest.param((Q1 * Q2,), False, id="product-of-large-primes"),
+            pytest.param((1, 1, Q1, Q2), True, id="two-primes-mixed"),
+            pytest.param((2, 6 * Q1, 6 * Q1 * Q2), True, id="small-and-large-mixed"),
         ],
     )
-    def test_a_composite_cofactor_is_split_when_it_must_be(self, monkeypatch, diagonal, splits):
-        # The cofactor left after trial division is a product of primes
-        # above the bound.  It is worked as a prime until an entry shares
-        # a proper factor with it, and the answer is right either way.
-        split_factors = []
-        honest = exact_linalg._coprime_base
-        monkeypatch.setattr(
-            exact_linalg,
-            "_coprime_base",
-            lambda numbers: split_factors.append(numbers[-1]) or honest(numbers),
-        )
+    def test_large_prime_factors_match_snf(self, diagonal, mixed):
+        # Factors with large prime divisors, on the diagonal itself or
+        # mixed by seeded unimodular operations.
         n = len(diagonal)
-        if splits is None:
+        if mixed:
             a = unimodular_product(random.Random(n), n, n, diagonal)
         else:
-            a = IntMatrix.from_rows(
-                [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
-            )
+            a = diagonal_matrix(n, n, diagonal)
         assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
-        if splits is not None:
-            assert bool(split_factors) == splits
-            assert all(self.Q1 * self.Q2 % f == 0 for f in split_factors)
-
-    def test_coprime_base(self):
-        base, q1, q2 = exact_linalg._coprime_base, self.Q1, self.Q2
-        assert base([]) == []
-        assert sorted(base([12, 18])) == [2, 3]
-        assert sorted(base([q1 * q2, q1])) == [q1, q2]
-        assert base([q1**2, q1]) == [q1]
 
     def test_matches_snf_past_the_oracle_limit(self):
         # The degree matrix and the quotient-route matrix of seeded valid
@@ -605,7 +594,7 @@ class TestInvariantFactorsModMinor:
     def test_matches_a_known_diagonal_past_the_oracle_limit(self, n):
         # u @ diag(d) @ v with unimodular u and v has the invariant
         # factors d: torsion from a small prime power to a product of
-        # 10**30 and a prime above the trial division bound, and rank n - 2.
+        # 10**30 and a Mersenne prime, and rank n - 2.
         chain = (2, 6, 6 * self.Q1, 6 * self.Q1 * 10**30)
         diagonal = (1,) * (n - 6) + chain + (0, 0)
         a = unimodular_product(random.Random(n), n, n + 3, diagonal)

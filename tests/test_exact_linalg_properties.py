@@ -76,7 +76,7 @@ def mixed_diagonals(max_size=7):
 
     ``d`` is drawn freely, not as a divisibility chain: zeros make the
     product rank deficient, 10**30 puts high powers of 2 and 5 into its
-    torsion, and 2**61 - 1 a prime above the trial division bound.
+    torsion, and 2**61 - 1 a large prime.
     """
 
     def build(shape):
