@@ -19,10 +19,10 @@ small inputs, so fixed-width arithmetic is never used here.
 Three deliberately different routes to the invariant factors coexist:
 
 * ``snf`` diagonalizes by unimodular row and column operations and logs
-  them; a line addition touches only the nonzero entries of its source
-  line.  It is the only route for anything that reads a transform,
-  which is rebuilt from the log on demand by the replay that proves it
-  (below);
+  them, the additions of one pass from one pivot line as one batch; a
+  line addition touches only the nonzero entries of its source line.
+  It is the only route for anything that reads a transform, which is
+  rebuilt from the log on demand by the replay that proves it (below);
 * ``local_invariant_factors`` builds the Smith form by one elimination
   modulo ``g²``, where ``g`` is a gcd of nonzero maximal minors that one
   Bareiss pass exposes, with 2-by-2 Bezout steps, no factoring and no
@@ -43,8 +43,9 @@ its reference.
 ``snf`` always re-verifies its own output and raises
 :class:`SelfCheckError` if the verification fails, so a silently wrong
 decomposition cannot propagate into downstream group computations.  The
-proof replays the log on the input with its own code, which also adds
-only the nonzero entries of a source line, and requires ``s`` exactly,
+proof replays the log on the input with its own code, which reads the
+source line of each batch once and adds only its nonzero entries, and
+checks every addition of a batch.  It requires ``s`` exactly,
 with ``s`` diagonal, nonnegative, zeros last and a divisibility chain.
 Every logged operation must be elementary over the integers, so the
 transforms are unimodular and ``u @ a @ v == s`` holds with no product,
@@ -233,11 +234,14 @@ class SmithDecomposition(Value):
     ``s`` is diagonal with nonnegative entries, each nonzero diagonal
     entry divides the next, and zero entries come last.  ``log`` holds
     the elementary operations that took ``a`` to ``s``, in order:
-    ``("swap rows", i, j)``, ``("swap columns", i, j)``, ``("add row",
-    src, dst, f)`` and ``("add column", src, dst, f)`` for "line dst +=
-    f·line src", and ``("negate row", i)``.  ``u``, ``u_inv`` and ``v``
-    are rebuilt on each read by :func:`_replay`, which refuses the log as
-    the proof does: on ``[0 | I_m]`` for ``u``, ``[0 ; I_n]`` for ``v``.
+    ``("swap rows", i, j)``, ``("swap columns", i, j)``, ``("negate
+    row", i)``, and the batches ``("add rows", src, ((dst, f), …))`` and
+    ``("add columns", src, ((dst, f), …))`` for "line dst += f·line src"
+    at each pair.  ``u``, ``u_inv`` and ``v`` are rebuilt on each read by
+    :func:`_replay`, which refuses the log as the proof does: on ``[0 |
+    I_m]`` for ``u``, ``[0 ; I_n]`` for ``v``, and for ``u_inv`` on ``[0
+    | I_m]`` with the entries in reverse order and the row factors
+    negated.
     """
 
     __slots__ = ("s", "log")
@@ -262,11 +266,15 @@ class SmithDecomposition(Value):
 
     @property
     def u_inv(self) -> IntMatrix:
-        # Once the log passes, its inverse: the order reversed and row adds negated; swaps and
-        # negations undo themselves, and column operations reach only the zero block.
+        # Once the log passes, its inverse: the entries reversed and row factors negated (the
+        # additions of a batch commute); swaps and negations undo themselves, and column
+        # operations reach only the zero block.
         m, n = self.s.shape
         _replay(self.log, [[0] * n for _ in range(m)], m, n)
-        inverse = [(*op[:3], -op[3]) if op[0] == "add row" else op for op in reversed(self.log)]
+        inverse = [
+            (*op[:2], tuple((j, -f) for j, f in op[2])) if op[0] == "add rows" else op
+            for op in reversed(self.log)
+        ]
         return self._row_transform(inverse)
 
     def _row_transform(self, log: Iterable[tuple]) -> IntMatrix:
@@ -392,10 +400,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     column ``t`` (rows before ``t`` are finished, zero off the
     diagonal), and leaves the pivot row its remainders; each row
     addition then touches only the nonzero entries of that sparse row.
-    The log still holds a round's row operations before its column
-    operations.  A new round starts while column ``t`` keeps a nonzero
-    entry below ``t`` or row ``t`` one right of ``t``.  A ±1 pivot ends
-    its round at once: it leaves no remainder and divides everything.
+    The log holds each phase as one batch in the same order, ``("add
+    columns", t, …)`` before ``("add rows", t, …)``, and the step that
+    adds a row the pivot does not divide as a batch of one addition.  A
+    new round starts while column ``t`` keeps a nonzero entry below
+    ``t`` or row ``t`` one right of ``t``.  A ±1 pivot ends its round at
+    once: it leaves no remainder and divides everything.
     Before returning, :func:`_verify_snf` replays the log on ``a`` and
     proves the result.
     """
@@ -428,27 +438,31 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             # remainders, the support of every row addition of the round;
             # each row below that holds column t takes it, then its row
             # addition at that support alone.
-            column_adds: list[tuple] = []
+            column_adds: list[tuple[int, int]] = []
             support = [(t, p)]
             for j in range(t + 1, n):
                 if e := pivot_row[j]:
-                    column_adds.append(("add column", t, j, -(e // p)))
+                    column_adds.append((j, -(e // p)))
                     if r := e % p:
                         support.append((j, r))
                     pivot_row[j] = r
             again = len(support) > 1
+            row_adds: list[tuple[int, int]] = []
             for i in range(t + 1, m):
                 row = w[i]
                 if c := row[t]:
-                    for _, _, j, f in column_adds:
+                    for j, f in column_adds:
                         row[j] += f * c
                     f = -(c // p)
                     for j, e in support:
                         row[j] += f * e
-                    log.append(("add row", t, i, f))
+                    row_adds.append((i, f))
                     if row[t]:
                         again = True
-            log += column_adds
+            if column_adds:
+                log.append(("add columns", t, tuple(column_adds)))
+            if row_adds:
+                log.append(("add rows", t, tuple(row_adds)))
             if p in (1, -1):
                 break  # a unit leaves no remainder and divides everything
             if again:
@@ -463,7 +477,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             if offender is None:
                 break
             w[t] = [x + y for x, y in zip(pivot_row, w[offender])]
-            log.append(("add row", offender, t, 1))
+            log.append(("add rows", offender, ((t, 1),)))
         if pos is None:
             break
 
@@ -480,54 +494,56 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -> list[list[int]]:
     """Apply each logged operation to ``w``, in place; return ``w``.
 
-    An addition touches only the nonzero entries of its source line: a
-    row addition the nonzero positions of the source row, a column
-    addition the rows that hold the source column.  Those are read once
-    per run of consecutive additions of one kind from one source line,
-    which no addition of the run changes; any other operation ends the
-    run.
+    A batch ``("add rows", i, ((j, f), …))`` adds ``f`` times row ``i``
+    to row ``j`` for each pair, ``("add columns", i, …)`` the same with
+    columns.  No addition of a batch writes to its source line, so the
+    additions commute and the source line is read once per batch: a row
+    batch reads the nonzero entries of its source row, a column batch
+    walks the rows that hold its source column.
 
     Row indices must lie below ``height`` and column indices below
     ``width``; extra rows of ``w`` move only under column operations and
     extra columns only under row operations.  Raises
     :class:`SelfCheckError` on an operation that is not elementary over
-    the integers: an entry of unknown kind or length, a factor that is
-    not an ``int``, an index that is not an ``int`` in bounds, or an add
-    of a line to itself.
+    the integers: an entry of unknown kind or length, a batch that is
+    not a nonempty tuple of pairs, a factor that is not an ``int``, an
+    index that is not an ``int`` in bounds, or an add of a line to
+    itself.  The message names the whole entry.
     """
-    run, source = None, -1  # the kind and source line of the additions `line` serves
     for op in log:
         try:
             kind = op[0] if op else None
         except (TypeError, LookupError):  # not a tuple: an unknown operation
             kind = None
-        if kind == "add row" or kind == "add column":
-            if len(op) != 4 or type(op[3]) is not int:
+        if kind == "add rows" or kind == "add columns":
+            if len(op) != 3 or type(adds := op[2]) is not tuple or not adds:
                 raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
-            _, i, j, f = op
-            span = height if kind == "add row" else width
-            if not (type(i) is type(j) is int and 0 <= i < span and 0 <= j < span):
+            i = op[1]
+            span = height if kind == "add rows" else width
+            if not (type(i) is int and 0 <= i < span):
                 raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
-            if i == j:
-                raise SelfCheckError(f"Smith log operation {op!r} adds a line to itself")
-            # No addition of a run writes to its source line, so `line`
-            # stays true until an operation of another kind or source.
-            if i != source or kind != run:
-                run, source = kind, i
-                if kind == "add row":
-                    line = [(k, e) for k, e in enumerate(w[i]) if e]
-                else:
-                    line = [(row, e) for row in w if (e := row[i])]
-            if kind == "add row":
-                row = w[j]
-                for k, e in line:
-                    row[k] += f * e
+            try:
+                for j, f in adds:
+                    if type(f) is not int:
+                        raise TypeError
+                    if not (type(j) is int and 0 <= j < span):
+                        raise SelfCheckError(f"Smith log operation {op!r} indexes past the matrix")
+                    if j == i:
+                        raise SelfCheckError(f"Smith log operation {op!r} adds a line to itself")
+            except (TypeError, ValueError):  # not a pair, or not an int factor
+                raise SelfCheckError(f"Smith log holds an unknown operation {op!r}") from None
+            if kind == "add rows":
+                line = [(k, e) for k, e in enumerate(w[i]) if e]
+                for j, f in adds:
+                    row = w[j]
+                    for k, e in line:
+                        row[k] += f * e
             else:
-                for row, e in line:
-                    row[j] += f * e
-            continue
-        run = None
-        if kind == "swap rows" or kind == "swap columns":
+                for row in w:
+                    if c := row[i]:
+                        for j, f in adds:
+                            row[j] += f * c
+        elif kind == "swap rows" or kind == "swap columns":
             if len(op) != 3:
                 raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")
             _, i, j = op
@@ -593,17 +609,20 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     Smith form of ``a`` over ``Z/qZ`` is ``(s_1, …, s_r, q, …, q)``.
     When ``g`` is 1 (always at rank 0) every factor is 1.
 
-    The pivot is a 1 where there is one, else the first nonzero entry.
-    Row steps modulo ``q`` clear its column: an entry ``b`` that the
-    pivot ``p`` divides loses ``b/p`` times the pivot row, at the pivot
-    row's nonzero entries alone; any other one is a Bezout step, which
-    takes the two rows to ``[[x, y], [-b/d, p/d]]`` times them, with
-    ``d = x·p + y·b = gcd(p, b)`` the new pivot.  A pivot that divides
-    its row is done, since the column steps that would clear the row
-    change no other.  Otherwise the row is cleared the same way on the
-    transpose, which lowers the pivot.  A diagonal entry ``e`` over
-    ``Z/qZ`` is a unit times ``gcd(e, q)``, a missing one is ``q``, and
-    one pairwise (gcd, lcm) pass makes them a divisibility chain.
+    The pivot is the first unit modulo ``q``, scaled to 1, where there is
+    one, else the first nonzero entry; a unit divides every entry, so its
+    round takes no Bezout step and no transpose.  Row steps modulo ``q``
+    clear the pivot's column: an entry ``b`` that the pivot ``p`` divides
+    loses ``b/p`` times the pivot row, at the pivot row's nonzero entries
+    alone; any other one is a Bezout step, which takes the two rows to
+    ``[[x, y], [-b/d, p/d]]`` times them, with ``d = x·p + y·b = gcd(p,
+    b)`` the new pivot.  A pivot that divides its row is done, since the
+    column steps that would clear the row change no other.  Otherwise the
+    row is cleared the same way on the transpose, which lowers the pivot.
+    The pivot's row and its cleared column then leave the matrix.  A
+    diagonal entry ``e`` over ``Z/qZ`` is a unit times ``gcd(e, q)``, a
+    missing one is ``q``, and one pairwise (gcd, lcm) pass makes them a
+    divisibility chain.
 
     The factors must multiply to a divisor of ``g``, or
     :class:`SelfCheckError` is raised.  Working modulo ``g²`` rather than
@@ -618,10 +637,13 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     w = [[e % q for e in row] for row in a.rows]
     factors: list[int] = []
     while pivot := (
-        next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e == 1), None)
+        next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if gcd(e, q) == 1), None)
         or next(((i, j) for i, row in enumerate(w) for j, e in enumerate(row) if e), None)
     ):
         i, j = pivot
+        if (e := w[i][j]) != 1 and gcd(e, q) == 1:
+            inverse = pow(e, -1, q)
+            w[i] = [t * inverse % q for t in w[i]]
         while True:
             pivot_row = w[i]
             support = [(k, t) for k, t in enumerate(pivot_row) if t]
@@ -646,7 +668,9 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
                 break
             w, i, j = [list(line) for line in zip(*w)], j, i
         factors.append(gcd(p, q))
-        del w[i]  # its column is zero in every other row, and stays so
+        del w[i]
+        for row in w:
+            del row[j]  # zero: the row steps cleared it
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             f = gcd(factors[i], factors[j])

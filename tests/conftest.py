@@ -31,6 +31,47 @@ def diagonal_matrix(row_count, col_count, diagonal):
     return IntMatrix.from_rows(rows, col_count=col_count)
 
 
+def row_first_log(log):
+    """A Smith log with every addition its own entry, in the order the log pins were taken in.
+
+    Each batch becomes its single additions, ``("add row", src, dst, f)``
+    or ``("add column", src, dst, f)``.  ``snf`` logs a round's column
+    batch before its row batch; the two phases commute, and the pins were
+    taken from an elimination that logged the row additions first, so
+    an ``add columns`` batch followed by an ``add rows`` batch from the
+    same source is written rows first.
+    """
+    entries = list(log)
+    k = 0
+    while k < len(entries) - 1:
+        first, second = entries[k], entries[k + 1]
+        if first[0] == "add columns" and second[0] == "add rows" and first[1] == second[1]:
+            entries[k], entries[k + 1] = second, first
+            k += 1
+        k += 1
+    flat = []
+    for op in entries:
+        if op[0] in ("add rows", "add columns"):
+            flat += [(op[0][:-1], op[1], dst, f) for dst, f in op[2]]
+        else:
+            flat.append(op)
+    return tuple(flat)
+
+
+def misbatched_neighbours(log):
+    """The adjacent batches from one source that ``snf`` logs otherwise.
+
+    Two batches of one kind could be one batch, and a row batch followed
+    by a column batch breaks the column-first order of a round.
+    """
+    batches = ("add rows", "add columns")
+    return [
+        (x, y) for x, y in zip(log, log[1:])
+        if x[0] in batches and y[0] in batches and x[1] == y[1]
+        and (x[0] == y[0] or x[0] == "add rows")
+    ]
+
+
 def halve_the_minor_gcd(monkeypatch):
     """Make the Bareiss pass report half the minor gcd it finds.
 

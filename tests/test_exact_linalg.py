@@ -9,7 +9,9 @@ import pytest
 from conftest import (
     diagonal_matrix,
     identity,
+    misbatched_neighbours,
     random_valid_model_document,
+    row_first_log,
     unimodular_product,
     zeros,
 )
@@ -60,8 +62,8 @@ SEVEN_COMPONENT_MATRIX = IntMatrix.from_rows(
 )
 
 
-#: SHA-256 over ``repr(snf(a).log)`` of each seeded random matrix of
-#: ``TestSnf.test_seeded_random_logs_are_pinned``, in order.
+#: SHA-256 over ``repr(row_first_log(snf(a).log))`` of each seeded random
+#: matrix of ``TestSnf.test_seeded_random_logs_are_pinned``, in order.
 SEEDED_RANDOM_LOGS_SHA256 = "962058e576f1ebc2f75f1404ee2702a48863e77bc1dd264240b17771c3e40ae3"
 
 
@@ -240,7 +242,8 @@ class TestSnf:
         # column.  SEEDED_SMITH_LOGS_SHA256 pins degree matrices and
         # weight rows only; this pins the elimination on general input,
         # so a faster one must log the same operations.  The digest was
-        # taken from the elimination that added whole rows.
+        # taken from the elimination that added whole rows and logged
+        # every addition on its own.
         rng = random.Random(8989)
         digest = hashlib.sha256()
         logs = []
@@ -254,6 +257,8 @@ class TestSnf:
                                for r, row in enumerate(rows)]
                     for matrix in (rows, cleared):
                         log = snf(IntMatrix.from_rows(matrix, col_count=n)).log
+                        assert not misbatched_neighbours(log)
+                        log = row_first_log(log)
                         digest.update(repr(log).encode())
                         logs.append(log)
         # The pin reaches the pass that adds a row the pivot does not
@@ -293,6 +298,24 @@ def _first(dec, kind):
     return next(k for k, op in enumerate(dec.log) if op[0] == kind)
 
 
+def _with_factor(op, position, delta):
+    # The batch op with delta added to the factor of its addition at position.
+    kind, src, adds = op
+    dst, f = adds[position]
+    return (kind, src, adds[:position] + ((dst, f + delta),) + adds[position + 1 :])
+
+
+def _refused_everywhere(a, dec, message):
+    # The proof and every reader of a transform raise exactly message.
+    with pytest.raises(SelfCheckError) as caught:
+        _verify_snf(a, dec)
+    assert str(caught.value) == message
+    for reader in ("u", "v", "u_inv", "compute_xi_bar"):
+        with pytest.raises(SelfCheckError) as caught:
+            _read(dec, reader)
+        assert str(caught.value) == message
+
+
 def _read(dec, reader):
     # A transform reader by name: a property of dec, or compute_xi_bar
     # on a weight row with one entry per row of s.
@@ -317,9 +340,8 @@ class TestVerifySnf:
         # longer gives s.
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        k = _first(dec, "add row")
-        kind, src, dst, f = dec.log[k]
-        changed = _with_op(dec, k, (kind, src, dst, f + 1))
+        k = _first(dec, "add rows")
+        changed = _with_op(dec, k, _with_factor(dec.log[k], 0, 1))
         assert changed.u != dec.u
         with pytest.raises(SelfCheckError, match="does not reproduce the input"):
             _verify_snf(a, changed)
@@ -327,20 +349,24 @@ class TestVerifySnf:
     def test_changed_factor_of_a_column_add(self):
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
-        k = _first(dec, "add column")
-        kind, src, dst, f = dec.log[k]
+        k = _first(dec, "add columns")
         with pytest.raises(SelfCheckError, match="does not reproduce the input"):
-            _verify_snf(a, _with_op(dec, k, (kind, src, dst, f - 3)))
+            _verify_snf(a, _with_op(dec, k, _with_factor(dec.log[k], 0, -3)))
 
     @pytest.mark.parametrize(
-        "kind", ["add row", "add column", "swap columns", "negate row"],
+        "kind", ["add rows", "add columns", "swap columns", "negate row"],
         ids=lambda kind: kind.replace(" ", "_"),
     )
     def test_dropped_operation(self, kind):
+        # One elementary operation goes missing: a swap or negation entry,
+        # or the first addition of a batch (the entry, if it held only
+        # that one).
         a = SEVEN_COMPONENT_MATRIX
         dec = snf(a)
         k = _first(dec, kind)
-        dropped = _replaced(dec, log=dec.log[:k] + dec.log[k + 1 :])
+        op = dec.log[k]
+        rest = ((*op[:2], op[2][1:]),) if kind.startswith("add") and len(op[2]) > 1 else ()
+        dropped = _replaced(dec, log=dec.log[:k] + rest + dec.log[k + 1 :])
         with pytest.raises(SelfCheckError, match="does not reproduce the input"):
             _verify_snf(a, dropped)
 
@@ -358,7 +384,7 @@ class TestVerifySnf:
         dec = snf(a)
         last = a.col_count - 1
         assert dec.rank() < a.col_count
-        doubled = _replaced(dec, log=dec.log + (("add column", last, last, 1),))
+        doubled = _replaced(dec, log=dec.log + (("add columns", last, ((last, 1),)),))
         with pytest.raises(SelfCheckError, match="adds a line to itself"):
             _verify_snf(a, doubled)
 
@@ -366,13 +392,15 @@ class TestVerifySnf:
         a, dec = _diagonal_decomposition(1, 0)
         # "row 1 += -1·row 1" zeroes a zero row: the replay still gives s.
         with pytest.raises(SelfCheckError, match="adds a line to itself"):
-            _verify_snf(a, _replaced(dec, log=(("add row", 1, 1, -1),)))
+            _verify_snf(a, _replaced(dec, log=(("add rows", 1, ((1, -1),)),)))
 
     @pytest.mark.parametrize(
         "op",
-        [(), ("scale row", 0, 2), ("add row", 0, 1), ("swap rows", 0), ("negate column", 0),
-         ("add row", 0, 1, 1.0), ("add column", 0, 1, True), ("negate row", 0, 1),
-         5, 1.5, object()],
+        [(), ("scale row", 0, 2), ("add rows", 0), ("swap rows", 0), ("negate column", 0),
+         ("add rows", 0, ((1, 1.0),)), ("add columns", 0, ((1, True),)), ("negate row", 0, 1),
+         ("add rows", 0, ((1, 1),), 1), 5, 1.5, object(),
+         # The single-addition kinds of earlier logs.
+         ("add row", 0, 1, 1), ("add column", 0, 1, 1)],
     )
     def test_unknown_operation(self, op):
         a, dec = _diagonal_decomposition(1, 2)
@@ -381,14 +409,15 @@ class TestVerifySnf:
 
     @pytest.mark.parametrize(
         "op",
-        [("swap rows", 0, 2), ("swap columns", 3, 0), ("add row", -1, 0, 1),
-         ("add column", 0, 3, 1), ("negate row", 2), ("swap rows", 0, "1")],
+        [("swap rows", 0, 2), ("swap columns", 3, 0), ("add rows", -1, ((0, 1),)),
+         ("add columns", 0, ((3, 1),)), ("negate row", 2), ("swap rows", 0, "1")],
     )
     @pytest.mark.parametrize("read", ["u", "v", "u_inv", "compute_xi_bar"])
     def test_index_out_of_range(self, op, read):
         # s is 2x3: a row index must be 0 or 1, a column index 0 to 2.  The
         # readers replay the log on blocks of 2x5 (u) and 5x3 (v), inside
-        # which ("swap rows", 0, 2) and ("add column", 0, 3, 1) would fit.
+        # which ("swap rows", 0, 2) and ("add columns", 0, ((3, 1),)) would
+        # fit.
         a = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
         dec = SmithDecomposition(s=a, log=(op,))
         with pytest.raises(SelfCheckError, match="indexes past the matrix"):
@@ -398,7 +427,7 @@ class TestVerifySnf:
 
     @pytest.mark.parametrize(
         "op",
-        [("add row", 0, 1.0, 2), ("add column", 1.0, 0, 1), ("swap rows", 1.0, 0),
+        [("add rows", 0, ((1.0, 2),)), ("add columns", 1.0, ((0, 1),)), ("swap rows", 1.0, 0),
          ("swap columns", 0, 1.0), ("negate row", 1.0), ("negate row", True)],
     )
     def test_an_index_that_is_not_an_int(self, op):
@@ -412,10 +441,11 @@ class TestVerifySnf:
     @pytest.mark.parametrize(
         "op, message",
         [((), "Smith log holds an unknown operation ()"),
-         ((["add row"], 0, 1, 1), "Smith log holds an unknown operation (['add row'], 0, 1, 1)"),
+         ((["add rows"], 0, ((1, 1),)),
+          "Smith log holds an unknown operation (['add rows'], 0, ((1, 1),))"),
          (("bogus", 0, 1), "Smith log holds an unknown operation ('bogus', 0, 1)"),
-         (("add column", 0, 2, 1), "Smith log operation ('add column', 0, 2, 1) indexes past "
-          "the matrix"),
+         (("add columns", 0, ((2, 1),)), "Smith log operation ('add columns', 0, ((2, 1),)) "
+          "indexes past the matrix"),
          (5, "Smith log holds an unknown operation 5")],
     )
     @pytest.mark.parametrize("read", ["u", "v", "u_inv", "compute_xi_bar"])
@@ -430,6 +460,40 @@ class TestVerifySnf:
         with pytest.raises(SelfCheckError) as caught:
             _read(dec, read)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", ["add rows", "add columns"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [((4, 1), "indexes past the matrix"), ((0, 1), "adds a line to itself"),
+         ((2, 1.0), "unknown operation")],
+        ids=["target-out-of-range", "self-add", "float-factor"],
+    )
+    def test_a_bad_addition_anywhere_in_a_batch(self, kind, position, bad, fault):
+        # A 4x4 s: lines 1, 2 and 3 are the good targets of line 0, and
+        # one addition of the three is replaced by a bad one.
+        a, dec = _diagonal_decomposition(1, 1, 2, 4)
+        adds = [(1, 1), (2, -1), (3, 2)]
+        adds[position] = bad
+        op = (kind, 0, tuple(adds))
+        if fault == "unknown operation":
+            message = f"Smith log holds an unknown operation {op!r}"
+        else:
+            message = f"Smith log operation {op!r} {fault}"
+        _refused_everywhere(a, _replaced(dec, log=(("swap rows", 0, 1), op)), message)
+
+    @pytest.mark.parametrize(
+        "op",
+        [("add rows", 0, ()), ("add columns", 0, ()), ("add rows", 0, [(1, 1)]),
+         ("add rows", 0, (1, 1)), ("add columns", 0, ((1, 1, 1),)), ("add rows", 0, ((1,),)),
+         ("add columns", 0, ((1, 1), 5)), ("add rows", 0, "ab")],
+        ids=["empty-rows", "empty-columns", "list", "flat", "triple", "single", "pair-then-int",
+             "string"],
+    )
+    def test_a_batch_that_is_not_a_nonempty_tuple_of_pairs(self, op):
+        a, dec = _diagonal_decomposition(1, 2)
+        dec = _replaced(dec, log=(("swap rows", 0, 1), op))
+        _refused_everywhere(a, dec, f"Smith log holds an unknown operation {op!r}")
 
     def test_off_diagonal_entry_in_s(self):
         a = SEVEN_COMPONENT_MATRIX
@@ -473,10 +537,11 @@ class TestVerifySnf:
         # diagonal or moves s off the replay.
         a = IntMatrix.from_rows(rows)
         dec = snf(a)
-        adds = [k for k, op in enumerate(dec.log) if len(op) == 4]
+        adds = [(k, p) for k, op in enumerate(dec.log) if op[0].startswith("add")
+                for p in range(len(op[2]))]
         if field == "factor" and adds:
-            kind, src, dst, f = dec.log[adds[i % len(adds)]]
-            changed = _with_op(dec, adds[i % len(adds)], (kind, src, dst, f + delta))
+            k, p = adds[i % len(adds)]
+            changed = _with_op(dec, k, _with_factor(dec.log[k], p, delta))
         else:
             changed = _replaced(dec, s=_changed(dec.s, i % a.row_count, j % a.col_count, delta))
         with pytest.raises(SelfCheckError):

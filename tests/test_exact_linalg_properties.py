@@ -324,16 +324,18 @@ def test_rank_counts_match(a):
 
 
 def _whole_line_replay(log, w):
-    """``log`` applied to whole rows and columns of a copy of ``w``: the reference."""
+    """``log`` applied one addition at a time to whole lines of a copy of ``w``: the reference."""
     w = [list(row) for row in w]
     for kind, *args in log:
-        if kind == "add row":
-            i, j, f = args
-            w[j] = [x + f * y for x, y in zip(w[j], w[i])]
-        elif kind == "add column":
-            i, j, f = args
-            for row in w:
-                row[j] += f * row[i]
+        if kind == "add rows":
+            i, adds = args
+            for j, f in adds:
+                w[j] = [x + f * y for x, y in zip(w[j], w[i])]
+        elif kind == "add columns":
+            i, adds = args
+            for j, f in adds:
+                for row in w:
+                    row[j] += f * row[i]
         elif kind == "swap rows":
             i, j = args
             w[i], w[j] = w[j], w[i]
@@ -352,11 +354,12 @@ def replay_cases(draw):
     """``w``, a valid log, and the row and column spans of the log.
 
     ``w`` is m-by-n, or bordered as the transform readers border it:
-    m-by-(n+m) for ``u``, (m+n)-by-n for ``v``.  The log is runs of
-    additions from one source line, each followed by nothing or by an
-    operation that may change that source: an addition into it, an
-    addition of the other kind, a swap of it or a negation of a row.  The
-    next run takes the same source again half of the time.
+    m-by-(n+m) for ``u``, (m+n)-by-n for ``v``.  The log is batches of
+    one to three additions from one source line, a target possibly
+    repeated, each followed by nothing or by an operation that may change
+    that source: a batch into it, a batch of the other kind, a swap of
+    it or a negation of a row.  The next batch takes the same source
+    again half of the time.
     """
     m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     rows, cols = draw(st.sampled_from([(m, n), (m, n + m), (m + n, n)]))
@@ -368,39 +371,45 @@ def replay_cases(draw):
         k = draw(st.integers(0, span - 2))
         return k + (k >= i)
 
-    log, kind, src = [], "add row", 0
+    def batch(kind, src, span):
+        adds = tuple((other_than(src, span), draw(factor)) for _ in range(draw(st.integers(1, 3))))
+        return (kind, src, adds)
+
+    log, kind, src = [], "add rows", 0
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
-            kind = draw(st.sampled_from(["add row", "add column"]))
-            src = draw(st.integers(0, (m if kind == "add row" else n) - 1))
-        span, other_span = (m, n) if kind == "add row" else (n, m)
-        for _ in range(draw(st.integers(1, 3))):
-            log.append((kind, src, other_than(src, span), draw(factor)))
+            kind = draw(st.sampled_from(["add rows", "add columns"]))
+            src = draw(st.integers(0, (m if kind == "add rows" else n) - 1))
+        span, other_span = (m, n) if kind == "add rows" else (n, m)
+        log.append(batch(kind, src, span))
         change = draw(st.sampled_from(["none", "add into", "other kind", "swap", "negate"]))
         if change == "add into":
-            log.append((kind, other_than(src, span), src, draw(factor)))
+            log.append((kind, other_than(src, span), ((src, draw(factor)),)))
         elif change == "other kind":
-            other_kind = "add column" if kind == "add row" else "add row"
-            i = draw(st.integers(0, other_span - 1))
-            log.append((other_kind, i, other_than(i, other_span), draw(factor)))
+            other_kind = "add columns" if kind == "add rows" else "add rows"
+            log.append(batch(other_kind, draw(st.integers(0, other_span - 1)), other_span))
         elif change == "swap":
-            log.append((kind.replace("add", "swap") + "s", src, other_than(src, span)))
+            log.append((kind.replace("add", "swap"), src, other_than(src, span)))
         elif change == "negate":
-            log.append(("negate row", src if kind == "add row" else draw(st.integers(0, m - 1))))
+            log.append(("negate row", src if kind == "add rows" else draw(st.integers(0, m - 1))))
     return w, tuple(log), m, n
 
 
 @settings(max_examples=300)
 @given(replay_cases())
-# A run of row additions from row 0, an addition into row 0, and the run
-# again: the second run must read row 0 anew.
-@example(([[1, 1], [1, 0]], (("add row", 0, 1, 1), ("add row", 1, 0, 1), ("add row", 0, 1, 1)), 2, 2))
-# A negation replaces a row that holds the source column of the run.
-@example(([[1, 0], [0, 1]], (("add column", 0, 1, 1), ("negate row", 0), ("add column", 0, 1, 1)), 2, 2))
+# A batch from row 0, an addition into row 0, and the batch again: the
+# second batch must read row 0 anew.
+@example(([[1, 1], [1, 0]], (("add rows", 0, ((1, 1),)), ("add rows", 1, ((0, 1),)),
+                             ("add rows", 0, ((1, 1),))), 2, 2))
+# A negation replaces a row that holds the source column of the batch.
+@example(([[1, 0], [0, 1]], (("add columns", 0, ((1, 1),)), ("negate row", 0),
+                             ("add columns", 0, ((1, 1),))), 2, 2))
+# A batch that adds to one target twice.
+@example(([[1, 2], [3, 4]], (("add columns", 0, ((1, 1), (1, -2))),), 2, 2))
 def test_replay_matches_a_whole_line_replay(case):
     # The replay touches only the nonzero entries of a source line and
-    # reads them once per run of additions from it; the result is what
-    # whole-line operations give.
+    # reads them once per batch; the result is what whole-line
+    # operations, one addition at a time, give.
     w, log, m, n = case
     expected = _whole_line_replay(log, w)
     assert exact_linalg._replay(log, [list(row) for row in w], m, n) == expected
