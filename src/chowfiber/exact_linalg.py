@@ -949,24 +949,17 @@ def parse_matrix_text(text: str) -> IntMatrix:
         fields = line.split()
         if len(fields) != c:
             raise MatrixFormatError(f"line {lineno}: expected {c} entries, found {len(fields)}")
+        row: list[int] = []
         try:
-            rows.append([int(f) for f in fields])
+            for field in fields:
+                row.append(int(field))
         except ValueError:
-            raise MatrixFormatError(f"line {lineno}: {_entry_error(fields)}") from None
-    return IntMatrix.from_rows(rows, col_count=c)
-
-
-def _entry_error(fields: Sequence[str]) -> str:
-    """Why the first field that ``int`` refuses is not a matrix entry."""
-    for f in fields:
-        try:
-            int(f)
-        except ValueError:
-            digits = f.lstrip("+-")
+            digits = field.lstrip("+-")  # the field ``int`` refused
             if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits() > 0:
-                return too_many_digits()
-            break
-    return "entries must be base-10 integers"
+                raise MatrixFormatError(f"line {lineno}: {too_many_digits()}") from None
+            raise MatrixFormatError(f"line {lineno}: entries must be base-10 integers") from None
+        rows.append(row)
+    return IntMatrix.from_rows(rows, col_count=c)
 
 
 def format_matrix_text(a: IntMatrix) -> str:

@@ -36,13 +36,14 @@ Document format (a JSON object; every string in it must be printable)::
     }
 
 The schema is strict, and one table per kind of entry states its keys
-and exact JSON types: an unknown or missing required key, a key given
-twice in one object of JSON text, a boolean for an integer and a null
-for an absent key are refused.  So is any string that fails
-``str.isprintable`` (a control character, an escape, a line separator),
-which could forge or restyle a line of output, and an ``expected`` record
-that is no group (a negative rank, or torsion factors that are not each
-at least 2 and a divisor of the next).
+and exact JSON types; one walk over the entries tests each law once and
+names the first fault where it finds it.  An unknown or missing required
+key, a key given twice in one object of JSON text, a boolean for an
+integer and a null for an absent key are refused.  So is any string that
+fails ``str.isprintable`` (a control character, an escape, a line
+separator), which could forge or restyle a line of output, and an
+``expected`` record that is no group (a negative rank, or torsion factors
+that are not each at least 2 and a divisor of the next).
 
 An orbit's ``size`` is a count, held as a plain integer.  Components
 have names only in the optional ``geometric`` section, whose Frobenius
@@ -188,8 +189,8 @@ _DOCUMENT = _Table(
     geometric=dict, notes=str, expected=dict,
 )
 _HYPOTHESES = _Table("hypotheses", "", reduced_components_smooth=bool, pic_unramified_descent=bool)
-_ORBIT = _Table("orbits[{}]", "name multiplicity size", name=str, multiplicity=int, size=int)
-_GENERATOR = _Table("generators[{}]", "name host", name=str, host=str, degrees=dict)
+_ORBIT = _Table("orbits[{0}]", "name multiplicity size", name=str, multiplicity=int, size=int)
+_GENERATOR = _Table("generators[{0}]", "name host", name=str, host=str, degrees=dict)
 _GEOMETRIC = _Table(
     "geometric", "components frobenius orbit_of",
     components=list, frobenius=list, orbit_of=dict, degrees=dict,
@@ -204,42 +205,37 @@ _LABELS = {
 
 
 def _check(entries: list, table: _Table) -> None:
-    """Refuse the first of ``entries`` that breaks ``table``.
+    """Refuse the first of ``entries`` that breaks ``table``, naming its first fault.
 
-    Plain entries pass one test, entry by entry: an exact dict holding the
-    required fields, each key an exact string naming a field, each value
-    of its field's exact type (so none is null) and each string printable.
-    Only if one fails is the list walked through :func:`_check_keys` and
-    :func:`_expect`, which name the first fault; only they build ``where``.
+    One walk tests each law once per entry, in fault order: an object, keys
+    that are strings naming fields, the required fields, then each value of
+    its field's exact type (so none is null), in table order, each string
+    printable.  Only a failed test calls :func:`_check_keys` or :func:`_expect`,
+    which name the fault (and accept subclasses of the exact types).
     """
-    kinds = table.kinds
-    for entry in entries:
-        if type(entry) is not dict or not entry.keys() >= table.required:
-            break
-        for key, value in entry.items():
-            kind = kinds.get(key)
-            if type(key) is not str or type(value) is not kind:
-                break
-            if kind is str and not value.isprintable():
-                break
-        else:
-            continue
-        break
-    else:
-        return
+    kinds, required = table.kinds, table.required
+    field = "{1}" if table is _DOCUMENT else table.where + ".{1}"  # the document's fields are bare
     for idx, entry in enumerate(entries):
-        where = table.where.format(idx)
-        _check_keys(_expect(entry, dict, where), where, table)
-        prefix = "" if table is _DOCUMENT else f"{where}."  # the document's fields are bare
+        if type(entry) is not dict:
+            _expect(entry, dict, table.where, idx)
+        for key in entry:
+            if type(key) is not str or key not in kinds:
+                _check_keys(entry, table.where.format(idx), table)
+        if not entry.keys() >= required:
+            _check_keys(entry, table.where.format(idx), table)
         for key, kind in kinds.items():
             if key in entry:
-                _expect(entry[key], kind, prefix + key)
+                value = entry[key]
+                if type(value) is not kind or kind is str and not value.isprintable():
+                    _expect(value, kind, field, idx, key)
 
 
-def _expect(value, kind: type, where: str):
-    """``value`` when it is a JSON value of type ``kind``, else :class:`SchemaError`."""
+def _expect(value, kind: type, where: str, *args):
+    """``value`` when it is a JSON value of type ``kind``, else a :class:`SchemaError`
+    naming ``where.format(*args)``, a location formatted only on that path."""
     if type(value) is kind and (kind is not str or value.isprintable()):
         return value
+    where = where.format(*args)
     # bool is a subclass of int; keep the two apart.
     if isinstance(value, bool) and kind is not bool:
         raise SchemaError(f"{where}: expected {_LABELS[kind]}, got a boolean")
@@ -259,6 +255,8 @@ def _expect(value, kind: type, where: str):
 
 
 def _check_keys(obj: dict, where: str, table: _Table) -> None:
+    """Name the first key fault of ``obj``: a key that is no string, then the
+    unknown keys, sorted, then the missing required ones, in table order."""
     for key in obj:
         if not isinstance(key, str):
             raise SchemaError(f"{where}: key {key!r} is not a string")
@@ -272,17 +270,19 @@ def _check_keys(obj: dict, where: str, table: _Table) -> None:
 
 
 def _completed(maps: list[dict], zeros: dict, noun: str, where: str, labels: Sequence) -> list:
-    """Each map of integers, with a 0 for each key of ``zeros``, which holds all its keys."""
+    """Each map of integers, with a 0 for each key of ``zeros``, which holds all its keys;
+    a map's first unknown key (map order) is named before its first non-integer (key order)."""
+    completed = []
     for label, raw in zip(labels, maps):
-        for key, value in raw.items():
-            if key not in zeros or type(value) is not int:
-                for key in raw:
-                    if key not in zeros:
-                        raise SchemaError(f"{where.format(label)}: unknown {noun} {key!r}")
-                for key, value in {**zeros, **raw}.items():
-                    _expect(value, int, f"{where.format(label)}.{key}")
-                break
-    return [{**zeros, **raw} for raw in maps]
+        full = {**zeros, **raw}
+        if len(full) != len(zeros):
+            key = next(key for key in raw if key not in zeros)
+            raise SchemaError(f"{where.format(label)}: unknown {noun} {key!r}")
+        for key, value in full.items():
+            if type(value) is not int:
+                _expect(value, int, where + ".{}", label, key)
+        completed.append(full)
+    return completed
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +381,9 @@ def _parse_geometric(
 ) -> GeometricSection:
     _check([raw], _GEOMETRIC)
     components = [
-        _expect(x, str, f"geometric.components[{i}]") for i, x in enumerate(raw["components"])
+        _expect(x, str, "geometric.components[{}]", i) for i, x in enumerate(raw["components"])
     ]
-    images = [_expect(x, str, f"geometric.frobenius[{i}]") for i, x in enumerate(raw["frobenius"])]
+    images = [_expect(x, str, "geometric.frobenius[{}]", i) for i, x in enumerate(raw["frobenius"])]
     try:
         cycles = orbits(components, images)
     except ValueError as e:
@@ -398,7 +398,7 @@ def _parse_geometric(
     for comp, oname in orbit_of.items():
         if comp not in zeros:
             raise SchemaError(f"geometric.orbit_of: unknown component {comp!r}")
-        if _expect(oname, str, f"geometric.orbit_of.{comp}") not in declared:
+        if _expect(oname, str, "geometric.orbit_of.{}", comp) not in declared:
             raise SchemaError(f"geometric.orbit_of: unknown orbit {oname!r}")
 
     # The cycle decomposition of Frobenius must reproduce the declared
@@ -428,7 +428,7 @@ def _parse_geometric(
     for gname, comp_map in degrees_raw.items():
         if gname not in generator_names:
             raise SchemaError(f"geometric.degrees: unknown generator {gname!r}")
-        _expect(comp_map, dict, f"geometric.degrees.{gname}")
+        _expect(comp_map, dict, "geometric.degrees.{}", gname)
     maps = _completed(
         list(degrees_raw.values()), zeros, "component", "geometric.degrees.{}", list(degrees_raw)
     )
@@ -438,7 +438,7 @@ def _parse_geometric(
 def _parse_expected(raw: dict) -> ExpectedResult:
     _check([raw], _EXPECTED)
     for i, x in enumerate(raw["b0_torsion"]):
-        _expect(x, int, f"expected.b0_torsion[{i}]")
+        _expect(x, int, "expected.b0_torsion[{}]", i)
     try:
         group = FGAbelianGroup(raw["b0_rank"], raw["b0_torsion"])  # it states what a group is
     except ValueError as e:

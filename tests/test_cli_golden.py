@@ -1,8 +1,8 @@
 """Byte-for-byte CLI output, pinned.
 
-``tests/golden/cli.json`` holds the exit code, stdout and stderr of 65
+``tests/golden/cli.json`` holds the exit code, stdout and stderr of 67
 commands: the nine commands of acceptance criterion 8 on every fixture,
-and twenty error paths (unreadable, malformed, hostile and oversized
+and twenty-two error paths (unreadable, malformed, hostile and oversized
 input).  The test replays every command in process through
 :func:`chowfiber.cli.main`, with ``CHOWFIBER_COLOR=never`` and relative
 file names inside a scratch directory, and compares the three results
@@ -64,6 +64,8 @@ ERROR_INPUTS = {
             "expected": {"b0_rank": -1, "b0_torsion": [0, -2], "source": "s"},
         }
     ).encode(),
+    "deep.json": b"[" * 200000 + b"]" * 200000,
+    "header-text.matrix": b"2 x",
 }
 
 ERROR_COMMANDS = [
@@ -87,6 +89,8 @@ ERROR_COMMANDS = [
     ["compute", "escape.json"],
     ["validate", "escape-key.json"],
     ["compute", "no-group.json"],
+    ["compute", "deep.json"],
+    ["snf", "header-text.matrix"],
 ]
 
 
@@ -145,7 +149,7 @@ def test_cli_output_matches_the_golden_file(tmp_path, monkeypatch):
     write_inputs(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [g["argv"] for g in golden] == commands()
-    assert len(golden) == 65
+    assert len(golden) == 67
     for expected in golden:
         assert replay(expected["argv"]) == expected
 

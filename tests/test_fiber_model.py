@@ -370,6 +370,21 @@ class TestSchemaErrors:
             parse_model(doc)
         assert str(caught.value) == message
 
+    def test_a_wrong_typed_field_is_named_in_table_order(self):
+        # The entry holds size before name; the table checks name first.
+        doc = {"name": "x", "orbits": [{"size": "2", "name": 5, "multiplicity": 1}]}
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == "orbits[0].name: expected a string, got int"
+
+    def test_a_wrong_typed_degree_is_named_in_orbit_order(self):
+        # The map holds B before A; the orbits are declared A first.
+        doc = _four_orbits()
+        doc["generators"][0]["degrees"] = {"B": "x", "A": True}
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == "generators[0].degrees.A: expected an integer, got a boolean"
+
     @pytest.mark.parametrize("part, index", [("orbits", 2), ("generators", 3)])
     def test_a_key_that_only_poses_as_a_string_is_refused(self, part, index):
         doc = _four_orbits()
@@ -466,6 +481,49 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as info:
             parse_model(bad)
         assert str(info.value) == f"geometric: {message}"
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"orbit_of": {"Y1": "Y", "Y2": "Y", "Z1": "Z"}},
+                         "geometric.orbit_of: missing component 'Z2'", id="missing-component"),
+            pytest.param({"orbit_of": {"Y1": "Y", "Y2": "Y", "Z1": "Z", "Z2": "Z", "W1": "Z"}},
+                         "geometric.orbit_of: unknown component 'W1'", id="unknown-component"),
+            pytest.param({"orbit_of": {"Y1": "Y", "Y2": "Y", "Z1": "Z", "Z2": "W"}},
+                         "geometric.orbit_of: unknown orbit 'W'", id="unknown-orbit"),
+            pytest.param({"orbit_of": {"Y1": "Y", "Y2": "Z", "Z1": "Z", "Z2": "Z"}},
+                         "geometric: cycle ['Y1', 'Y2'] maps to several orbits ['Y', 'Z']",
+                         id="several-orbits"),
+            pytest.param({"orbit_of": {"Y1": "Y", "Y2": "Y", "Z1": "Y", "Z2": "Y"}},
+                         "geometric: orbit 'Y' is hit by more than one cycle",
+                         id="more-than-one-cycle"),
+            pytest.param({"components": ["Y1", "Y2"], "frobenius": ["Y2", "Y1"],
+                          "orbit_of": {"Y1": "Y", "Y2": "Y"}},
+                         "geometric: no cycle realizes orbits Z", id="unrealized-orbit"),
+            pytest.param({"degrees": {"g": {"Y1": 1}, "h": {"Y1": 1}}},
+                         "geometric.degrees: unknown generator 'h'", id="unknown-generator"),
+        ],
+    )
+    def test_geometric_cross_reference_messages(self, change, message):
+        # Two orbits of size 2, each one 2-cycle of Frobenius.
+        doc = {
+            "name": "x",
+            "orbits": [
+                {"name": "Y", "multiplicity": 1, "size": 2},
+                {"name": "Z", "multiplicity": 1, "size": 2},
+            ],
+            "generators": [{"name": "g", "host": "Y"}],
+            "geometric": {
+                "components": ["Y1", "Y2", "Z1", "Z2"],
+                "frobenius": ["Y2", "Y1", "Z2", "Z1"],
+                "orbit_of": {"Y1": "Y", "Y2": "Y", "Z1": "Z", "Z2": "Z"},
+                **change,
+            },
+        }
+        with pytest.raises(SchemaError) as caught:
+            parse_model(doc)
+        assert str(caught.value) == message
 
 
 # A valid document that holds every kind of entry.
