@@ -5,8 +5,9 @@ character lattice by the degree columns is the group of zero-cycles
 modulo rational equivalence on the generic fiber, the induced character
 is the degree map, and its kernel B(X)_0 is the degree-zero part.  The
 degree-zero part is computed by two independent routes that must agree:
-off the Smith diagonal of B(X), and as a quotient inside the kernel of
-the weights.
+off the Smith diagonal of B(X), and as the quotient of Z^n by the
+degree columns and one Bézout vector of the weights, which splits Z^n
+into the kernel of the weights and one line.
 """
 
 from chowfiber import (

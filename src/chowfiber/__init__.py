@@ -35,7 +35,6 @@ from .exact_linalg import (
     format_matrix_text,
     integer_kernel,
     invariant_factors_from_divisors,
-    kernel_coordinates,
     local_invariant_factors,
     parse_matrix_text,
     snf,
@@ -103,7 +102,6 @@ __all__ = [
     "hom_T_basis",
     "integer_kernel",
     "invariant_factors_from_divisors",
-    "kernel_coordinates",
     "local_invariant_factors",
     "orbits",
     "parse_matrix_text",

@@ -13,10 +13,11 @@ decomposition, and reads B(X) off the diagonal.  Whenever the input
 satisfies the validation laws, the degree character maps B(X) onto
 index·Z, so B(X) ≅ Z ⊕ B(X)_0: the diagonal already fixes B(X)_0, one
 free generator fewer, the same torsion.  :func:`report` checks that
-against the *quotient route* of :func:`compute_b0`, which writes every
-degree column in a saturated basis of the kernel of the weight row
-(:func:`~chowfiber.exact_linalg.kernel_coordinates`, from the gcd chain
-of the row) and takes the invariant factors of that sublattice with
+against the *quotient route* of :func:`compute_b0`.  A Bézout vector
+``e`` of the weight row ``w`` (``w · e = index``) splits ``Z^n =
+ker(w) ⊕ Z·e``, and the degree columns lie in ker(w), so B(X)_0 =
+ker(w) / (degree columns) is ``Z^n`` modulo the columns of ``[e |
+degrees]``; the route takes the invariant factors of that matrix with
 :func:`~chowfiber.exact_linalg.local_invariant_factors`, one elimination
 modulo the square of a gcd of minors.  The two routes to B(X)_0, the
 Smith diagonal and the quotient route, share no code.
@@ -34,6 +35,7 @@ values.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 from ._value import Value
 from .exact_linalg import (
@@ -42,7 +44,7 @@ from .exact_linalg import (
     NotInLattice,
     SelfCheckError,
     SmithDecomposition,
-    kernel_coordinates,
+    _bezout_vector,
     local_invariant_factors,
     snf,
 )
@@ -144,18 +146,30 @@ def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int,
 def compute_b0(weights: WeightVector, degrees: IntMatrix) -> FGAbelianGroup:
     """The degree-zero part of B(X) by the quotient route.
 
-    ``degrees`` is the degree matrix of a validated model.  Every valid
-    degree column annihilates the fiber class, so it has integer
-    coordinates in a saturated basis of ker(w); B(X)_0 is the quotient
-    of that corank-one lattice by them.  Only the group is read, so no
+    ``degrees`` is the degree matrix of a validated model, one row per
+    weight, or :class:`ValueError` is raised.  A vector ``e`` with
+    ``w · e = index`` splits ``Z^n = ker(w) ⊕ Z·e``, and every valid
+    degree column lies in ker(w), so B(X)_0, ker(w) modulo the degree
+    columns, is ``Z^n`` modulo the columns of ``[e | degrees]``.  ``e``
+    is the Bézout vector of the weights and goes first, which keeps the
+    minor gcd of the local route tight.  Only the group is read, so no
     Smith decomposition and no transform is made.  On a column that
     leaves ker(w), which :func:`~chowfiber.fiber_model.validate`
     refuses, a direct call raises :class:`NotInLattice` on purpose: the
     input is at fault.  Past validation it is a fault of the package,
     and :func:`report` turns it into :class:`SelfCheckError`.
     """
-    coords = kernel_coordinates(weights.weights, degrees)
-    return FGAbelianGroup.quotient(coords.row_count, local_invariant_factors(coords))
+    w = weights.weights
+    if degrees.row_count != len(w):
+        raise ValueError("the degree matrix row count does not match the weight count")
+    for j, column in enumerate(zip(*degrees.rows)):
+        if sum(map(mul, w, column)):
+            raise NotInLattice(f"degree column {j} pairs to a nonzero value against the weights")
+    e = _bezout_vector(w)
+    section = IntMatrix._trusted(
+        len(w), degrees.col_count + 1, tuple((x, *row) for x, row in zip(e, degrees.rows))
+    )
+    return FGAbelianGroup.quotient(len(w), local_invariant_factors(section))
 
 
 def report(m: FiberModel, mode: str = STRICT) -> ChowReport:

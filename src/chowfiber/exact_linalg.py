@@ -4,12 +4,12 @@ This module is the arithmetic engine of the package: the Smith normal
 form as a log of elementary operations, integer kernels, lattice
 membership tests, and cokernels as finitely generated abelian groups.
 
-``kernel_coordinates(row, targets)`` writes targets in a saturated basis
-of the kernel of one integer row.  It builds the basis from the gcd
-chain of the row's entries, in O(n) operations per target, and makes no
-Smith decomposition.  ``integer_kernel`` followed by
-``solve_in_lattice`` gives the same lattice with two decompositions and
-stays as the reference path.
+``_bezout_vector(row)`` pairs one integer row to its gcd in O(n)
+operations and makes no Smith decomposition.  With it, a quotient of
+``ker(row)`` is a quotient of the whole lattice, which is how the
+quotient route of B(X)_0 needs no kernel basis.  ``integer_kernel``
+followed by ``solve_in_lattice`` writes the same quotient with two
+decompositions and stays as the reference path.
 
 Everything works on Python's native ``int``, which is arbitrary
 precision.  That is not a convenience but a requirement: the
@@ -147,8 +147,9 @@ class IntMatrix(Value):
 
         Only for rows of ``col_count`` ints that the caller built itself
         (``snf``, replays of its log, products, transposes,
-        ``integer_kernel`` from the rows of ``v``, ``kernel_coordinates``
-        from the entries of an ``IntMatrix`` and a row it coerced);
+        ``integer_kernel`` from the rows of ``v``, ``chow.compute_b0``
+        from the rows of an ``IntMatrix`` and a Bézout vector of coerced
+        weights);
         input from anywhere else goes through the checked constructor.
         """
         m = object.__new__(cls)
@@ -770,82 +771,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _gcd_chain(row: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The prefix gcds of ``row``, each with its Bézout step, checked.
+def _bezout_vector(row: Sequence[int]) -> tuple[int, ...]:
+    """A vector ``e`` with ``row · e == gcd(row)``, checked.
 
-    Entry ``k`` is ``(g_k, a_k, b_k)`` with ``g_k = gcd(row[:k+1]) =
-    a_k·g_(k−1) + b_k·row[k]`` and ``g_(−1) = 0``.  Each step must hold
-    that identity with ``g_k >= 0`` dividing both ``g_(k−1)`` and
-    ``row[k]`` (both zero when ``g_k`` is), which makes ``g_k`` their
-    gcd; otherwise :class:`SelfCheckError` is raised.
+    One pass down the row takes the prefix gcds ``g_k = a_k·g_(k−1) +
+    b_k·row[k]`` (``g_(−1) = 0``) with :func:`_xgcd`; one pass back up
+    writes ``e_k = b_k·a_(k+1)···a_(n−1)``, carrying the product of the
+    ``a``.  One O(n) certificate replaces a check per step: the last
+    ``g`` must be nonnegative, divide every entry (all are zero when it
+    is) and equal ``row · e``, which makes it the gcd; otherwise
+    :class:`SelfCheckError` is raised.
     """
-    chain: list[tuple[int, int, int]] = []
-    prev = 0
-    for k, w in enumerate(row):
-        g, a, b = step = _xgcd(prev, w)
-        if a * prev + b * w != g or g < 0 or (prev % g or w % g if g else prev or w):
-            raise SelfCheckError(f"Bézout step {k} of the gcd chain is wrong")
-        chain.append(step)
-        prev = g
-    return chain
-
-
-def kernel_coordinates(row: Sequence[int], targets: IntMatrix) -> IntMatrix:
-    """Coordinates of every column of ``targets`` in a saturated basis of ``ker(row)``.
-
-    The basis is the triangular one the gcd chain of ``row`` gives
-    (Bradley, *Math. Comp.* 25, 1971), so no Smith decomposition is
-    made.  With ``g_k``, ``a_k`` and ``b_k`` from :func:`_gcd_chain`,
-    ``p_k = (a_k·p_(k−1), b_k)`` pairs to ``g_k`` against ``row[:k+1]``.
-    Past the first nonzero entry ``f``, column ``k`` is
-    ``(−(row[k]/g_k)·p_(k−1), g_(k−1)/g_k, 0, …)``; before it, column
-    ``k`` is the unit vector ``e_k``; ``f`` itself has no column.
-
-    A target is solved from its last entry down.  The part of the
-    columns already solved that lies at and above entry ``k`` is a
-    multiple of ``p_k``, so one running scalar carries it and a target
-    costs O(n) operations.  Each result is then checked by evaluating
-    the basis on its coordinates, and :class:`SelfCheckError` is raised
-    unless that gives the target back.  Raises :class:`NotInLattice`
-    when some column pairs to nonzero against ``row``.
-    """
-    n = len(row)
-    if targets.row_count != n:
-        raise ValueError("targets row count does not match the row length")
-    row = tuple(map(index, row))
-    chain = _gcd_chain(row)
-    first = next((k for k, w in enumerate(row) if w), n)
-    # Column k past `first`, from the last one up: k, its entry
-    # g_(k−1)/g_k at k, row[k]/g_k and the Bézout step (a_k, b_k).
-    steps = [
-        (k, chain[k - 1][0] // chain[k][0], row[k] // chain[k][0], *chain[k][1:])
-        for k in range(n - 1, first, -1)
-    ]
-    unit = chain[first][2] if first < n else 0  # p_f = unit·e_f
-    columns = []
-    for t in zip(*targets.rows) if n else ((),) * targets.col_count:
-        if sum(map(mul, row, t)):
-            raise NotInLattice("target pairs to a nonzero value against the row")
-        c = list(t)  # entries before `first` are their own coordinates
-        s = 0
-        for k, q, m, a, b in steps:
-            c[k] = (t[k] + s * b) // q
-            s = s * a + c[k] * m
-        # The check: the basis evaluated on c, where -s·p_k is the part of
-        # the columns past k at and above entry k, gives t back.
-        rebuilt, s = c[:], 0
-        for k, q, m, a, b in steps:
-            rebuilt[k] = c[k] * q - s * b
-            s = s * a + c[k] * m
-        if first < n:
-            rebuilt[first] = -s * unit
-        if tuple(rebuilt) != t:
-            raise SelfCheckError("kernel coordinates do not rebuild their target")
-        del c[first : first + 1]
-        columns.append(tuple(c))
-    rank = n - (first < n)  # of ker(row)
-    rows = tuple(zip(*columns)) if columns else ((),) * rank
-    return IntMatrix._trusted(rank, targets.col_count, rows)
+    g, steps = 0, []
+    for w in row:
+        g, a, b = _xgcd(g, w)
+        steps.append((a, b))
+    e, carry = [], 1
+    for a, b in reversed(steps):
+        e.append(b * carry)
+        carry *= a
+    e.reverse()
+    if g < 0 or (any(w % g for w in row) if g else any(row)) or sum(map(mul, row, e)) != g:
+        raise SelfCheckError("the Bézout vector does not pair the row to its gcd")
+    return tuple(e)
 
 
 def solve_in_lattice(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:

@@ -25,7 +25,7 @@ from chowfiber import (
 
 def test_export_list_is_sorted_unique_and_resolves():
     names = chowfiber.__all__
-    assert len(names) == 40
+    assert len(names) == 39
     assert list(names) == sorted(set(names))
     for name in names:
         assert hasattr(chowfiber, name), name
@@ -229,10 +229,6 @@ def test_model_default_hypotheses_is_one_shared_value():
         pytest.param(lambda: IntMatrix.from_rows([[1.5]]), id="from-rows"),
         pytest.param(lambda: IntMatrix.from_rows([["3"]]), id="from-rows-text"),
         pytest.param(lambda: IntMatrix.from_columns([[2.7, 1]]), id="from-columns"),
-        pytest.param(
-            lambda: chowfiber.kernel_coordinates((1.9, 1), IntMatrix.from_columns([(1, -1)])),
-            id="kernel-row",
-        ),
         pytest.param(lambda: ComponentOrbit("A", 1.5, 1), id="orbit-size"),
         pytest.param(lambda: ComponentOrbit("A", 1, 1.5), id="orbit-multiplicity"),
     ],

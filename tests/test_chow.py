@@ -36,7 +36,6 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
-    kernel_coordinates,
     snf,
     solve_in_lattice,
 )
@@ -219,10 +218,78 @@ class TestComputeB0:
         assert _one_free_generator_more(_b0(m)) == report(m).b
 
     def test_invalid_model_rejected(self):
-        # Law-breaking columns have no coordinates in the annihilator
-        # lattice, so a direct call refuses them as input at fault.
+        # Law-breaking columns leave the annihilator lattice, so a direct
+        # call refuses them as input at fault.
         with pytest.raises(NotInLattice):
             _b0(_fixture_model("example31"))
+
+    def test_a_column_off_the_kernel_is_not_in_lattice(self):
+        # Without the check, w = (1, 1) and the column (1, 1) would give Z
+        # by both routes.
+        with pytest.raises(NotInLattice, match="degree column 0"):
+            compute_b0(WeightVector((1, 2)), IntMatrix.from_columns([(1, 0)]))
+        with pytest.raises(NotInLattice, match="degree column 1"):
+            compute_b0(WeightVector((1, 2)), IntMatrix.from_columns([(2, -1), (0, 1)]))
+        with pytest.raises(NotInLattice):
+            compute_b0(WeightVector((1, 1)), IntMatrix.from_columns([(1, 1)]))
+
+    def test_a_degree_matrix_of_the_wrong_row_count_is_refused(self):
+        # A bare zip of the weights with the rows would drop the third row.
+        degrees = IntMatrix.from_columns([(1, -1, 5)])
+        with pytest.raises(ValueError, match="row count"):
+            compute_b0(WeightVector((1, 1)), degrees)
+        with pytest.raises(ValueError, match="row count"):
+            compute_b0(WeightVector((1, 1, 1)), IntMatrix.from_columns([(1, -1)]))
+
+    def test_an_empty_weight_row_gives_the_trivial_group(self):
+        assert compute_b0(WeightVector(()), IntMatrix.from_rows([], col_count=2)) == TRIVIAL
+
+    def test_zero_columns_and_no_columns_leave_the_kernel(self):
+        zero_column = IntMatrix.from_columns([(0, 0, 0)])
+        assert compute_b0(WeightVector((3, 5, 7)), zero_column) == FGAbelianGroup(2)
+        no_columns = IntMatrix.from_rows([[], [], []], col_count=0)
+        assert compute_b0(WeightVector((3, 5, 7)), no_columns) == FGAbelianGroup(2)
+
+    def test_length_one_row(self):
+        assert compute_b0(WeightVector((4,)), IntMatrix.from_rows([[0, 0]])) == TRIVIAL
+        with pytest.raises(NotInLattice):
+            compute_b0(WeightVector((4,)), IntMatrix.from_columns([(1,)]))
+
+    def test_long_row_makes_no_smith_decomposition(self, monkeypatch):
+        # A gate on work, not on wall time: the Bézout vector comes from
+        # one pass down the weights and one back up, so a 4,000-entry row
+        # decomposes nothing.
+        def no_snf(a):
+            raise AssertionError("compute_b0 made a Smith decomposition")
+
+        monkeypatch.setattr(exact_linalg, "snf", no_snf)
+        n = 4000
+        weights = WeightVector(range(6, n + 6))
+        # 7·e_0 − 6·e_1 and 8·e_1 − 7·e_2, whose 2-by-2 minors have gcd 7.
+        degrees = IntMatrix.from_columns(
+            [(7, -6) + (0,) * (n - 2), (0, 8, -7) + (0,) * (n - 3)]
+        )
+        assert compute_b0(weights, degrees) == FGAbelianGroup(n - 3, (7,))
+
+    def test_the_bezout_vector_first_keeps_the_minor_gcd_tight(self, monkeypatch):
+        # A gate on work, not on wall time: with e first, the Bareiss pass
+        # finds minor gcd 1 on the section matrix of as many seeded models
+        # (97 of 240) as on the degree columns written in a saturated
+        # kernel basis of w, so the local route eliminates nothing on
+        # them.  With e last it finds 1 on one model.
+        from chowfiber import chow
+
+        minor_gcds = []
+
+        def recorded(a):
+            minor_gcds.append(exact_linalg._rank_and_minor(a)[2])
+            return exact_linalg.local_invariant_factors(a)
+
+        monkeypatch.setattr(chow, "local_invariant_factors", recorded)
+        for m in _seeded_models():
+            _b0(m)
+        assert len(minor_gcds) == 240
+        assert minor_gcds.count(1) >= 97
 
     def test_routes_agree_on_random_valid_models(self):
         # The quotient route against B(X) from a Smith decomposition of
@@ -331,8 +398,8 @@ class TestReport:
     def test_one_pass(self, monkeypatch):
         # One validation, one degree matrix, one Smith decomposition and
         # one local route, however many orbits the model has: only the
-        # degree matrix is decomposed; the quotient route's kernel row is
-        # read off its gcd chain and its quotient off local Smith forms.
+        # degree matrix is decomposed; the quotient route reads a Bézout
+        # vector off the weights and its quotient off local Smith forms.
         snf_calls = []
         local_calls = []
         for orbit_count in (3, 9):
@@ -361,7 +428,7 @@ class TestReport:
     @pytest.mark.parametrize("orbit_count", [1000, 2000])
     def test_wide_model_makes_one_smith_decomposition(self, monkeypatch, orbit_count):
         # A gate on work, not on wall time: one generator on many
-        # single-component orbits.  The quotient route's kernel row is
+        # single-component orbits.  The quotient route's weight row is
         # not decomposed, however long it is.
         orbits = [{"name": f"O{i}", "multiplicity": 1, "size": 1} for i in range(orbit_count)]
         generator = {"name": "g", "host": "O0", "degrees": {"O0": 1, "O1": -1}}
@@ -689,7 +756,8 @@ def _xi_bar_kernel_is_b0(m):
     # gives B(X)_0, as report() publishes it.
     dec = snf(build_specialization_matrix(m))
     xi_bar = compute_xi_bar(xi_weights(m.orbits), dec)
-    assert cokernel(kernel_coordinates(xi_bar, dec.s)) == report(m).b0
+    kernel_basis = integer_kernel(IntMatrix.from_rows([xi_bar]))
+    assert cokernel(solve_in_lattice(kernel_basis, dec.s)) == report(m).b0
 
 
 def test_xi_bar_kernel_is_b0_on_seeded_models():

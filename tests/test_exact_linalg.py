@@ -37,7 +37,6 @@ from chowfiber.exact_linalg import (
     int_text,
     integer_kernel,
     invariant_factors_from_divisors,
-    kernel_coordinates,
     local_invariant_factors,
     parse_matrix_text,
     snf,
@@ -640,8 +639,9 @@ class TestInvariantFactorsModMinor:
         assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
 
     def test_matches_snf_past_the_oracle_limit(self):
-        # The degree matrix and the quotient-route matrix of seeded valid
-        # models, where the minor oracle cannot reach.
+        # The degree matrix and the quotient route's section matrix
+        # [e | degrees] of seeded valid models, where the minor oracle
+        # cannot reach.
         for orbit_count in (32, 48):
             rng = random.Random(1000 * orbit_count)
             m = parse_model(
@@ -650,8 +650,9 @@ class TestInvariantFactorsModMinor:
                 )
             )
             degrees = build_specialization_matrix(m)
-            coords = kernel_coordinates(xi_weights(m.orbits).weights, degrees)
-            for a in (degrees, coords):
+            e = exact_linalg._bezout_vector(xi_weights(m.orbits).weights)
+            section = IntMatrix.from_rows([(x, *row) for x, row in zip(e, degrees.rows)])
+            for a in (degrees, section):
                 assert min(a.shape) > ORACLE_SIZE_LIMIT
                 assert local_invariant_factors(a) == snf(a).nonzero_diagonal()
 
@@ -777,54 +778,12 @@ class TestSolveInLattice:
             solve_in_lattice(basis, _columns((4, -3), (1, 0)))
 
 
-class TestKernelCoordinates:
-    def test_saturated_basis_has_unimodular_coordinates(self):
-        # Two saturated bases of the same kernel differ by a unimodular
-        # change of basis.
-        row = (2, 2, 1, 1, 2, 2, 4)
-        coords = kernel_coordinates(row, integer_kernel(IntMatrix.from_rows([row])))
-        assert coords.shape == (6, 6)
-        assert determinant(coords) in (1, -1)
-
-    def test_nonzero_pairing_is_not_in_lattice(self):
-        with pytest.raises(NotInLattice):
-            kernel_coordinates((1, 2), _columns((1, 0)))
-        with pytest.raises(NotInLattice):
-            kernel_coordinates((1, 2), _columns((2, -1), (0, 1)))
-
-    def test_zero_column_target(self):
-        assert kernel_coordinates((3, 5, 7), _columns((0, 0, 0))) == _columns((0, 0))
-        assert kernel_coordinates((3, 5, 7), _columns(row_count=3)) == _columns(row_count=2)
-
-    def test_length_one_row(self):
-        assert kernel_coordinates((4,), _columns((0,), (0,))) == IntMatrix.from_rows(
-            [], col_count=2
-        )
-        with pytest.raises(NotInLattice):
-            kernel_coordinates((4,), _columns((1,)))
-
-    def test_zero_row_keeps_every_target(self):
-        targets = _columns((4, -1), (0, 3))
-        assert kernel_coordinates((0, 0), targets) == targets
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="row length"):
-            kernel_coordinates((1, 1), _columns((0, 0, 0)))
-
-    def test_long_row_makes_no_smith_decomposition(self, monkeypatch):
-        # A gate on work, not on wall time: the basis comes from the gcd
-        # chain of the row, so a 4,000-entry row decomposes nothing.
-        def no_snf(a):
-            raise AssertionError("kernel_coordinates made a Smith decomposition")
-
-        monkeypatch.setattr(exact_linalg, "snf", no_snf)
-        n = 4000
-        row = (0, 0) + tuple(range(6, n + 4))
-        # e_0, and the kernel vector row[3]·e_2 − row[2]·e_3.
-        targets = _columns((1,) + (0,) * (n - 1), (0, 0, 7, -6) + (0,) * (n - 4))
-        coords = kernel_coordinates(row, targets)
-        assert coords.shape == (n - 1, 2)
-        assert coords.column(0) == (1,) + (0,) * (n - 2)
+class TestBezoutVector:
+    def test_pairs_the_row_to_its_gcd(self):
+        assert exact_linalg._bezout_vector((6, 10, 15)) == (-14, 7, 1)
+        assert exact_linalg._bezout_vector((0, -4, 0)) == (0, -1, 0)
+        assert exact_linalg._bezout_vector((0, 0)) == (0, 0)
+        assert exact_linalg._bezout_vector(()) == ()
 
     @pytest.mark.parametrize(
         "fault",
@@ -837,8 +796,8 @@ class TestKernelCoordinates:
     def test_corrupted_bezout_step_raises(self, monkeypatch, fault):
         honest = exact_linalg._xgcd
         monkeypatch.setattr(exact_linalg, "_xgcd", lambda a, b: fault(*honest(a, b)))
-        with pytest.raises(SelfCheckError, match="Bézout step 0 of the gcd chain is wrong"):
-            kernel_coordinates((6, 10, 15), _columns((5, -3, 0)))
+        with pytest.raises(SelfCheckError, match="does not pair the row to its gcd"):
+            exact_linalg._bezout_vector((6, 10, 15))
 
 
 class TestFGAbelianGroup:

@@ -1,6 +1,7 @@
 """Property tests for the integer linear algebra invariants."""
 
 import itertools
+import math
 import random
 from operator import mul
 
@@ -9,6 +10,7 @@ from conftest import diagonal_matrix, identity, unimodular_product, zeros
 from hypothesis import example, given, settings
 
 from chowfiber import exact_linalg
+from chowfiber.chow import compute_b0
 from chowfiber.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -18,11 +20,11 @@ from chowfiber.exact_linalg import (
     determinantal_divisors,
     integer_kernel,
     invariant_factors_from_divisors,
-    kernel_coordinates,
     local_invariant_factors,
     snf,
     solve_in_lattice,
 )
+from chowfiber.galois import WeightVector
 
 
 def matrices(max_rows=5, max_cols=5, max_entry=9, min_rows=0, min_cols=0):
@@ -260,7 +262,7 @@ def test_solve_in_lattice_recovers_coordinates(a, coeffs):
 
 
 def gcd_chain_rows(max_size=7):
-    """Integer rows that walk every branch of the gcd chain.
+    """Integer rows that walk every branch of the prefix gcds of ``_bezout_vector``.
 
     Zeros, leading ones included, small entries of either sign and
     entries up to 200 bits; a single entry and all zeros are in range.
@@ -271,47 +273,33 @@ def gcd_chain_rows(max_size=7):
     return st.lists(entry, min_size=1, max_size=max_size)
 
 
-def dense_kernel_basis(row):
-    """The basis ``kernel_coordinates`` solves in, column by column, as a dense matrix.
-
-    Built from the checked Bézout steps of ``exact_linalg._gcd_chain``:
-    ``p`` is the Bézout vector of the prefix, written out in full.
-    """
-    n = len(row)
-    columns, p, prev = [], [0] * n, 0
-    for k, (w, (g, a, b)) in enumerate(zip(row, exact_linalg._gcd_chain(row))):
-        if prev:
-            columns.append([-(w // g) * x for x in p[:k]] + [prev // g] + [0] * (n - k - 1))
-        elif w == 0:
-            columns.append([1 if i == k else 0 for i in range(n)])
-        p = [a * x for x in p]
-        p[k] = b
-        prev = g
-    return IntMatrix.from_columns(columns, row_count=n)
+@example(w=[])
+@given(gcd_chain_rows())
+def test_bezout_vector_pairs_the_row_to_its_gcd(w):
+    e = exact_linalg._bezout_vector(w)
+    assert len(e) == len(w)
+    assert sum(map(mul, w, e)) == math.gcd(*w)
 
 
-@example(w=[0, 0, 0], target_count=2, rng=random.Random(0))
-@example(w=[0, 0, 6, 0, -10, 15], target_count=3, rng=random.Random(1))
+@example(w=list(range(1, 41)), target_count=3, rng=random.Random(0))
+@example(w=[6, 10, 15], target_count=2, rng=random.Random(1))
 @example(w=[2**200 + 1], target_count=1, rng=random.Random(2))
-@given(gcd_chain_rows(), st.integers(0, 4), st.randoms(use_true_random=False))
-def test_kernel_coordinates_match_the_lattice_solve(w, target_count, rng):
+@given(
+    st.lists(st.integers(1, 2**200), min_size=1, max_size=7),
+    st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_section_route_matches_the_reference_quotient(w, target_count, rng):
+    # Z^n modulo [e | D] against D written in a saturated kernel basis of
+    # w by two Smith decompositions, then its cokernel by a third.
     basis = integer_kernel(IntMatrix.from_rows([w]))
     coeffs = IntMatrix.from_rows(
         [[rng.randint(-5, 5) for _ in range(target_count)] for _ in range(basis.col_count)],
         col_count=target_count,
     )
-    targets = basis @ coeffs
-    fast = kernel_coordinates(w, targets)
-    reference = solve_in_lattice(basis, targets)
-    assert fast.shape == reference.shape
-    assert cokernel(fast) == cokernel(reference)
-    # The gcd-chain basis is a saturated basis of ker(w), and the
-    # coordinates rebuild every target in it.
-    dense = dense_kernel_basis(w)
-    assert dense.shape == basis.shape
-    assert IntMatrix.from_rows([w]) @ dense == zeros(1, dense.col_count)
-    assert cokernel(dense) == FGAbelianGroup(len(w) - dense.col_count)
-    assert dense @ fast == targets
+    degrees = basis @ coeffs
+    reference = cokernel(solve_in_lattice(basis, degrees))
+    assert compute_b0(WeightVector(w), degrees) == reference
 
 
 @settings(max_examples=60)
