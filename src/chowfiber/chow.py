@@ -8,15 +8,15 @@ This module computes B(X) as an explicit finitely generated abelian
 group, the induced degree character on it, its kernel B(X)_0, and the
 index (the positive generator of the image of the degree).
 
-:func:`report` holds the degree matrix and its one verified Smith
-decomposition, and reads B(X) off the diagonal.  Whenever the input
-satisfies the validation laws, the degree character maps B(X) onto
-index·Z, so B(X) ≅ Z ⊕ B(X)_0: the diagonal already fixes B(X)_0, one
-free generator fewer, the same torsion.  :func:`report` checks that
-against the *quotient route* of :func:`compute_b0`.  A Bézout vector
-``e`` of the weight row ``w`` (``w · e = index``) splits ``Z^n =
-ker(w) ⊕ Z·e``, and the degree columns lie in ker(w), so B(X)_0 =
-ker(w) / (degree columns) is ``Z^n`` modulo the columns of ``[e |
+:func:`report` reads B(X) as the cokernel of the degree matrix, off the
+diagonal of one verified Smith decomposition that it does not keep.
+Whenever the input satisfies the validation laws, the degree character
+maps B(X) onto index·Z, so B(X) ≅ Z ⊕ B(X)_0: B(X) already fixes
+B(X)_0, one free generator fewer, the same torsion.  :func:`report`
+checks that against the *quotient route* of :func:`compute_b0`.  A
+Bézout vector ``e`` of the weight row ``w`` (``w · e = index``) splits
+``Z^n = ker(w) ⊕ Z·e``, and the degree columns lie in ker(w), so B(X)_0
+= ker(w) / (degree columns) is ``Z^n`` modulo the columns of ``[e |
 degrees]``; the route takes the invariant factors of that matrix with
 :func:`~chowfiber.exact_linalg.local_invariant_factors`, one elimination
 modulo the square of a gcd of minors.  The two routes to B(X)_0, the
@@ -26,7 +26,7 @@ A strict report thus makes one Smith decomposition and one call of the
 local route, and refuses to hand out a report whose routes disagree.
 The induced character ξ̄ = w @ u^{-1} of :func:`compute_xi_bar` is not
 needed for any field: :func:`report` publishes its canonical form, which
-the rank and the index fix.
+the rank of B(X) and the index fix.
 
 Everything here is a pure function of the model; reports are immutable
 values.
@@ -45,8 +45,8 @@ from .exact_linalg import (
     SelfCheckError,
     SmithDecomposition,
     _bezout_vector,
+    cokernel,
     local_invariant_factors,
-    snf,
 )
 from .fiber_model import (
     Diagnostic,
@@ -94,10 +94,11 @@ class ChowReport(Value):
     is set even that reading is unavailable.
 
     ``xi_on_generators`` is the induced degree character in canonical
-    form: ``index`` at position ``r`` (the rank of the degree matrix),
-    zero elsewhere.  A unimodular change of the free generators of B(X)
-    brings the row of :func:`compute_xi_bar` to it, so unlike that row
-    it does not depend on the basis the Smith reduction picks.
+    form: ``index`` at position ``r = n − b.rank`` (the rank of the
+    degree matrix, by rank–nullity), zero elsewhere.  A unimodular
+    change of the free generators of B(X) brings the row of
+    :func:`compute_xi_bar` to it, so unlike that row it does not depend
+    on the basis the Smith reduction picks.
     """
 
     __slots__ = (
@@ -136,9 +137,10 @@ def compute_xi_bar(weights: WeightVector, dec: SmithDecomposition) -> tuple[int,
     weights, which :func:`~chowfiber.fiber_model.validate` checks; then
     it vanishes on the ``rank`` relation coordinates and the gcd of the
     rest is the index.  The row depends on the elimination order;
-    :func:`report` publishes its canonical form, which the rank and the
-    index fix, and does not call this.  It is a product with ``u_inv``,
-    and a ``w`` of the wrong length raises :class:`ValueError`.
+    :func:`report` makes no Smith decomposition of its own and publishes
+    the canonical form, which the rank of B(X) and the index fix.  This
+    is the reference for that form: a product with ``u_inv``, and a
+    ``w`` of the wrong length raises :class:`ValueError`.
     """
     return (IntMatrix.from_rows([weights.weights]) @ dec.u_inv).rows[0]
 
@@ -178,7 +180,9 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
     In strict mode a model with validation errors raises
     :class:`InvalidModel`.  In permissive mode the report is always
     produced: the cokernel is computed formally, the degree-dependent
-    fields are absent, and ``formal_only`` is set.
+    fields are absent, and ``formal_only`` is set.  B(X) is
+    :func:`~chowfiber.exact_linalg.cokernel` of the degree matrix; every
+    other field is read off B(X), the weight row and the quotient route.
     """
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError(f"mode must be {STRICT!r} or {PERMISSIVE!r}, got {mode!r}")
@@ -188,16 +192,9 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         raise InvalidModel(diagnostics)
 
     degrees = build_specialization_matrix(m)
-    dec = snf(degrees)
-    b = FGAbelianGroup.quotient(degrees.row_count, dec.nonzero_diagonal())
-
-    if errors:
-        b0 = None
-        xi_values: tuple[int, ...] | None = None
-        index: int | None = None
-        special_case = None
-        formal_only = True
-    else:
+    b = cokernel(degrees)
+    b0 = xi_values = index = special_case = None
+    if not errors:
         weights = xi_weights(m.orbits)
         index = weights.image_index()
         try:
@@ -211,16 +208,11 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
                 f"the two degree-zero routes disagree: B(X) = {b} from the Smith "
                 f"diagonal, but the quotient route gives B(X)_0 = {b0}"
             )
-        formal_only = False
-        # The canonical form of the row compute_xi_bar gives.
-        r = dec.rank()
-        xi_values = (0,) * r + (index,) + (0,) * (len(m.orbits) - r - 1)
-        single = m.orbits[0]
-        special_case = (
-            IRREDUCIBLE_FIBER
-            if len(m.orbits) == 1 and single.size == 1 and single.multiplicity == 1
-            else None
-        )
+        # The canonical form of the row compute_xi_bar gives; the rank of
+        # the degree matrix is n − b.rank.
+        r = len(m.orbits) - b.rank
+        xi_values = (0,) * r + (index,) + (0,) * (b.rank - 1)
+        special_case = IRREDUCIBLE_FIBER if weights.weights == (1,) else None
 
     # One positional value per field: the fast path of Value.__init__.
     return ChowReport(
@@ -232,7 +224,7 @@ def report(m: FiberModel, mode: str = STRICT) -> ChowReport:
         tuple(diagnostics),
         special_case,
         m.hypotheses,
-        formal_only,
+        errors,
         m.notes,
         m.expected,
     )

@@ -59,7 +59,7 @@ import itertools
 import sys
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import add, index, mul
+from operator import index, mul
 
 from ._value import Value
 
@@ -145,12 +145,10 @@ class IntMatrix(Value):
     def _trusted(cls, row_count: int, col_count: int, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
         """The constructor without its entry coercion and per-row length check.
 
-        Only for rows of ``col_count`` ints that the caller built itself
-        (``snf``, replays of its log, products, transposes,
-        ``integer_kernel`` from the rows of ``v``, ``chow.compute_b0``
-        from the rows of an ``IntMatrix`` and a Bézout vector of coerced
-        weights);
-        input from anywhere else goes through the checked constructor.
+        Only for a tuple of ``row_count`` tuples of ``col_count`` ints,
+        each built by package code from the entries of checked matrices
+        or from ints it computed; input from anywhere else goes through
+        the checked constructor.
         """
         m = object.__new__(cls)
         m._store(row_count, col_count, rows)
@@ -199,18 +197,9 @@ class IntMatrix(Value):
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.col_count != other.row_count:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        # Each result row adds up the right operand's rows, scaled by the
-        # nonzero entries of the left row, so a sparse left operand (a
-        # Smith transform near the identity) costs what it holds.
-        rows = []
-        for row in self.rows:
-            acc: tuple[int, ...] | None = None
-            for e, other_row in zip(row, other.rows):
-                if e:
-                    term = other_row if e == 1 else map(mul, itertools.repeat(e), other_row)
-                    acc = tuple(term) if acc is None else tuple(map(add, acc, term))
-            rows.append((0,) * other.col_count if acc is None else acc)
-        return IntMatrix._trusted(self.row_count, other.col_count, tuple(rows))
+        columns = other.transpose().rows
+        rows = tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in self.rows)
+        return IntMatrix._trusted(self.row_count, other.col_count, rows)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -506,16 +495,13 @@ def _replay(log: Iterable[tuple], w: list[list[int]], height: int, width: int) -
     ``width``; extra rows of ``w`` move only under column operations and
     extra columns only under row operations.  Raises
     :class:`SelfCheckError` on an operation that is not elementary over
-    the integers: an entry of unknown kind or length, a batch that is
-    not a nonempty tuple of pairs, a factor that is not an ``int``, an
-    index that is not an ``int`` in bounds, or an add of a line to
-    itself.  The message names the whole entry.
+    the integers: an entry that is not a tuple or is of unknown kind or
+    length, a batch that is not a nonempty tuple of pairs, a factor that
+    is not an ``int``, an index that is not an ``int`` in bounds, or an
+    add of a line to itself.  The message names the whole entry.
     """
     for op in log:
-        try:
-            kind = op[0] if op else None
-        except (TypeError, LookupError):  # not a tuple: an unknown operation
-            kind = None
+        kind = op[0] if type(op) is tuple and op else None
         if kind == "add rows" or kind == "add columns":
             if len(op) != 3 or type(adds := op[2]) is not tuple or not adds:
                 raise SelfCheckError(f"Smith log holds an unknown operation {op!r}")

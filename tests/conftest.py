@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 from chowfiber import exact_linalg
 from chowfiber.exact_linalg import IntMatrix
 from chowfiber.galois import WeightVector, hom_T_basis
@@ -11,6 +15,19 @@ ABC_DOCUMENT = {
         {"name": "h", "host": "B", "degrees": {"B": 6, "C": -6}},
     ],
 }
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(monkeypatch, name):
+    """Load ``bench/<name>.py`` for one test, without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def identity(n):

@@ -10,21 +10,8 @@ trace target, and run a slice of each gated workload and of
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load(monkeypatch, name):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses looks the defining module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench_module as _load
 
 
 def test_every_trace_target_resolves(monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     ABC_DOCUMENT,
     halve_the_minor_gcd,
     known_answer_model_document,
+    load_bench_module,
     misbatched_neighbours,
     random_valid_model_document,
     row_first_log,
@@ -310,11 +311,13 @@ class TestReport:
         assert rep.special_case == IRREDUCIBLE_FIBER
         assert not rep.formal_only
 
-    def test_split_orbit_boundary_untagged(self):
-        # One orbit, multiplicity 1, size 2: still B(X) = Z with trivial
-        # degree-zero part, but the geometric fiber is reducible, so the
-        # index is 2 and the special-case tag stays unset.
-        rep = report(_single_orbit(multiplicity=1, size=2, degree=0))
+    @pytest.mark.parametrize("multiplicity, size", [(1, 2), (2, 1)])
+    def test_split_orbit_boundary_untagged(self, multiplicity, size):
+        # One orbit of weight 2: still B(X) = Z with trivial degree-zero
+        # part, but the geometric fiber is reducible (size 2) or not
+        # reduced (multiplicity 2), so the index is 2 and the
+        # special-case tag stays unset.
+        rep = report(_single_orbit(multiplicity=multiplicity, size=size, degree=0))
         assert rep.b == Z
         assert rep.b0 == TRIVIAL
         assert rep.index == 2
@@ -396,12 +399,14 @@ class TestReport:
             assert rep.b.rank >= 1
 
     def test_one_pass(self, monkeypatch):
-        # One validation, one degree matrix, one Smith decomposition and
-        # one local route, however many orbits the model has: only the
-        # degree matrix is decomposed; the quotient route reads a Bézout
-        # vector off the weights and its quotient off local Smith forms.
+        # One validation, one degree matrix, one cokernel with its one
+        # Smith decomposition and one local route, however many orbits
+        # the model has: only the degree matrix is decomposed; the
+        # quotient route reads a Bézout vector off the weights and its
+        # quotient off local Smith forms.
         snf_calls = []
         local_calls = []
+        cokernel_calls = []
         for orbit_count in (3, 9):
             rng = random.Random(2003 + orbit_count)
             m = _model(
@@ -413,6 +418,7 @@ class TestReport:
                 calls = _record_calls(
                     patch,
                     exact_linalg.snf,
+                    exact_linalg.cokernel,
                     exact_linalg.local_invariant_factors,
                     fiber_model.validate,
                     fiber_model.build_specialization_matrix,
@@ -422,8 +428,10 @@ class TestReport:
             assert len(calls["build_specialization_matrix"]) == 1
             snf_calls.append(len(calls["snf"]))
             local_calls.append(len(calls["local_invariant_factors"]))
+            cokernel_calls.append(len(calls["cokernel"]))
         assert snf_calls == [1, 1]
         assert local_calls == [1, 1]
+        assert cokernel_calls == [1, 1]
 
     @pytest.mark.parametrize("orbit_count", [1000, 2000])
     def test_wide_model_makes_one_smith_decomposition(self, monkeypatch, orbit_count):
@@ -469,9 +477,9 @@ class TestReport:
         # A fault the proof of snf cannot see: the honest log with a wrong
         # last nonzero diagonal entry.  The quotient route shares no code
         # with snf, so B(X)_0 from the diagonal disagrees with it.
-        from chowfiber import chow, cli
+        from chowfiber import cli
 
-        honest = chow.snf
+        honest = exact_linalg.snf
 
         def planted(a):
             dec = honest(a)
@@ -486,7 +494,8 @@ class TestReport:
         # A zero degree matrix has no nonzero diagonal entry to break.
         faulty = [m for m in models if snf(build_specialization_matrix(m)).rank()]
         assert len(faulty) > len(models) // 2
-        monkeypatch.setattr(chow, "snf", planted)
+        # cokernel looks snf up in exact_linalg, where report's B(X) is read.
+        monkeypatch.setattr(exact_linalg, "snf", planted)
         for m in faulty:
             with pytest.raises(SelfCheckError, match="the two degree-zero routes disagree"):
                 report(m)
@@ -681,16 +690,37 @@ class TestReport:
 SEEDED_REPORTS_SHA256 = "b80d4c3a2024ac09ac86dfddf0a19fa731945ba04d388f617045c72bd53cc1cd"
 
 
-def _seeded_models():
+def _seeded_documents():
     # n = 4..11 orbits with n + 2 generators, 30 seeds each.
     for orbit_count in range(4, 12):
         for k in range(30):
             rng = random.Random(1000 * orbit_count + k)
-            yield _model(
-                random_valid_model_document(
-                    rng, orbit_count=orbit_count, generator_count=orbit_count + 2
-                )
+            yield random_valid_model_document(
+                rng, orbit_count=orbit_count, generator_count=orbit_count + 2
             )
+
+
+def _seeded_models():
+    return map(_model, _seeded_documents())
+
+
+#: SHA-256 over ``json.dumps(doc, sort_keys=True)`` of the 240 seeded
+#: documents above, in order, and then over the document texts of the
+#: benchmark's report-scale pool at seed 1.  Both draw their degree
+#: columns from ``hom_T_basis``, which reads the ``v`` of a Smith
+#: decomposition, so a change to ``snf`` can move the inputs; the pins
+#: on outputs below would then hash the outputs of other models.
+SEEDED_DOCUMENTS_SHA256 = "4ce61b7fb73770cd06c0d4cd5c220c0fe4135fbd92220ab867eaa2154e86a871"
+
+
+def test_seeded_documents_are_pinned(monkeypatch, tmp_path):
+    digest = hashlib.sha256()
+    for doc in _seeded_documents():
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    workloads = load_bench_module(monkeypatch, "workloads")
+    for case in workloads.make_cases("report-scale", 1, tmp_path):
+        digest.update(case.text.encode())
+    assert digest.hexdigest() == SEEDED_DOCUMENTS_SHA256
 
 
 def test_seeded_reports_are_pinned():

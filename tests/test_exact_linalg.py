@@ -398,6 +398,8 @@ class TestVerifySnf:
         [(), ("scale row", 0, 2), ("add rows", 0), ("swap rows", 0), ("negate column", 0),
          ("add rows", 0, ((1, 1.0),)), ("add columns", 0, ((1, True),)), ("negate row", 0, 1),
          ("add rows", 0, ((1, 1),), 1), 5, 1.5, object(),
+         # A list is not a log entry, even one that reads as a swap.
+         ["swap rows", 0, 1],
          # The single-addition kinds of earlier logs.
          ("add row", 0, 1, 1), ("add column", 0, 1, 1)],
     )
@@ -445,7 +447,8 @@ class TestVerifySnf:
          (("bogus", 0, 1), "Smith log holds an unknown operation ('bogus', 0, 1)"),
          (("add columns", 0, ((2, 1),)), "Smith log operation ('add columns', 0, ((2, 1),)) "
           "indexes past the matrix"),
-         (5, "Smith log holds an unknown operation 5")],
+         (5, "Smith log holds an unknown operation 5"),
+         (["swap rows", 0, 1], "Smith log holds an unknown operation ['swap rows', 0, 1]")],
     )
     @pytest.mark.parametrize("read", ["u", "v", "u_inv", "compute_xi_bar"])
     def test_transform_readers_refuse_what_the_replay_refuses(self, op, message, read):
