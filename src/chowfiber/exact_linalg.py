@@ -300,6 +300,8 @@ class FGAbelianGroup(Value):
     @classmethod
     def quotient(cls, ambient_rank: int, factors: Sequence[int]) -> FGAbelianGroup:
         """``Z^ambient_rank`` modulo a lattice whose nonzero invariant factors are ``factors``."""
+        if any(f < 1 for f in factors):
+            raise ValueError("nonzero invariant factors must be >= 1")
         return cls(ambient_rank - len(factors), tuple(f for f in factors if f >= 2))
 
     def __str__(self) -> str:
@@ -340,16 +342,29 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int, int]:
     cleared: the last pivot row from the last pivot column on and that
     column below the pivot hold r-by-r minors.  ``g`` is their gcd (1 at
     rank 0), a nonzero multiple of ``d_r(a)`` (Bareiss 1968).
+
+    On a matrix of full row rank ``m`` whose ``g`` is not 1, ``g`` also
+    takes in the minors that the pass held at rank ``m - 2``, when more
+    than two columns were left from the next pivot column on.  By
+    Sylvester's identity, each 2-by-2 minor of the two rows left there,
+    from that column on, divided by the pivot before them (1 at rank 0),
+    is the m-by-m minor of ``a`` on the first ``m - 2`` pivot columns
+    and its own two columns.  So ``g`` stays a nonzero multiple of
+    ``d_r(a)``, and it can only shrink, since the minors read before are
+    among these.  A square matrix of full rank has just two columns
+    left there, and keeps the pass alone.
     """
     m, n = a.shape
     w = [list(row) for row in a.rows]
-    rank, sign, prev, last = 0, 1, 1, 0
+    rank, sign, prev, last, kept = 0, 1, 1, 0, None
     for k in range(n):
         for i in range(rank, m):
             if w[i][k]:
                 break
         else:
             continue  # no pivot in this column
+        if rank == m - 2 and n - k > 2:
+            kept = prev, w[rank][k:], w[rank + 1][k:]
         if i != rank:
             w[rank], w[i], sign = w[i], w[rank], -sign
         pivot_row, p = w[rank], w[rank][k]
@@ -361,6 +376,12 @@ def _rank_and_minor(a: IntMatrix) -> tuple[int, int, int]:
                 row[j] = (row[j] * p - f * pivot_row[j]) // prev
         rank, prev, last = rank + 1, p, k
     g = gcd(*w[rank - 1][last:], *(row[last] for row in w[rank:])) if rank else 1
+    if rank == m and g != 1 and kept:
+        d, top, bottom = kept
+        for (x, u), (y, v) in itertools.combinations(zip(top, bottom), 2):
+            g = gcd(g, (x * v - y * u) // d)
+            if g == 1:
+                break
     return rank, sign * prev, g
 
 
@@ -594,6 +615,12 @@ def local_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     r-by-r minors, so each divides the gcd ``g`` of the r-by-r minors
     that the one Bareiss pass of :func:`_rank_and_minor` exposes, and the
     Smith form of ``a`` over ``Z/qZ`` is ``(s_1, …, s_r, q, …, q)``.
+    Those minors are the ones on the last pivot row and column and, at
+    full row rank with more than two columns left when the pass reaches
+    rank ``r - 2``, the 2-by-2 minors of the two rows left there divided
+    by the pivot before them, which Sylvester's identity makes maximal
+    minors of ``a``.  Each is a multiple of ``d_r(a)``, and only that is
+    used.
     When ``g`` is 1 (always at rank 0) every factor is 1.
 
     The pivot is the first unit modulo ``q``, scaled to 1, where there is

@@ -141,6 +141,10 @@ class TestValueSemantics:
         assert value != fields and fields != value
         assert value != list(fields)
 
+    def test_repr_names_every_field(self, cls, fields, variants):
+        shown = ", ".join(f"{name}={field!r}" for name, field in zip(cls.__slots__, fields))
+        assert repr(cls(*fields)) == f"{cls.__qualname__}({shown})"
+
     def test_copies_and_pickles_are_equal(self, cls, fields, variants):
         value = cls(*fields)
         assert copy.copy(value) == value

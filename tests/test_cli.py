@@ -321,6 +321,26 @@ class TestMatrixCommands:
             "check: ok (local route past the oracle size limit)",
         ]
 
+    def test_snf_check_of_a_wide_dense_file_past_the_oracle_limit(self, tmp_path):
+        # Not square, so the local route's minor gcd also reads the 2-by-2
+        # minors of the two Bareiss rows left at rank 7: 16 from the last
+        # pivot row alone, 4 with them.
+        from chowfiber import exact_linalg
+
+        rng = random.Random(4)
+        rows = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(9)]
+        assert exact_linalg._rank_and_minor(exact_linalg.IntMatrix.from_rows(rows))[2] == 4
+        path = tmp_path / "wide9x12.txt"
+        path.write_text("9 12\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+        plain = run_cli("snf", str(path))
+        r = run_cli("snf", str(path), "--check")
+        assert plain.returncode == r.returncode == 0
+        assert r.stdout.splitlines() == [
+            plain.stdout.rstrip("\n"),
+            "check: ok (local route past the oracle size limit)",
+        ]
+        assert plain.stdout == "rank 9; invariant factors: 1 1 1 1 1 1 1 1 2\n"
+
     def test_oracle_output(self, matrix_file):
         r = run_cli("oracle", matrix_file)
         assert r.returncode == 0
@@ -647,6 +667,56 @@ class TestStyling:
     def test_color_never_is_plain(self):
         r = run_cli("validate", _fx("example31"), color="never")
         assert "\x1b[" not in r.stdout
+
+    # In process, so that the colour switch runs where a line trace sees it.
+    STYLED = [
+        (["validate", "example31"], 1, "31", "ERROR"),
+        (["compute", "irreducible"], 0, "36", "special case: irreducible fiber"),
+        (
+            ["compute", "--permissive", "example31"],
+            0,
+            "33",
+            "formal cokernel only: the model fails validation, so B(X) above "
+            "is the cokernel of the degree table and carries no zero-cycle meaning",
+        ),
+    ]
+    STYLED_IDS = ["validate-errors", "irreducible-special-case", "permissive-banner"]
+
+    @pytest.mark.parametrize("argv, code, color, text", STYLED, ids=STYLED_IDS)
+    def test_color_always_styles_in_process(self, monkeypatch, capsys, argv, code, color, text):
+        from chowfiber import cli
+
+        monkeypatch.setenv("CHOWFIBER_COLOR", "always")
+        assert cli.main([*argv[:-1], _fx(argv[-1])]) == code
+        assert f"\x1b[{color}m{text}\x1b[0m" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting", ["never", None], ids=["never", "default-off-a-terminal"])
+    @pytest.mark.parametrize("argv, code, color, text", STYLED, ids=STYLED_IDS)
+    def test_no_escape_byte_without_color_in_process(
+        self, monkeypatch, capsys, setting, argv, code, color, text
+    ):
+        from chowfiber import cli
+
+        if setting is None:
+            monkeypatch.delenv("CHOWFIBER_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("CHOWFIBER_COLOR", setting)
+        assert cli.main([*argv[:-1], _fx(argv[-1])]) == code
+        out = capsys.readouterr().out
+        assert text in out
+        assert "\x1b" not in out
+
+    def test_default_on_a_pipe_is_plain(self):
+        env = {k: v for k, v in os.environ.items() if k != "CHOWFIBER_COLOR"}
+        r = subprocess.run(
+            [sys.executable, "-m", "chowfiber", "validate", _fx("example31")],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        assert r.returncode == 1
+        assert r.stdout.startswith("ERROR xi-orthogonality c01:")
+        assert "\x1b" not in r.stdout
 
 
 class TestDeterminism:

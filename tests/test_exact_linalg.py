@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -140,6 +141,10 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert a.apply((1, 1)) == (3, 7)
 
+    def test_apply_refuses_a_vector_of_another_length(self):
+        with pytest.raises(ValueError, match="vector length"):
+            IntMatrix.from_rows([[1, 2], [3, 4]]).apply((1, 1, 1))
+
 
 class TestDeterminant:
     def test_known_values(self):
@@ -170,6 +175,47 @@ class TestRankAndMinor:
         # gcd is d_2 = 2, where the pivot and the column alone give 4.
         a = IntMatrix.from_rows([[1, 0, 0], [0, 4, 6], [0, 8, 12]])
         assert exact_linalg._rank_and_minor(a) == (2, 4, 2)
+
+    def test_the_minor_gcd_reads_the_two_rows_left_at_rank_m_minus_2(self):
+        # The last pivot row alone holds the minors 2 and 4, on columns
+        # (0, 1) and (0, 2); the two rows of rank 0 also hold the one on
+        # columns (1, 2), which is 1.
+        a = IntMatrix.from_rows([[2, 1, 1], [0, 1, 2]])
+        assert exact_linalg._rank_and_minor(a) == (2, 2, 1)
+
+    def test_the_minor_gcd_of_full_row_rank_against_the_oracle(self):
+        # g is a nonzero multiple of d_m, and it divides the gcd of the
+        # minors that the last pivot row alone holds: the first m - 1
+        # pivot columns plus one more.  A square matrix reads those alone.
+        rng = random.Random(3401)
+        checked = tighter = 0
+        while checked < 120:
+            m = rng.randint(2, 8)
+            n = rng.randint(m, 8)
+            a = IntMatrix.from_rows(
+                [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 6)) for _ in range(n)] for _ in range(m)]
+            )
+            rank, minor, g = exact_linalg._rank_and_minor(a)
+            if rank < m:
+                continue
+            checked += 1
+            columns = a.transpose().rows
+            pivots: list[int] = []
+            for j in range(n):
+                if snf(IntMatrix.from_columns([columns[k] for k in pivots + [j]])).rank() > len(pivots):
+                    pivots.append(j)
+            read = gcd(
+                *(
+                    determinant(IntMatrix.from_columns([columns[k] for k in pivots[:-1] + [j]]))
+                    for j in range(pivots[-2] + 1, n)
+                )
+            )
+            d_m = determinantal_divisors(a)[m - 1]
+            assert g != 0 and g % d_m == 0 and read % g == 0
+            if m == n:
+                assert (rank, minor, g) == (m, determinant(a), read)
+            tighter += g != read
+        assert tighter > 0
 
 
 class TestSnf:
@@ -772,6 +818,10 @@ class TestSolveInLattice:
         with pytest.raises(NotInLattice):
             solve_in_lattice(basis, _columns((1, 0)))
 
+    def test_targets_of_another_row_count_are_refused(self):
+        with pytest.raises(ValueError, match="row count"):
+            solve_in_lattice(identity(2), _columns((1, 0, 0)))
+
     def test_every_column_is_solved(self):
         basis = _columns((2, 0), (0, 3))
         targets = _columns((4, -3), (0, 0), (-2, 9))
@@ -825,6 +875,14 @@ class TestFGAbelianGroup:
             FGAbelianGroup(0, (3, 4))
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (1,))
+
+    @pytest.mark.parametrize("ambient_rank, factors", [(2, (-3,)), (1, (0,)), (2, (1, -2))])
+    def test_quotient_refuses_a_factor_below_1(self, ambient_rank, factors):
+        # Each was dropped as a unit: Z^2 modulo a lattice with the factor
+        # -3 came out Z, not Z ⊕ Z/3, and Z modulo one with the factor 0
+        # came out 0, not Z.
+        with pytest.raises(ValueError, match=">= 1"):
+            FGAbelianGroup.quotient(ambient_rank, factors)
 
 
 class TestIntText:

@@ -6,6 +6,7 @@ import pytest
 from chowfiber.chow import InvalidModel
 from chowfiber.exact_linalg import IntMatrix, solve_in_lattice
 from chowfiber.fiber_model import (
+    Diagnostic,
     FiberModel,
     ParseError,
     PicGenerator,
@@ -733,6 +734,20 @@ class TestSpecializationMatrix:
         m = _fixture_model("example31")
         a = build_specialization_matrix(m)
         assert a.column(2) == (-1, 0, 0, 0, 1, 0, 0)
+
+
+class TestDiagnostic:
+    @pytest.mark.parametrize(
+        "severity, code, fault",
+        [
+            ("info", "no-generators", "unknown severity 'info'"),
+            ("error", "no-such-law", "unknown diagnostic code 'no-such-law'"),
+        ],
+        ids=["severity", "code"],
+    )
+    def test_refuses_what_validate_never_emits(self, severity, code, fault):
+        with pytest.raises(ValueError, match=fault):
+            Diagnostic(severity, code, "Y", "text")
 
 
 class TestValidate:
