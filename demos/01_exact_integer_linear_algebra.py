@@ -42,7 +42,7 @@ print("\nInteger kernels are saturated (a direct summand of the ambient lattice)
 weights = IntMatrix.from_rows([[2, 2, 1, 1, 2, 2, 4]])
 kernel = integer_kernel(weights)
 print(f"kernel of the weight row has {kernel.col_count} basis columns;")
-print("first column:", kernel.column(0))
+print("first column:", kernel.transpose().rows[0])
 
 print("\nsolve_in_lattice answers membership questions exactly, column by column:")
 basis = IntMatrix.from_columns([(2, 0), (0, 3)])

@@ -35,7 +35,6 @@ print("index of the degree image:", weights.image_index())
 print("\nCharacters annihilating the fiber class (a saturated corank-one lattice):")
 basis = hom_T_basis(weights)
 print(f"{basis.col_count} basis columns; each pairs to 0 against the weights:")
-for j in range(basis.col_count):
-    col = basis.column(j)
+for col in basis.transpose().rows:
     pairing = sum(w * e for w, e in zip(weights.weights, col))
     print(f"  {col}  ->  {pairing}")

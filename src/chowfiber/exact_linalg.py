@@ -182,9 +182,6 @@ class IntMatrix(Value):
     def shape(self) -> tuple[int, int]:
         return (self.row_count, self.col_count)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def transpose(self) -> IntMatrix:
         rows = tuple(zip(*self.rows)) if self.row_count else ((),) * self.col_count
         return IntMatrix._trusted(self.col_count, self.row_count, rows)

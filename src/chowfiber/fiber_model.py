@@ -45,6 +45,12 @@ separator), which could forge or restyle a line of output, and an
 ``expected`` record that is no group (a negative rank, or torsion factors
 that are not each at least 2 and a divisor of the next).
 
+JSON text is read by json's C scanner, the one ``json.loads`` runs, with
+the same settings.  Text it does not read whole (a BOM, no value, data
+after the value, a literal past the digit limit, nesting past the
+recursion limit) goes to ``json.loads`` itself, which words the refusal;
+so reading a well-formed document never loads the ``json`` package.
+
 An orbit's ``size`` is a count, held as a plain integer.  Components
 have names only in the optional ``geometric`` section, whose Frobenius
 cycles must realize the declared orbits and sizes exactly; the model
@@ -302,29 +308,66 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+_JSON_SPACE = " \t\n\r"  # what json.loads skips before and after the value
+
+
+class _ScannerContext:
+    """The settings ``json.loads(text, object_pairs_hook=_unique_keys)`` gives its C scanner."""
+
+    strict, object_hook, object_pairs_hook = True, None, staticmethod(_unique_keys)
+    parse_float, parse_int = float, int
+    constants = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}
+    parse_constant = constants.__getitem__
+
+
+_scanner = None  # built on the first text read, so matrix commands never load _json
+
+
+def _read_json(document: str) -> object:
+    """The value of JSON text ``document``, as ``json.loads(document)`` reads it.
+
+    Text the C scanner does not read whole (a BOM, no value, data after it,
+    any fault but a :class:`SchemaError`, no ``_json``) goes to ``json.loads``.
+    """
+    global _scanner
+    try:
+        if _scanner is None:
+            from _json import make_scanner
+
+            _scanner = make_scanner(_ScannerContext)
+        value, end = _scanner(document, len(document) - len(document.lstrip(_JSON_SPACE)))
+        if end == len(document.rstrip(_JSON_SPACE)):  # no value ends in whitespace
+            return value
+    except SchemaError:
+        raise
+    except Exception:
+        pass  # json.loads meets the same fault and words it
+    import json  # only here, so a well-formed document never loads it
+
+    try:
+        return json.loads(document, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
+    except SchemaError:
+        raise
+    except ValueError:
+        # The one other refusal: an integer literal past the digit limit.
+        raise ParseError(too_many_digits()) from None
+
+
 def parse_model(document: str | Mapping) -> FiberModel:
     """Parse and normalize a model document (JSON text or a parsed object).
 
-    Raises :class:`ParseError` for malformed JSON and :class:`SchemaError`
-    for a document that breaks a law of the schema (see the module
-    docstring): each entry is checked against its table by :func:`_check`,
-    then the laws that span fields are checked in document order.
+    json's C scanner reads JSON text; ``json.loads`` words each refusal of
+    it as a :class:`ParseError` (see :func:`_read_json`).  A document that
+    breaks a law of the schema (see the module docstring) raises
+    :class:`SchemaError`: each entry is checked against its table by
+    :func:`_check`, then the laws that span fields are checked in document
+    order.
     """
-    if isinstance(document, str):
-        import json  # here, so processes that read only matrices never load it
-        try:
-            raw = json.loads(document, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-        except RecursionError:
-            raise ParseError("document is nested too deeply") from None
-        except SchemaError:
-            raise
-        except ValueError:
-            # The one other refusal: an integer literal past the digit limit.
-            raise ParseError(too_many_digits()) from None
-    else:
-        raw = dict(document)
+    raw = _read_json(document) if isinstance(document, str) else dict(document)
     _check([raw], _DOCUMENT)
     hypotheses = FiberModel._defaults["hypotheses"]
     if "hypotheses" in raw:

@@ -172,8 +172,8 @@ def test_criterion_6_transcribed_table_handling():
         assert weights.weights == (2, 2, 1, 1, 2, 2, 4)
         a = build_specialization_matrix(m)
         pairings = [
-            sum(w * e for w, e in zip(weights.weights, a.column(j)))
-            for j in range(a.col_count)
+            sum(w * e for w, e in zip(weights.weights, column))
+            for column in a.transpose().rows
         ]
         offending = [m.generators[j].name for j, p in enumerate(pairings) if p != 0]
         assert offending == ["c01", "c02", "c04", "c05"]

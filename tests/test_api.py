@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -50,7 +51,37 @@ def test_cli_run_leaves_argparse_typing_and_dataclasses_out(tmp_path):
     assert code == "0"
     assert Path(cli_file).resolve().parents[1] == Path(src)
     loaded = set(modules.split())
-    assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "typing", "json"}
+    assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "typing", "json", "_json"}
+
+
+@pytest.mark.parametrize(
+    "argv, prints_json",
+    [
+        (["validate", "irreducible"], False),
+        (["validate", "example31"], False),
+        (["compute", "irreducible"], False),
+        (["compute", "--permissive", "example31"], False),
+        (["compute", "--json", "irreducible"], True),
+    ],
+)
+def test_model_commands_load_json_only_to_print_it(argv, prints_json):
+    from chowfiber.fixtures import fixture_path
+
+    # json's C scanner reads the document; only json.dumps needs the package.
+    # -S keeps site-packages .pth hooks, which import modules of their own,
+    # out of the child.
+    src = str(Path(chowfiber.__file__).resolve().parents[1])
+    *flags, name = argv
+    run = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "chowfiber", *flags,
+         str(fixture_path(name))],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode in (0, 1), run.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+    assert "chowfiber.fiber_model" in loaded and "_json" in loaded
+    json_modules = {m for m in loaded if m == "json" or m.startswith("json.")}
+    assert bool(json_modules) == prints_json, json_modules
 
 
 G = FGAbelianGroup

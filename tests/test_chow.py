@@ -166,8 +166,7 @@ class TestComputeXiBar:
             pres = _present(m)
             w = xi_weights(m.orbits)
             values = compute_xi_bar(w, pres)
-            for y in range(len(m.orbits)):
-                projected = pres.u.column(y)
+            for y, projected in enumerate(pres.u.transpose().rows):
                 assert sum(a * b for a, b in zip(values, projected)) == w.weights[y]
 
     @settings(max_examples=60, deadline=None)

@@ -193,7 +193,8 @@ def test_cokernel_invariance(a, rng):
 
     order = list(range(a.col_count))
     rng.shuffle(order)
-    permuted = IntMatrix.from_columns([a.column(j) for j in order], row_count=a.row_count)
+    columns = a.transpose().rows
+    permuted = IntMatrix.from_columns([columns[j] for j in order], row_count=a.row_count)
     assert cokernel(permuted) == base
 
     if a.col_count:

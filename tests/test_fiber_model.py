@@ -1,10 +1,14 @@
 import json
+import sys
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from chowfiber import fiber_model
 from chowfiber.chow import InvalidModel
-from chowfiber.exact_linalg import IntMatrix, solve_in_lattice
+from chowfiber.exact_linalg import IntMatrix, solve_in_lattice, too_many_digits
 from chowfiber.fiber_model import (
     Diagnostic,
     FiberModel,
@@ -16,7 +20,7 @@ from chowfiber.fiber_model import (
     parse_model,
     validate,
 )
-from chowfiber.fixtures import fixture_path
+from chowfiber.fixtures import fixture_names, fixture_path
 from chowfiber.galois import hom_T_basis, xi_weights
 
 ORBIT = {"name": "Y", "multiplicity": 1, "size": 1}
@@ -139,6 +143,151 @@ class TestParse:
             tracemalloc.stop()
         assert m.orbits[0].size == 10**6
         assert peak < 1_000_000
+
+
+def _json_loads_outcome(text):
+    """``json.loads`` on ``text``, with the wording a model command gives each refusal."""
+    try:
+        return "value", repr(json.loads(text, object_pairs_hook=fiber_model._unique_keys))
+    except json.JSONDecodeError as e:
+        return "ParseError", f"line {e.lineno}, column {e.colno}: {e.msg}"
+    except RecursionError:
+        return "ParseError", "document is nested too deeply"
+    except SchemaError as e:
+        return "SchemaError", str(e)
+    except ValueError:
+        return "ParseError", too_many_digits()
+
+
+def _refuse_json_loads(*args, **kwargs):
+    raise AssertionError("json.loads ran on a document the scanner reads whole")
+
+
+def _assert_read_as_json_loads_reads(text):
+    """The read path gives what ``json.loads`` gives; a value comes from the scanner alone."""
+    expected = _json_loads_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        if expected[0] == "value":
+            mp.setattr(json, "loads", _refuse_json_loads)
+        try:
+            outcome = "value", repr(fiber_model._read_json(text))
+        except (ParseError, SchemaError) as e:
+            outcome = type(e).__name__, str(e)
+    assert outcome == expected
+
+
+def _golden_model_inputs():
+    from test_cli_golden import ERROR_INPUTS
+
+    texts = []
+    for name, data in ERROR_INPUTS.items():
+        if name.endswith(".json"):
+            try:
+                texts.append(data.decode("utf-8"))
+            except UnicodeDecodeError:
+                continue  # refused before any JSON is read
+    return texts
+
+
+_MINIMAL_TEXT = json.dumps(MINIMAL)
+
+#: Documents every path of the reader must word as ``json.loads`` does.
+MUTANTS = [
+    "\ufeff" + _MINIMAL_TEXT,
+    "\ufeff",
+    _MINIMAL_TEXT + " x",
+    _MINIMAL_TEXT + "{}",
+    _MINIMAL_TEXT + "\n\t\r ",
+    " \t\r\n" + _MINIMAL_TEXT,
+    "",
+    " \n\t\r",
+    "\x0b" + _MINIMAL_TEXT,
+    _MINIMAL_TEXT + "\xa0",
+    "NaN",
+    "-Infinity",
+    '{"name": "x", "orbits": [NaN, Infinity, -Infinity, 1e400, -0.0]}',
+    '{"name": "x", "orbits": ' + "7" * 5000 + "}",
+    "-" + "7" * 5000,
+    "[" * 200000,
+    "[" * 200000 + "]" * 200000,
+    '{"name": "a", "name": "b"}',
+    '{"name": "a", "orbits": [{"size": 1, "size": 2}]}',
+    '{"name": "a", "orbits": [1, 2,]}',
+    '{"name": "\\u00e9\\n\\t\\"\\\\\\/", "orbits": []}',
+    '{"name": "\\ud800", "orbits": []}',
+    '{"name": "\\udc00\\ud800", "orbits": []}',
+    '{"name": "\\ud83d\\ude00", "orbits": []}',
+    '{"name": "\\x41"}',
+    '{"name": "\\u12"}',
+    '{"name": "\x01"}',
+    '{"name": "abc',
+    "{",
+    '{"name" 1}',
+    "tru",
+    "01",
+]
+
+
+def _render(value, data):
+    """JSON text of ``value`` (pairs lists are objects) with drawn whitespace between tokens."""
+    space = st.text(alphabet=" \t\n\r", max_size=3)
+    if isinstance(value, list):
+        inner = ",".join(data.draw(space) + _render(v, data) + data.draw(space) for v in value)
+        return "[" + inner + data.draw(space) + "]"
+    if isinstance(value, tuple):
+        inner = ",".join(
+            data.draw(space) + json.dumps(k, ensure_ascii=data.draw(st.booleans()))
+            + data.draw(space) + ":" + data.draw(space) + _render(v, data) + data.draw(space)
+            for k, v in value
+        )
+        return "{" + inner + data.draw(space) + "}"
+    return json.dumps(value, ensure_ascii=data.draw(st.booleans()))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.tuples(st.sampled_from(["name", "orbits", "a", "é", "\ud800"]), children),
+               max_size=4).map(tuple),
+    max_leaves=16,
+)
+
+
+class TestReadPath:
+    """JSON text is read by json's C scanner, and anything it does not read
+    whole by ``json.loads``: both give the same value or the same refusal."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        _assert_read_as_json_loads_reads(fixture_path(name).read_text())
+
+    def test_golden_inputs(self):
+        for text in _golden_model_inputs():
+            _assert_read_as_json_loads_reads(text)
+
+    @pytest.mark.parametrize("text", MUTANTS, ids=range(len(MUTANTS)))
+    def test_mutants(self, text):
+        _assert_read_as_json_loads_reads(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON_VALUES, st.data())
+    def test_generated_documents(self, value, data):
+        text = data.draw(st.text(alphabet=" \t\n\r", max_size=3)) + _render(value, data)
+        text += data.draw(st.text(alphabet=" \t\n\r", max_size=3))
+        _assert_read_as_json_loads_reads(text)
+        cut = data.draw(st.integers(0, len(text)))
+        _assert_read_as_json_loads_reads(text[:cut])
+        _assert_read_as_json_loads_reads(text[:cut] + data.draw(st.characters()) + text[cut:])
+
+    def test_without_the_c_scanner(self, monkeypatch):
+        expected = {name: _fixture_model(name) for name in fixture_names()}
+        monkeypatch.setitem(sys.modules, "_json", None)
+        monkeypatch.setattr(fiber_model, "_scanner", None)
+        for name in fixture_names():
+            assert _fixture_model(name) == expected[name]
+        assert fiber_model._scanner is None
+        with pytest.raises(ParseError, match=r"^line 1, column 2: "):
+            parse_model("{")
 
 
 class TestSchemaErrors:
@@ -733,7 +882,7 @@ class TestSpecializationMatrix:
         # Third column: -1 against A, +1 against R, 0 elsewhere.
         m = _fixture_model("example31")
         a = build_specialization_matrix(m)
-        assert a.column(2) == (-1, 0, 0, 0, 1, 0, 0)
+        assert a.transpose().rows[2] == (-1, 0, 0, 0, 1, 0, 0)
 
 
 class TestDiagnostic:

@@ -180,7 +180,7 @@ class TestHomTBasis:
     def test_two_equal_weights(self):
         basis = hom_T_basis(WeightVector((1, 1)))
         assert basis.shape == (2, 1)
-        x, y = basis.column(0)
+        x, y = basis.transpose().rows[0]
         assert x + y == 0 and abs(x) == 1
 
     def test_seven_component_weights(self):
