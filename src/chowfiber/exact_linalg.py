@@ -31,14 +31,21 @@ Three deliberately different routes to the invariant factors coexist:
   quotient route of B(X)_0 against the Smith diagonal, and ``chowfiber
   snf --check`` past the oracle's size limit;
 * ``determinantal_divisors`` enumerates all k-by-k minors and takes
-  gcds.  It is exponential and size-capped, but it shares no code with
-  the reduction, which makes it a trustworthy independent oracle:
-  invariant factor k equals ``d_k / d_{k-1}``.
+  gcds: invariant factor k equals ``d_k / d_{k-1}``.  It is exponential
+  and size-capped, and it shares no code with ``snf``, which makes it an
+  independent oracle for the Smith route only.
 
 One fraction-free (Bareiss) elimination, ``_rank_and_minor``, serves
 ``determinant``, the oracle's minors and the local route's minor gcd.
 It is part of no reduction, and a test against cofactor expansion is
-its reference.
+its reference.  So the oracle checks the local route with some of that
+route's own code, and only a comparison with ``snf`` checks it
+independently.  The pair that ``chow.report`` compares shares no code
+but the value classes and the error they raise: ``snf`` with its proof
+(``_verify_snf``, ``_replay``), and the quotient route of B(X)_0
+(``chow.compute_b0``, ``_bezout_vector``, ``_xgcd``,
+``local_invariant_factors``, ``_rank_and_minor``).  A walk of the
+syntax trees in ``tests/test_routes.py`` holds them apart.
 
 ``snf`` always re-verifies its own output and raises
 :class:`SelfCheckError` if the verification fails, so a silently wrong

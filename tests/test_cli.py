@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import ABC_DOCUMENT, halve_the_minor_gcd, identity, unimodular_product
 
-from chowfiber.exact_linalg import FGAbelianGroup, format_matrix_text
+from chowfiber.exact_linalg import FGAbelianGroup, IntMatrix, format_matrix_text
 from chowfiber.fixtures import fixture_names, fixture_path
 
 
@@ -238,6 +238,32 @@ class TestUsage:
         assert f"```\n{cli.USAGE}```" in readme
 
 
+def _mixed_nine():
+    """diag(1, 1, 1, 1, 1, 2, 2, 6, 0) mixed by unimodular row and column operations.
+
+    Neither route sees the diagonal.
+    """
+    n = 9
+    rows = [[0] * n for _ in range(n)]
+    for i, d in enumerate((1, 1, 1, 1, 1, 2, 2, 6, 0)):
+        rows[i][i] = d
+    for k in range(n - 1):
+        rows[k + 1] = [p + (k + 2) * q for p, q in zip(rows[k + 1], rows[k])]
+        for row in rows:
+            row[k] += (3 - k) * row[k + 1]
+    return rows
+
+
+def _row_chain_ten():
+    """diag(1, ..., 1, 2, 6) mixed by unimodular row additions down the rows and back up."""
+    n = 10
+    rows = [[(i == j) * {8: 2, 9: 6}.get(i, 1) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        rows[i + 1] = [x + y for x, y in zip(rows[i + 1], rows[i])]
+        rows[n - 2 - i] = [x - 2 * y for x, y in zip(rows[n - 2 - i], rows[n - 1 - i])]
+    return rows
+
+
 class TestMatrixCommands:
     @pytest.fixture
     def matrix_file(self, tmp_path):
@@ -286,23 +312,26 @@ class TestMatrixCommands:
             "check: ok (local route past the oracle size limit)",
         ]
 
-    def test_snf_check_with_torsion_beyond_oracle_limit(self, tmp_path):
-        # diag(1, 1, 1, 1, 1, 2, 2, 6, 0), mixed by unimodular row and
-        # column operations so that neither route sees the diagonal.
-        n = 9
-        rows = [[0] * n for _ in range(n)]
-        for i, d in enumerate((1, 1, 1, 1, 1, 2, 2, 6, 0)):
-            rows[i][i] = d
-        for k in range(n - 1):
-            rows[k + 1] = [p + (k + 2) * q for p, q in zip(rows[k + 1], rows[k])]
-            for row in rows:
-                row[k] += (3 - k) * row[k + 1]
+    @pytest.mark.parametrize(
+        "rows, factors",
+        [
+            pytest.param(
+                _mixed_nine(), "rank 8; invariant factors: 1 1 1 1 1 2 2 6", id="mixed-nine"
+            ),
+            pytest.param(
+                _row_chain_ten(),
+                "rank 10; invariant factors: 1 1 1 1 1 1 1 1 2 6",
+                id="row-chain-ten",
+            ),
+        ],
+    )
+    def test_snf_check_with_torsion_beyond_oracle_limit(self, tmp_path, rows, factors):
         path = tmp_path / "torsion.txt"
-        path.write_text(f"{n} {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+        path.write_text(format_matrix_text(IntMatrix.from_rows(rows)))
         r = run_cli("snf", str(path), "--check")
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
-            "rank 8; invariant factors: 1 1 1 1 1 2 2 6",
+            factors,
             "check: ok (local route past the oracle size limit)",
         ]
 
@@ -321,17 +350,28 @@ class TestMatrixCommands:
             "check: ok (local route past the oracle size limit)",
         ]
 
-    def test_snf_check_of_a_wide_dense_file_past_the_oracle_limit(self, tmp_path):
-        # Not square, so the local route's minor gcd also reads the 2-by-2
-        # minors of the two Bareiss rows left at rank 7: 16 from the last
-        # pivot row alone, 4 with them.
+    @pytest.mark.parametrize(
+        "seed, m, n, g, last",
+        [
+            # Not square, so the local route's minor gcd also reads the
+            # 2-by-2 minors of the two Bareiss rows left at rank 7: 16 from
+            # the last pivot row alone, 4 with them.
+            pytest.param(4, 9, 12, 4, 2, id="wide-9x12"),
+            # Square and of full rank: g is the determinant, and the local
+            # route works modulo its square, a 116-bit number.
+            pytest.param(24, 24, 24, 252922618936418004, 252922618936418004, id="square-24x24"),
+        ],
+    )
+    def test_snf_check_of_a_dense_file_past_the_oracle_limit(self, tmp_path, seed, m, n, g, last):
+        # Entries in [-3, 3]: the Smith log and its proof, and the local
+        # route's unit pivots modulo g², agree on the factors.
         from chowfiber import exact_linalg
 
-        rng = random.Random(4)
-        rows = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(9)]
-        assert exact_linalg._rank_and_minor(exact_linalg.IntMatrix.from_rows(rows))[2] == 4
-        path = tmp_path / "wide9x12.txt"
-        path.write_text("9 12\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+        rng = random.Random(seed)
+        a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        assert exact_linalg._rank_and_minor(a)[2] == g
+        path = tmp_path / "dense.txt"
+        path.write_text(format_matrix_text(a))
         plain = run_cli("snf", str(path))
         r = run_cli("snf", str(path), "--check")
         assert plain.returncode == r.returncode == 0
@@ -339,7 +379,7 @@ class TestMatrixCommands:
             plain.stdout.rstrip("\n"),
             "check: ok (local route past the oracle size limit)",
         ]
-        assert plain.stdout == "rank 9; invariant factors: 1 1 1 1 1 1 1 1 2\n"
+        assert plain.stdout == f"rank {m}; invariant factors: {'1 ' * (m - 1)}{last}\n"
 
     def test_oracle_output(self, matrix_file):
         r = run_cli("oracle", matrix_file)
